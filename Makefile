@@ -9,7 +9,7 @@ GO ?= go
 # but fails the build on any real erosion.
 COVER_MIN ?= 91.0
 
-.PHONY: all build vet test race bench bench-check bench-baseline cover fuzz crash-suite dist-suite api-suite parse-suite hostile-suite fresh-suite telemetry-smoke experiments report clean
+.PHONY: all build vet test race bench crawl-bench crawl-bench-compare profile bench-check bench-baseline cover fuzz crash-suite dist-suite api-suite parse-suite hostile-suite fresh-suite telemetry-smoke experiments report clean
 
 all: build vet test
 
@@ -43,6 +43,32 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The crawl benchmark (bench/README.md): complete crawls on the simulator
+# and the live loopback crawler, reported as pages/s, pages/CPU-s and
+# allocations per page, judged against the bounds in BENCHMARK.json.
+# crawl-bench-compare builds BASE in a throwaway git worktree and runs
+# PAIRS alternating base/head pairs, each judged by `bench -compare`;
+# BENCH_FLAGS passes through (e.g. BENCH_FLAGS="-workload sim.jp-detect").
+PAIRS ?= 3
+
+crawl-bench:
+	$(GO) run ./bench $(BENCH_FLAGS)
+
+crawl-bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make crawl-bench-compare BASE=<rev> [PAIRS=n] [BENCH_FLAGS=...]"; exit 2; }
+	sh scripts/crawl_bench_compare.sh $(BASE) $(PAIRS) $(BENCH_FLAGS)
+
+# CPU and allocation profiles of the two workloads that spend their time
+# in different layers: the detector-mode simulator (page synthesis +
+# charset detection) and the parallel live crawl (net/http, parse, sinks).
+profile:
+	@mkdir -p bench/out
+	@for w in sim.jp-detect live.par; do \
+		$(GO) run ./bench -workload $$w -seconds 10 \
+			-cpuprofile bench/out/cpu-$$w.pprof -memprofile bench/out/mem-$$w.pprof || exit 1; \
+	done
+	@echo "profiles written; read one with: $(GO) tool pprof -top bench/out/cpu-sim.jp-detect.pprof"
 
 # Frontier/append-path benchmarks gated against BENCH_frontier.json
 # (what CI runs); bench-baseline re-records the baseline on this machine.

@@ -1,6 +1,9 @@
 package charset
 
-import "bytes"
+import (
+	"bytes"
+	"unsafe"
+)
 
 // Append-style codec entry points. The streaming parse pipeline and the
 // page generator work in caller-owned reusable buffers; these helpers
@@ -28,6 +31,16 @@ func AppendEncode(c Codec, dst []byte, s string) []byte {
 		return ae.AppendEncode(dst, s)
 	}
 	return append(dst, c.Encode(s)...)
+}
+
+// AppendEncodeBytes is AppendEncode for text held in a byte slice — the
+// page generator's scratch buffer — read in place instead of through a
+// string copy of every page. Codecs only read s during the call and keep
+// no reference to it, which is what makes the unsafe view sound; src
+// must not be written while the call runs and must not overlap dst's
+// spare capacity.
+func AppendEncodeBytes(c Codec, dst, src []byte) []byte {
+	return AppendEncode(c, dst, unsafe.String(unsafe.SliceData(src), len(src)))
 }
 
 // AppendDecode appends the UTF-8 decoding of b to dst. It is

@@ -84,7 +84,7 @@ func randomText(r *rand.Rand) string {
 const utf8RuneError = '�'
 
 // TestAppendCodecsMatchStringForms pins each codec's AppendEncode /
-// AppendDecode against Encode / Decode on random multilingual inputs:
+// AppendEncodeBytes / AppendDecode against Encode / Decode on random multilingual inputs:
 // the append forms must produce byte-identical output into a dirty,
 // non-empty destination buffer.
 func TestAppendCodecsMatchStringForms(t *testing.T) {
@@ -102,6 +102,10 @@ func TestAppendCodecsMatchStringForms(t *testing.T) {
 			gotEnc := AppendEncode(codec, append([]byte{}, prefix...), s)
 			if string(gotEnc[:2]) != string(prefix) || string(gotEnc[2:]) != string(enc) {
 				t.Fatalf("%v AppendEncode(%q) = %q, Encode = %q", cs, s, gotEnc, enc)
+			}
+			src := []byte(s)
+			if got := AppendEncodeBytes(codec, append([]byte{}, prefix...), src); string(got) != string(gotEnc) || string(src) != s {
+				t.Fatalf("%v AppendEncodeBytes(%q) = %q, AppendEncode = %q (src now %q)", cs, s, got, gotEnc, src)
 			}
 
 			// Decode arbitrary bytes too, not just round-trips.

@@ -174,11 +174,19 @@ func TestDistKillResumeInPlace(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(ids))
 	kills := 0
+	// The peers start only once w1's first kill has landed (or w1 is
+	// done, so a failure cannot hang them): until then w1 holds every
+	// partition, so whether it reaches its 17th page no longer depends
+	// on how fast two other workers drain a 400-page space.
+	firstKill := make(chan struct{})
+	var firstKillOnce sync.Once
+	releasePeers := func() { firstKillOnce.Do(func() { close(firstKill) }) }
 	for i, id := range ids {
 		wg.Add(1)
 		if i > 0 {
 			go func() {
 				defer wg.Done()
+				<-firstKill
 				_, errs[i] = dist.RunWorker(context.Background(), h.workerOpts(id))
 			}()
 			continue
@@ -187,12 +195,14 @@ func TestDistKillResumeInPlace(t *testing.T) {
 		// place, until a run survives to completion.
 		go func() {
 			defer wg.Done()
+			defer releasePeers()
 			for stopAt := 17; ; stopAt += 17 {
 				o := h.workerOpts(id)
 				o.StopAfter = stopAt
 				_, err := dist.RunWorker(context.Background(), o)
 				if errors.Is(err, checkpoint.ErrKilled) {
 					kills++
+					releasePeers()
 					if kills > 1000 {
 						errs[i] = errors.New("kill-resume loop is not making progress")
 						return
@@ -230,12 +240,17 @@ func TestDistLeaseMigration(t *testing.T) {
 	ids := []string{"w1", "w2", "w3"}
 	var wg sync.WaitGroup
 	errs := make([]error, len(ids))
+	// The survivors start once the casualty is dead, so it is sure to
+	// reach its 11th page (it holds every partition until then) and to
+	// leave leases behind for them to inherit.
+	dead := make(chan struct{})
 	for i, id := range ids {
 		wg.Add(1)
 		if i == 0 {
 			// The casualty: dies after 11 pages, stays dead.
 			go func() {
 				defer wg.Done()
+				defer close(dead)
 				o := h.workerOpts(id)
 				o.StopAfter = 11
 				_, err := dist.RunWorker(context.Background(), o)
@@ -247,6 +262,7 @@ func TestDistLeaseMigration(t *testing.T) {
 		}
 		go func() {
 			defer wg.Done()
+			<-dead
 			_, errs[i] = dist.RunWorker(context.Background(), h.workerOpts(id))
 		}()
 	}

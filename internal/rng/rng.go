@@ -9,7 +9,7 @@ package rng
 import "math"
 
 // RNG is a xoshiro256** generator seeded via splitmix64. The zero value
-// is not usable; construct with New.
+// is not usable; construct with New or seed a declared value with Seed.
 type RNG struct {
 	s [4]uint64
 }
@@ -17,7 +17,23 @@ type RNG struct {
 // New returns a generator seeded from seed. Distinct seeds give
 // independent-looking streams (splitmix64 scrambles the seed).
 func New(seed uint64) *RNG {
-	r := &RNG{}
+	r := new(RNG)
+	r.Seed(seed)
+	return r
+}
+
+// New2 returns a generator seeded from a (seed, stream) pair — the usual
+// way to derive a per-page or per-site stream from a space seed.
+func New2(seed, stream uint64) *RNG {
+	r := new(RNG)
+	r.Seed2(seed, stream)
+	return r
+}
+
+// Seed restarts r as the stream New(seed) returns. Per-page hot paths
+// declare one RNG on the stack and reseed it rather than allocate a
+// generator per page.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9E3779B97F4A7C15
@@ -26,13 +42,11 @@ func New(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
-// New2 returns a generator seeded from a (seed, stream) pair — the usual
-// way to derive a per-page or per-site stream from a space seed.
-func New2(seed, stream uint64) *RNG {
-	return New(seed*0x9E3779B97F4A7C15 + stream*0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7)
+// Seed2 restarts r as the stream New2(seed, stream) returns.
+func (r *RNG) Seed2(seed, stream uint64) {
+	r.Seed(seed*0x9E3779B97F4A7C15 + stream*0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -154,14 +168,26 @@ func (z *Zipf) Sample(r *RNG) int {
 }
 
 // Weighted samples indices 0..n-1 proportionally to the given
-// non-negative weights, again via CDF inversion.
+// non-negative weights, again via CDF inversion: Sample returns the
+// smallest index whose cumulative weight reaches the uniform drawn.
 type Weighted struct {
 	cdf []float64
+	// guide[k] is the smallest index whose cumulative weight reaches
+	// k/guideSize: the scan for a uniform in [k/guideSize, (k+1)/guideSize)
+	// starts there and ends a step or two later, where a binary search
+	// would take log n unpredictable branches to the same index.
+	guide [guideSize]uint16
 }
+
+// guideSize is a power of two, so u*guideSize and k/guideSize are exact.
+const guideSize = 64
 
 // NewWeighted builds a sampler from weights. At least one weight must be
 // positive.
 func NewWeighted(weights []float64) *Weighted {
+	if len(weights) > 1<<16 {
+		panic("rng: too many weights")
+	}
 	cdf := make([]float64, len(weights))
 	sum := 0.0
 	for i, w := range weights {
@@ -178,20 +204,23 @@ func NewWeighted(weights []float64) *Weighted {
 		cdf[i] /= sum
 	}
 	cdf[len(cdf)-1] = 1
-	return &Weighted{cdf: cdf}
+	w := &Weighted{cdf: cdf}
+	i := 0
+	for k := range w.guide {
+		for cdf[i] < float64(k)/guideSize {
+			i++
+		}
+		w.guide[k] = uint16(i)
+	}
+	return w
 }
 
 // Sample draws one index using r.
 func (w *Weighted) Sample(r *RNG) int {
 	u := r.Float64()
-	lo, hi := 0, len(w.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(w.guide[int(u*guideSize)])
+	for w.cdf[i] < u {
+		i++
 	}
-	return lo
+	return i
 }

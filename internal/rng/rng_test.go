@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,48 @@ func TestZipfRangeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWeightedSampleIsCDFInversion pins Sample to the definition the
+// recorded crawls depend on — one uniform, the smallest index whose
+// cumulative weight reaches it — by comparing the guided scan with a
+// plain binary search over the same table, zero weights and
+// single-entry tables included.
+func TestWeightedSampleIsCDFInversion(t *testing.T) {
+	gen := New(77)
+	for trial := 0; trial < 300; trial++ {
+		weights := make([]float64, gen.IntRange(1, 200))
+		for i := range weights {
+			if !gen.Bool(0.3) {
+				weights[i] = gen.LogNormal(0, 2)
+			}
+		}
+		weights[gen.Intn(len(weights))] += 1
+		w := NewWeighted(weights)
+		r := New(uint64(trial))
+		for i := 0; i < 500; i++ {
+			ref := *r
+			u := ref.Float64()
+			want := sort.Search(len(w.cdf), func(j int) bool { return !(w.cdf[j] < u) })
+			if got := w.Sample(r); got != want {
+				t.Fatalf("trial %d: u=%v: Sample = %d, CDF inversion = %d", trial, u, got, want)
+			}
+			if *r != ref {
+				t.Fatal("Sample did not consume exactly one uniform")
+			}
+		}
+	}
+}
+
+func TestSeedMatchesNew(t *testing.T) {
+	var r RNG
+	r.Seed(9)
+	if r != *New(9) {
+		t.Error("Seed(9) differs from New(9)")
+	}
+	r.Seed2(9, 4)
+	if r != *New2(9, 4) {
+		t.Error("Seed2(9, 4) differs from New2(9, 4)")
 	}
 }

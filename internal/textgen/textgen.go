@@ -11,7 +11,7 @@
 package textgen
 
 import (
-	"strings"
+	"unicode/utf8"
 
 	"langcrawl/internal/charset"
 	"langcrawl/internal/rng"
@@ -22,12 +22,17 @@ type Lang = charset.Language
 
 // frequency-weighted character inventories -------------------------------
 
-// hiraganaCommon lists frequent hiragana with weights approximating
-// running-text frequency (い の ん し か … dominate real Japanese).
-var hiraganaCommon = []struct {
+// glyph is one inventory character and its relative frequency. No
+// inventory holds '&', '<', '>' or '"', so generated text goes into
+// markup unescaped (TestInventoriesHoldNoMarkup).
+type glyph struct {
 	r rune
 	w float64
-}{
+}
+
+// hiraganaCommon lists frequent hiragana with weights approximating
+// running-text frequency (い の ん し か … dominate real Japanese).
+var hiraganaCommon = []glyph{
 	{'い', 9}, {'の', 9}, {'ん', 8}, {'し', 7}, {'か', 7}, {'た', 7},
 	{'と', 6}, {'て', 6}, {'に', 6}, {'な', 6}, {'は', 5}, {'を', 5},
 	{'る', 5}, {'す', 5}, {'が', 5}, {'で', 5}, {'ま', 4}, {'き', 4},
@@ -38,10 +43,7 @@ var hiraganaCommon = []struct {
 	{'め', 1}, {'ち', 1}, {'ぬ', 1}, {'ね', 1},
 }
 
-var katakanaCommon = []struct {
-	r rune
-	w float64
-}{
+var katakanaCommon = []glyph{
 	{'ア', 4}, {'イ', 4}, {'ン', 6}, {'ス', 4}, {'ト', 4}, {'ル', 4},
 	{'ラ', 3}, {'リ', 3}, {'ク', 3}, {'タ', 3}, {'シ', 3}, {'カ', 2},
 	{'コ', 2}, {'サ', 2}, {'テ', 2}, {'ニ', 2}, {'マ', 2}, {'ミ', 1},
@@ -51,20 +53,14 @@ var katakanaCommon = []struct {
 }
 
 // kanjiCommon is the curated externally-validated kanji subset.
-var kanjiCommon = []struct {
-	r rune
-	w float64
-}{
+var kanjiCommon = []glyph{
 	{'日', 5}, {'本', 4}, {'人', 4}, {'語', 3},
 }
 
 // thaiCommon lists frequent Thai characters with realistic weights; the
 // set intentionally overlaps the detector's frequent-character table the
 // way real Thai running text does.
-var thaiCommon = []struct {
-	r rune
-	w float64
-}{
+var thaiCommon = []glyph{
 	{'า', 9}, {'น', 8}, {'ร', 8}, {'อ', 7}, {'เ', 7}, {'ก', 6},
 	{'ง', 6}, {'ม', 6}, {'ย', 5}, {'ว', 5}, {'ส', 5}, {'ด', 5},
 	{'ท', 5}, {'ต', 4}, {'ค', 4}, {'บ', 4}, {'ล', 4}, {'แ', 4},
@@ -82,156 +78,153 @@ var englishSyllables = []string{
 	"pro", "sta", "net", "web", "data", "arch", "ive", "page", "link", "site",
 }
 
-// Generator produces text in one language from a deterministic stream.
-// It is not safe for concurrent use; create one per goroutine.
-type Generator struct {
-	lang   Lang
-	r      *rng.RNG
-	hira   *rng.Weighted
-	kata   *rng.Weighted
-	kanji  *rng.Weighted
-	thai   *rng.Weighted
-	engSyl *rng.Weighted
+// The samplers over the inventories, built once: a table is a pure
+// function of its inventory.
+var (
+	hiragana = newInventory(hiraganaCommon)
+	katakana = newInventory(katakanaCommon)
+	kanji    = newInventory(kanjiCommon)
+	thai     = newInventory(thaiCommon)
+	engSyl   = rng.NewWeighted(syllableWeights())
+)
+
+// inventory pairs a glyph table with its CDF-inversion sampler. The
+// sampler stays a CDF inversion, one uniform per glyph: an alias table
+// would draw differently, and the draw order is part of the page format.
+type inventory struct {
+	glyphs []glyph
+	cdf    *rng.Weighted
 }
 
-// New returns a Generator for lang drawing randomness from r.
-func New(lang Lang, r *rng.RNG) *Generator {
-	g := &Generator{lang: lang, r: r}
-	g.hira = weighted(hiraganaCommon)
-	g.kata = weighted(katakanaCommon)
-	g.kanji = weighted(kanjiCommon)
-	g.thai = weighted(thaiCommon)
-	w := make([]float64, len(englishSyllables))
-	for i := range w {
-		w[i] = 1 + 3/float64(i+1)
-	}
-	g.engSyl = rng.NewWeighted(w)
-	return g
-}
-
-func weighted(tab []struct {
-	r rune
-	w float64
-}) *rng.Weighted {
+func newInventory(tab []glyph) inventory {
 	w := make([]float64, len(tab))
 	for i, e := range tab {
 		w[i] = e.w
 	}
-	return rng.NewWeighted(w)
+	return inventory{glyphs: tab, cdf: rng.NewWeighted(w)}
+}
+
+// appendN appends n glyphs sampled with r, as UTF-8.
+func (inv *inventory) appendN(dst []byte, r *rng.RNG, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = utf8.AppendRune(dst, inv.glyphs[inv.cdf.Sample(r)].r)
+	}
+	return dst
+}
+
+func syllableWeights() []float64 {
+	w := make([]float64, len(englishSyllables))
+	for i := range w {
+		w[i] = 1 + 3/float64(i+1)
+	}
+	return w
+}
+
+// Generator produces text in one language from a deterministic stream.
+// Text is appended as UTF-8 to a caller-owned buffer; the string
+// methods wrap the append forms. The sequence of draws from the stream
+// is fixed — pages are regenerated from seeds, never stored — so a
+// change to it is a change to every recorded crawl. It is not safe for
+// concurrent use; create one per goroutine.
+type Generator struct {
+	lang Lang
+	r    *rng.RNG
+}
+
+// New returns a Generator for lang drawing randomness from r.
+func New(lang Lang, r *rng.RNG) *Generator {
+	return &Generator{lang: lang, r: r}
 }
 
 // Lang returns the generator's language.
 func (g *Generator) Lang() Lang { return g.lang }
 
 // Word returns one word-like unit.
-func (g *Generator) Word() string {
+func (g *Generator) Word() string { return string(g.appendWord(nil)) }
+
+func (g *Generator) appendWord(dst []byte) []byte {
 	switch g.lang {
 	case charset.LangJapanese:
-		return g.japaneseWord()
+		n := g.r.IntRange(2, 6)
+		// Occasionally a katakana loanword or a kanji compound.
+		switch g.r.Intn(10) {
+		case 0:
+			return katakana.appendN(dst, g.r, n)
+		case 1:
+			return kanji.appendN(dst, g.r, 2)
+		default:
+			return hiragana.appendN(dst, g.r, n)
+		}
 	case charset.LangThai:
-		return g.thaiWord()
+		return thai.appendN(dst, g.r, g.r.IntRange(3, 8))
 	default:
-		return g.englishWord()
-	}
-}
-
-func (g *Generator) japaneseWord() string {
-	var sb strings.Builder
-	n := g.r.IntRange(2, 6)
-	// Occasionally a katakana loanword or a kanji compound.
-	switch g.r.Intn(10) {
-	case 0:
+		n := g.r.IntRange(1, 3)
 		for i := 0; i < n; i++ {
-			sb.WriteRune(katakanaCommon[g.kata.Sample(g.r)].r)
+			dst = append(dst, englishSyllables[engSyl.Sample(g.r)]...)
 		}
-	case 1:
-		for i := 0; i < 2; i++ {
-			sb.WriteRune(kanjiCommon[g.kanji.Sample(g.r)].r)
-		}
-	default:
-		for i := 0; i < n; i++ {
-			sb.WriteRune(hiraganaCommon[g.hira.Sample(g.r)].r)
-		}
+		return dst
 	}
-	return sb.String()
-}
-
-func (g *Generator) thaiWord() string {
-	var sb strings.Builder
-	n := g.r.IntRange(3, 8)
-	for i := 0; i < n; i++ {
-		sb.WriteRune(thaiCommon[g.thai.Sample(g.r)].r)
-	}
-	return sb.String()
-}
-
-func (g *Generator) englishWord() string {
-	var sb strings.Builder
-	n := g.r.IntRange(1, 3)
-	for i := 0; i < n; i++ {
-		sb.WriteString(englishSyllables[g.engSyl.Sample(g.r)])
-	}
-	return sb.String()
 }
 
 // Sentence returns a sentence of roughly n words with language-appropriate
 // separators and terminal punctuation.
-func (g *Generator) Sentence(n int) string {
+func (g *Generator) Sentence(n int) string { return string(g.appendSentence(nil, n)) }
+
+func (g *Generator) appendSentence(dst []byte, n int) []byte {
 	if n <= 0 {
 		n = g.r.IntRange(4, 12)
 	}
-	var sb strings.Builder
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			switch g.lang {
 			case charset.LangJapanese:
 				// Japanese does not use spaces; insert an occasional comma.
 				if g.r.Bool(0.15) {
-					sb.WriteRune('、')
+					dst = append(dst, "、"...)
 				}
 			default:
-				sb.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
 		}
-		sb.WriteString(g.Word())
+		dst = g.appendWord(dst)
 	}
 	switch g.lang {
 	case charset.LangJapanese:
-		sb.WriteRune('。')
+		dst = append(dst, "。"...)
 	case charset.LangThai:
 		// Thai marks sentence boundaries with a space; nothing to add.
 	default:
-		sb.WriteByte('.')
+		dst = append(dst, '.')
 	}
-	return sb.String()
+	return dst
 }
 
 // Paragraph returns roughly n sentences joined appropriately.
-func (g *Generator) Paragraph(n int) string {
+func (g *Generator) Paragraph(n int) string { return string(g.appendParagraph(nil, n)) }
+
+func (g *Generator) appendParagraph(dst []byte, n int) []byte {
 	if n <= 0 {
 		n = g.r.IntRange(2, 6)
 	}
-	parts := make([]string, n)
-	for i := range parts {
-		parts[i] = g.Sentence(0)
+	for i := 0; i < n; i++ {
+		if i > 0 && g.lang != charset.LangJapanese {
+			dst = append(dst, ' ')
+		}
+		dst = g.appendSentence(dst, 0)
 	}
-	sep := " "
-	if g.lang == charset.LangJapanese {
-		sep = ""
-	}
-	return strings.Join(parts, sep)
+	return dst
 }
 
 // Title returns a short title-like phrase.
-func (g *Generator) Title() string {
+func (g *Generator) Title() string { return string(g.appendTitle(nil)) }
+
+func (g *Generator) appendTitle(dst []byte) []byte {
 	n := g.r.IntRange(2, 5)
-	var parts []string
 	for i := 0; i < n; i++ {
-		parts = append(parts, g.Word())
+		if i > 0 && g.lang != charset.LangJapanese {
+			dst = append(dst, ' ')
+		}
+		dst = g.appendWord(dst)
 	}
-	sep := " "
-	if g.lang == charset.LangJapanese {
-		sep = ""
-	}
-	return strings.Join(parts, sep)
+	return dst
 }

@@ -9,7 +9,6 @@ import (
 	"langcrawl/internal/charset"
 	"langcrawl/internal/rng"
 	"langcrawl/internal/simtime"
-	"langcrawl/internal/textgen"
 )
 
 // EvolveConfig parameterizes the change processes that turn a static
@@ -370,27 +369,10 @@ func (e *Evolver) PageBytes(id PageID) []byte { return e.PageBytesAppend(nil, id
 // different text), and drifted pages switch to UTF-8 so the new
 // language always encodes.
 func (e *Evolver) PageBytesAppend(dst []byte, id PageID) []byte {
-	v := e.version[id]
-	if v == 0 && e.lang[id] == e.Space.Lang[id] {
-		return e.Space.PageBytesAppend(dst, id)
-	}
 	s := e.Space
-	out := s.Outlinks(id)
-	hrefs := make([]string, len(out))
-	for i, t := range out {
-		hrefs[i] = s.URL(t)
-	}
 	cs, decl := s.Charset[id], s.Declared[id]
 	if e.lang[id] != s.Lang[id] {
 		cs, decl = charset.UTF8, charset.UTF8
 	}
-	spec := textgen.PageSpec{
-		Lang:            e.lang[id],
-		Charset:         cs,
-		DeclaredCharset: decl,
-		Links:           hrefs,
-		Paragraphs:      2 + int(id%3),
-	}
-	r := rng.New2(s.Seed^0xC0FFEE^(uint64(v)*0x9E3779B97F4A7C15), uint64(id))
-	return textgen.AppendHTMLPage(dst, spec, r)
+	return s.appendPage(dst, id, e.lang[id], cs, decl, e.version[id])
 }

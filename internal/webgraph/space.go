@@ -102,12 +102,22 @@ func (s *Space) RelevantTotal() int { return s.relevantOK }
 // URL returns the canonical URL of page id: the site root for the
 // site's first page, /p<ordinal>.html otherwise.
 func (s *Space) URL(id PageID) string {
+	var buf [64]byte
+	return string(s.AppendURL(buf[:0], id))
+}
+
+// AppendURL appends URL(id) to dst.
+func (s *Space) AppendURL(dst []byte, id PageID) []byte {
 	site := s.Site(id)
+	dst = append(dst, "http://"...)
+	dst = append(dst, site.Host...)
 	ord := id - site.Start
 	if ord == 0 {
-		return "http://" + site.Host + "/"
+		return append(dst, '/')
 	}
-	return fmt.Sprintf("http://%s/p%d.html", site.Host, ord)
+	dst = append(dst, "/p"...)
+	dst = strconv.AppendUint(dst, uint64(ord), 10)
+	return append(dst, ".html"...)
 }
 
 // PageByURL resolves a URL produced by URL back to its PageID. ok is
@@ -155,19 +165,26 @@ func (s *Space) PageBytes(id PageID) []byte {
 // simulation hot loops can regenerate bodies without a fresh allocation
 // per page. The appended bytes are identical to PageBytes's.
 func (s *Space) PageBytesAppend(dst []byte, id PageID) []byte {
-	out := s.Outlinks(id)
-	hrefs := make([]string, len(out))
-	for i, t := range out {
-		hrefs[i] = s.URL(t)
-	}
+	return s.appendPage(dst, id, s.Lang[id], s.Charset[id], s.Declared[id], 0)
+}
+
+// appendPage synthesizes version v of page id in the given language and
+// charsets: the page's own structure (paragraph count, out-links) with
+// text from the stream of (Seed, id, v). Version 0 is the snapshot body.
+// Into a dst with enough capacity it does not allocate: the stream lives
+// on the stack and hrefs are written straight into the page.
+func (s *Space) appendPage(dst []byte, id PageID, lang charset.Language, cs, declared charset.Charset, v uint32) []byte {
 	spec := textgen.PageSpec{
-		Lang:            s.Lang[id],
-		Charset:         s.Charset[id],
-		DeclaredCharset: s.Declared[id],
-		Links:           hrefs,
+		Lang:            lang,
+		Charset:         cs,
+		DeclaredCharset: declared,
+		LinkIDs:         s.Outlinks(id),
+		AppendLink:      s.AppendURL,
 		Paragraphs:      2 + int(id%3),
 	}
-	return textgen.AppendHTMLPage(dst, spec, rng.New2(s.Seed^0xC0FFEE, uint64(id)))
+	var r rng.RNG
+	r.Seed2(s.Seed^0xC0FFEE^(uint64(v)*0x9E3779B97F4A7C15), uint64(id))
+	return textgen.AppendHTMLPage(dst, spec, &r)
 }
 
 // Stats summarizes the space the way the paper's Table 3 does.

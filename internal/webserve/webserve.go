@@ -8,6 +8,7 @@ package webserve
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,13 +146,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Resolve the page's current incarnation. A static space serves the
 	// snapshot at version 0 — with real validators, so a revalidating
 	// crawler gets its 304s there too; an evolving space serves whatever
-	// the virtual clock says, 404 included.
+	// the virtual clock says, 404 included. The validators are checked
+	// before the body is built, so a 304 — most of a recrawl sweep —
+	// costs no page synthesis; a 200 is built in a pooled buffer, which
+	// Write copies out of before it goes back.
 	var (
-		body    []byte
-		etag    string
-		lastMod time.Time
-		cs      = s.space.Charset[id]
+		etag     string
+		lastMod  = HTTPEpoch
+		cs       = s.space.Charset[id]
+		modified bool
 	)
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
 	if s.evolve != nil {
 		s.evMu.Lock()
 		if s.Tick > 0 {
@@ -165,26 +171,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		etag = s.evolve.ETag(id)
 		lastMod = virtualTime(s.evolve.LastModified(id))
 		cs = s.evolve.Charset(id)
-		body = s.evolve.PageBytes(id)
+		if modified = !notModified(r, etag, lastMod); modified {
+			*bp = s.evolve.PageBytesAppend((*bp)[:0], id)
+		}
 		s.evMu.Unlock()
 	} else {
-		etag = fmt.Sprintf("%q", fmt.Sprintf("%d-0", id))
-		lastMod = HTTPEpoch
-		body = s.space.PageBytes(id)
+		etag = `"` + strconv.FormatUint(uint64(id), 10) + `-0"`
+		if modified = !notModified(r, etag, lastMod); modified {
+			*bp = s.space.PageBytesAppend((*bp)[:0], id)
+		}
 	}
 
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Last-Modified", lastMod.Format(http.TimeFormat))
-	if notModified(r, etag, lastMod) {
+	if !modified {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset="+cs.String())
-	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	w.WriteHeader(http.StatusOK)
-	n, _ := w.Write(body)
+	n, _ := w.Write(*bp)
 	s.bodyBytes.Add(int64(n))
 }
+
+// bodyPool holds the buffers 200 bodies are synthesized into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // virtualTime maps a virtual-second stamp to wall time, truncated to
 // whole seconds because that is all an HTTP date can carry. Sub-second
