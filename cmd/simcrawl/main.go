@@ -145,13 +145,11 @@ func main() {
 	if *ckDir != "" && *timed {
 		fatal(fmt.Errorf("-checkpoint-dir is not supported with -timed (the event queue has no serialized form)"))
 	}
-	if !*timed {
-		// First SIGINT/SIGTERM stops the simulation at the next page
-		// boundary and writes a final checkpoint; a second signal force-
-		// exits immediately, as does the drain deadline. (See the Signals
-		// section of -h.)
-		cfg.Stop = cliutil.DrainSignals{Prog: "simcrawl", DrainWait: *drainWait}.Install()
-	}
+	// First SIGINT/SIGTERM stops the simulation at the next page boundary
+	// and writes a final checkpoint (-timed takes none); a second signal
+	// force-exits immediately, as does the drain deadline. (See the
+	// Signals section of -h.)
+	cfg.Stop = cliutil.DrainSignals{Prog: "simcrawl", DrainWait: *drainWait}.Install()
 
 	// Telemetry is registry-per-process: instruments only exist when an
 	// endpoint or progress reporter will read them, so the default run

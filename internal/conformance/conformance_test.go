@@ -182,43 +182,86 @@ func TestGoldenShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestGoldenTelemetryEnabled holds an instrumented run to the goldens:
-// telemetry is observation-only, so wiring a full SimStats bundle (with
-// the sharded frontier carrying its stats too) must not move a single
-// visit. The counters themselves must also agree with the result.
+// TestGoldenTelemetryEnabled holds an instrumented run of every sim
+// engine — the sequential one, the timed one at one connection, and the
+// incremental one at zero churn — to the goldens: telemetry is
+// observation-only, so wiring a full SimStats bundle (with the sharded
+// frontier carrying its stats too) must not move a single visit. The
+// counters must agree with the result, and every engine records the
+// same instruments from its one shared visit step.
 func TestGoldenTelemetryEnabled(t *testing.T) {
 	sp := space(t)
-	for _, c := range Cases() {
-		stats := telemetry.NewSimStats(telemetry.NewRegistry())
-		var visits []webgraph.PageID
-		res, err := sim.Run(sp, sim.Config{
-			Strategy:       c.Strategy,
-			Classifier:     Classifier(),
-			FrontierShards: 1,
-			FrontierBatch:  1,
-			Telemetry:      stats,
-			OnVisit:        func(id webgraph.PageID) { visits = append(visits, id) },
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.Key, err)
-		}
-		got := &Trace{
-			Strategy: c.Strategy.Name(), Crawled: res.Crawled,
-			Relevant: res.RelevantCrawled,
-			Harvest:  res.FinalHarvest(), Coverage: res.FinalCoverage(),
-			Visits: visits,
-		}
-		if d := golden(t, c.Key).Diff(got); d != "" {
-			t.Errorf("%s: telemetry-enabled run diverged from golden: %s", c.Key, d)
-		}
-		if got := stats.Pages.Value(); got != int64(res.Crawled) {
-			t.Errorf("%s: pages counter %d != crawled %d", c.Key, got, res.Crawled)
-		}
-		if got := stats.Relevant.Value(); got != int64(res.RelevantCrawled) {
-			t.Errorf("%s: relevant counter %d != %d", c.Key, got, res.RelevantCrawled)
-		}
-		if got := stats.Frontier.Pops.Value(); got < int64(res.Crawled) {
-			t.Errorf("%s: frontier pop counter %d < crawled %d", c.Key, got, res.Crawled)
+	// Each engine returns its result plus the discovery fetch count the
+	// golden trace records (the incremental engine's revisits backed out).
+	engines := []struct {
+		name string
+		run  func(sim.Config) (*sim.Result, int, error)
+	}{
+		{"run", func(cfg sim.Config) (*sim.Result, int, error) {
+			res, err := sim.Run(sp, cfg)
+			if err != nil {
+				return nil, 0, err
+			}
+			return res, res.Crawled, nil
+		}},
+		{"timed-c1", func(cfg sim.Config) (*sim.Result, int, error) {
+			res, err := sim.RunTimed(sp, sim.TimedConfig{Config: cfg, Concurrency: 1})
+			if err != nil {
+				return nil, 0, err
+			}
+			return &res.Result, res.Crawled, nil
+		}},
+		{"incremental", func(cfg sim.Config) (*sim.Result, int, error) {
+			res, err := sim.RunIncremental(sp, cfg, sim.RecrawlConfig{
+				Horizon: float64(SpacePages) + 200, MinGap: 50, MaxGap: 400,
+			})
+			if err != nil {
+				return nil, 0, err
+			}
+			return &res.Result, res.Crawled - res.Fresh.Revisits, nil
+		}},
+	}
+	for _, e := range engines {
+		for _, c := range Cases() {
+			key := e.name + "/" + c.Key
+			stats := telemetry.NewSimStats(telemetry.NewRegistry())
+			var visits []webgraph.PageID
+			res, crawled, err := e.run(sim.Config{
+				Strategy:       c.Strategy,
+				Classifier:     Classifier(),
+				FrontierShards: 1,
+				FrontierBatch:  1,
+				Telemetry:      stats,
+				OnVisit:        func(id webgraph.PageID) { visits = append(visits, id) },
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			got := &Trace{
+				Strategy: c.Strategy.Name(), Crawled: crawled,
+				Relevant: res.RelevantCrawled,
+				Harvest:  100 * float64(res.RelevantCrawled) / float64(crawled),
+				Coverage: res.FinalCoverage(),
+				Visits:   visits,
+			}
+			if d := golden(t, c.Key).Diff(got); d != "" {
+				t.Errorf("%s: telemetry-enabled run diverged from golden: %s", key, d)
+			}
+			if got := stats.Pages.Value(); got != int64(res.Crawled) {
+				t.Errorf("%s: pages counter %d != crawled %d", key, got, res.Crawled)
+			}
+			if got := stats.Relevant.Value(); got != int64(res.RelevantCrawled) {
+				t.Errorf("%s: relevant counter %d != %d", key, got, res.RelevantCrawled)
+			}
+			if got := stats.Frontier.Pops.Value(); got < int64(crawled) {
+				t.Errorf("%s: frontier pop counter %d < crawled %d", key, got, crawled)
+			}
+			if got := stats.ClassifierTime.Snapshot().Count; got != int64(len(visits)) {
+				t.Errorf("%s: classifier timed %d times for %d visits", key, got, len(visits))
+			}
+			if got := stats.PagesPerSec.Value(); got <= 0 {
+				t.Errorf("%s: pages-per-second gauge never set (%v)", key, got)
+			}
 		}
 	}
 }

@@ -31,9 +31,14 @@ type Batcher struct {
 	size    int
 	order   []string // URLs in first-Put order
 	pending map[string]*crawlog.Record
-	err     error // first commit error; sticky
+	// committing is the batch a Flush is writing, kept readable until
+	// the database holds it.
+	committing map[string]*crawlog.Record
+	err        error // first commit error; sticky
 
-	fmu  sync.Mutex // serializes commits, preserving batch order
+	// fmu serializes commits, preserving batch order. It is taken before
+	// mu, never while holding it.
+	fmu  sync.Mutex
 	stop chan struct{}
 	done chan struct{}
 
@@ -122,29 +127,36 @@ func (b *Batcher) Put(rec *crawlog.Record) error {
 	return nil
 }
 
-// Has reports whether url is recorded, in the database or the pending
-// batch.
+// Has reports whether url is recorded, in the database or a batch not
+// yet committed.
 func (b *Batcher) Has(url string) bool {
-	b.mu.Lock()
-	_, staged := b.pending[url]
-	b.mu.Unlock()
-	return staged || b.db.Has(url)
+	return b.staged(url) != nil || b.db.Has(url)
 }
 
 // Get returns the staged or stored record for url.
 func (b *Batcher) Get(url string) (*crawlog.Record, error) {
-	b.mu.Lock()
-	if rec, staged := b.pending[url]; staged {
-		b.mu.Unlock()
+	if rec := b.staged(url); rec != nil {
 		return rec, nil
 	}
-	b.mu.Unlock()
 	return b.db.Get(url)
+}
+
+// staged returns url's record from the pending or the committing batch,
+// nil when neither holds it.
+func (b *Batcher) staged(url string) *crawlog.Record {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if rec, ok := b.pending[url]; ok {
+		return rec
+	}
+	return b.committing[url]
 }
 
 // Flush commits the pending batch: every staged record is Put in
 // first-staged order, then the database is fsynced once.
 func (b *Batcher) Flush() error {
+	b.fmu.Lock()
+	defer b.fmu.Unlock()
 	b.mu.Lock()
 	if b.err != nil {
 		err := b.err
@@ -158,7 +170,7 @@ func (b *Batcher) Flush() error {
 	order, pending := b.order, b.pending
 	b.order = nil
 	b.pending = make(map[string]*crawlog.Record, b.size)
-	b.fmu.Lock()
+	b.committing = pending
 	b.mu.Unlock()
 
 	var t0 time.Time
@@ -174,21 +186,19 @@ func (b *Batcher) Flush() error {
 	if err == nil {
 		err = b.db.Sync()
 	}
-	b.fmu.Unlock()
+	b.mu.Lock()
+	b.committing = nil
+	if err != nil && b.err == nil {
+		b.err = err
+		b.stErrs.Inc()
+	}
+	b.mu.Unlock()
 	if err == nil {
 		if !t0.IsZero() {
 			b.stLat.ObserveSince(t0)
 		}
 		b.stSize.Observe(float64(len(order)))
 		b.stCommits.Inc()
-	}
-	if err != nil {
-		b.mu.Lock()
-		if b.err == nil {
-			b.err = err
-			b.stErrs.Inc()
-		}
-		b.mu.Unlock()
 	}
 	return err
 }

@@ -144,6 +144,35 @@ func TestCheckpointKindMismatch(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "strategy") {
 		t.Fatalf("mismatched strategy accepted (err=%v)", err)
 	}
+
+	// The two sim modes write the same Kind, so the mode comes from the
+	// state itself. A one-shot checkpoint resumed incrementally would
+	// never revisit the pages crawled before the kill; a recrawl
+	// checkpoint resumed one-shot would drop its revisit ledger.
+	killed := func(t *testing.T, run func(Config) error) string {
+		dir := t.TempDir()
+		err := run(Config{
+			Strategy: core.SoftFocused{}, Classifier: metaThai(),
+			CheckpointDir: dir, CheckpointEvery: 50, StopAfter: 100,
+		})
+		if !errors.Is(err, checkpoint.ErrKilled) {
+			t.Fatalf("want an emulated kill, got %v", err)
+		}
+		return dir
+	}
+	runOnce := func(cfg Config) error { _, err := Run(ckSpace, cfg); return err }
+	recrawl := RecrawlConfig{Horizon: 5000}
+	runInc := func(cfg Config) error { _, err := RunIncremental(ckSpace, cfg, recrawl); return err }
+	if err := runInc(Config{
+		Strategy: core.SoftFocused{}, Classifier: metaThai(), CheckpointDir: killed(t, runOnce),
+	}); err == nil || !strings.Contains(err.Error(), "one-shot") {
+		t.Fatalf("one-shot checkpoint resumed by the incremental engine (err=%v)", err)
+	}
+	if err := runOnce(Config{
+		Strategy: core.SoftFocused{}, Classifier: metaThai(), CheckpointDir: killed(t, runInc),
+	}); err == nil || !strings.Contains(err.Error(), "incremental") {
+		t.Fatalf("incremental checkpoint resumed by the one-shot engine (err=%v)", err)
+	}
 }
 
 func TestResultString(t *testing.T) {

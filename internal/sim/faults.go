@@ -6,7 +6,7 @@ import (
 	"langcrawl/internal/rng"
 )
 
-// faultState is the per-run fault-injection machinery both engines share:
+// faultState is the per-run fault-injection machinery the engines share:
 // the sampler drawing outcomes, the retry policy, the per-host breakers,
 // and the counters they feed. The engines differ only in the clock they
 // pass in — the untimed engine ticks one virtual second per attempt, the
@@ -72,35 +72,39 @@ func (fs *faultState) attempt(host string) faults.FailureClass {
 	return fs.sampler.Attempt(host)
 }
 
-// success/failure report the attempt outcome to host's breaker.
-func (fs *faultState) success(host string, now float64) {
+// succeeded reports a successful attempt to host's breaker and whether
+// the body arrives truncated.
+func (fs *faultState) succeeded(host string, class faults.FailureClass, now float64) bool {
 	if fs.breakers != nil {
 		fs.breakers.Get(host).RecordSuccess(now)
 	}
+	if class == faults.TruncatedBody {
+		fs.counters.Truncated++
+		return true
+	}
+	return false
 }
 
-func (fs *faultState) failure(host string, now float64) {
+// failed books the attempt-th failed fetch from host and reports whether
+// it may be retried: page budget left, retries configured, the per-URL
+// attempt cap not reached, the crawl-wide budget not spent, and host's
+// breaker still admitting. A retry is booked against the counters and
+// budget; a give-up counts as a failure.
+func (fs *faultState) failed(host string, attempt int, now float64, budgetLeft bool) bool {
+	fs.counters.WastedFetches++
 	if fs.breakers != nil {
 		fs.breakers.Get(host).RecordFailure(now)
 	}
-}
-
-// canRetry reports whether a attempt-th failure may be refetched: retries
-// configured, the per-URL attempt cap not reached, the crawl-wide budget
-// not spent, and host's breaker still admitting.
-func (fs *faultState) canRetry(host string, attempt int, now float64) bool {
-	if !fs.retryOn || attempt >= fs.retry.MaxAttempts || fs.budget == 0 {
+	if !budgetLeft || !fs.retryOn || attempt >= fs.retry.MaxAttempts || fs.budget == 0 ||
+		fs.breakers != nil && !fs.breakers.Get(host).Allow(now) {
+		fs.counters.Failures++
 		return false
 	}
-	return fs.breakers == nil || fs.breakers.Get(host).Allow(now)
-}
-
-// noteRetry books one retry against the counters and budget.
-func (fs *faultState) noteRetry() {
 	fs.counters.Retries++
 	if fs.budget > 0 {
 		fs.budget--
 	}
+	return true
 }
 
 // backoff returns the jittered delay after the attempt-th failure (used
@@ -111,7 +115,7 @@ func (fs *faultState) backoff(attempt int) float64 {
 
 // finish flushes end-of-run breaker statistics into the counters.
 func (fs *faultState) finish() {
-	if fs.breakers != nil {
+	if fs != nil && fs.breakers != nil {
 		fs.counters.BreakerTrips = fs.breakers.Trips()
 	}
 }

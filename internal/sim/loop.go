@@ -1,0 +1,417 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"langcrawl/internal/checkpoint"
+	"langcrawl/internal/core"
+	"langcrawl/internal/faults"
+	"langcrawl/internal/metrics"
+	"langcrawl/internal/telemetry"
+	"langcrawl/internal/webgraph"
+)
+
+// noStats stands in for a nil Config.Telemetry: its instruments are nil
+// no-ops, so the steps record without guards.
+var noStats telemetry.SimStats
+
+// loop is the simulator's one crawl loop, the paper's Fig. 2: the virtual
+// web answers each fetch, the classifier scores the page, and the
+// strategy orders the frontier. Each step is one method (newLoop, start,
+// halt, checkpoint, sample, visitPage, finish); the engines differ only
+// in the driver that picks the next fetch: Run pops the frontier,
+// RunIncremental adds revisits on a virtual clock, RunTimed an event queue.
+type loop struct {
+	space    *webgraph.Space
+	cfg      Config
+	res      *Result
+	fr       simFrontier
+	visited  []bool
+	tel      *telemetry.SimStats
+	every    int // sample stride, in crawled pages
+	needBody bool
+	observer core.QueueObserver
+	fs       *faultState
+	// ev is the evolving view the incremental and timed engines fetch
+	// from; nil for Run, since an Evolver costs memory per page.
+	ev *webgraph.Evolver
+
+	ckp             *checkpoint.Checkpointer
+	ckEvery, nextCk int
+	// runStart dates the wall-clock PagesPerSec gauge (zero: gauge off, or
+	// the engine reports virtual-time throughput).
+	runStart time.Time
+
+	visit core.Visit
+	// body is regenerated in place for each page; the classifier consumes
+	// it before the next visit (see core.Visit.Body's ownership note).
+	body []byte
+
+	// Engine hooks, nil for Run: restore and save carry the incremental
+	// engine's clock, revisit ledger and freshness curve through a
+	// checkpoint; onSample adds an engine's own series to each sample.
+	restore  func(*checkpoint.State)
+	save     func() checkpoint.State
+	onSample func()
+}
+
+// newLoop validates cfg and sets up a run over space: sample stride,
+// relevance denominator, res and its series, frontier, fault layer and
+// telemetry. The caller must close l.fr.
+func newLoop(space *webgraph.Space, cfg Config, res *Result) (*loop, error) {
+	if cfg.Strategy == nil {
+		return nil, fmt.Errorf("sim: Config.Strategy is required")
+	}
+	if cfg.Classifier == nil {
+		return nil, fmt.Errorf("sim: Config.Classifier is required")
+	}
+	n := space.N()
+	relevantTotal := space.RelevantTotal()
+	if cfg.RelevantFn != nil {
+		relevantTotal = 0
+		for id := webgraph.PageID(0); int(id) < n; id++ {
+			if space.IsOK(id) && cfg.RelevantFn(space, id) {
+				relevantTotal++
+			}
+		}
+	}
+	name := cfg.Strategy.Name()
+	*res = Result{
+		Strategy:      name,
+		Classifier:    cfg.Classifier.Name(),
+		RelevantTotal: relevantTotal,
+		Harvest:       &metrics.Series{Name: name},
+		Coverage:      &metrics.Series{Name: name},
+		QueueSize:     &metrics.Series{Name: name},
+	}
+	fr, err := buildFrontier(space, cfg, n)
+	if err != nil {
+		return nil, err
+	}
+	l := &loop{
+		space:    space,
+		cfg:      cfg,
+		res:      res,
+		fr:       fr,
+		visited:  make([]bool, n),
+		tel:      cfg.Telemetry,
+		every:    cfg.SampleEvery,
+		needBody: cfg.Classifier.NeedsBody(),
+		fs:       newFaultState(cfg.Faults, space.Seed, &res.Faults),
+	}
+	if l.every <= 0 {
+		l.every = max(n/256, 1)
+	}
+	l.observer, _ = cfg.Strategy.(core.QueueObserver)
+	if l.tel == nil {
+		l.tel = &noStats
+	}
+	if l.tel.PagesPerSec != nil {
+		l.runStart = time.Now()
+	}
+	return l, nil
+}
+
+// start resumes from the checkpoint in CheckpointDir when there is one,
+// and otherwise pushes the seeds. It reports whether the run resumed.
+// Restored frontier entries re-enter in their snapshot (queue) order, so
+// a resumed run pops exactly the sequence the killed run would have.
+func (l *loop) start() (bool, error) {
+	resumed := false
+	if dir := l.cfg.CheckpointDir; dir != "" {
+		l.ckEvery = l.cfg.CheckpointEvery
+		if l.ckEvery <= 0 {
+			l.ckEvery = 1024
+		}
+		st, _, err := checkpoint.Load(dir, l.cfg.CheckpointFS)
+		if err != nil {
+			return false, err
+		}
+		if st != nil {
+			if err := l.resume(st); err != nil {
+				return false, err
+			}
+			resumed = true
+		}
+		if l.ckp, err = checkpoint.New(dir, l.cfg.CheckpointFS, l.tel.Checkpoint()); err != nil {
+			return false, err
+		}
+		l.nextCk = (l.res.Crawled/l.ckEvery + 1) * l.ckEvery
+	}
+	if !resumed {
+		seeds := l.cfg.Seeds
+		if seeds == nil {
+			seeds = l.space.Seeds
+		}
+		for _, seed := range seeds {
+			if int(seed) >= len(l.visited) {
+				return false, fmt.Errorf("sim: seed %d out of range", seed)
+			}
+			// Seeds are enqueued as if referred by a relevant page, at the
+			// top priority class.
+			l.fr.push(seed, 0, 1)
+		}
+	}
+	return resumed, nil
+}
+
+// resume validates st against this run and restores from it.
+func (l *loop) resume(st *checkpoint.State) error {
+	dir := l.cfg.CheckpointDir
+	if st.Kind != checkpoint.KindSim {
+		return fmt.Errorf("sim: checkpoint in %s was written by the live crawler", dir)
+	}
+	if st.Strategy != l.res.Strategy {
+		return fmt.Errorf("sim: checkpoint strategy %q does not match configured %q", st.Strategy, l.res.Strategy)
+	}
+	if st.VisitedN != len(l.visited) {
+		return fmt.Errorf("sim: checkpoint covers %d pages, space has %d", st.VisitedN, len(l.visited))
+	}
+	// Only the incremental engine writes a freshness curve, and it always
+	// holds at least the point sampled at the start of the crawl.
+	if inc := len(st.FreshCurve) > 0; inc != (l.restore != nil) {
+		writer := map[bool]string{false: "one-shot", true: "incremental"}[inc]
+		return fmt.Errorf("sim: checkpoint in %s was written by the %s engine", dir, writer)
+	}
+	bits, err := checkpoint.UnpackBits(st.VisitedBits, st.VisitedN)
+	if err != nil {
+		return err
+	}
+	l.visited = bits
+	r := l.res
+	r.Crawled, r.RelevantCrawled, r.DroppedPages = st.Crawled, st.Relevant, st.Dropped
+	r.MaxQueueLen = st.MaxQueue
+	r.Faults = st.Faults
+	if l.fs != nil {
+		l.fs.restore(faults.SnapshotsFromCheckpoint(st.Breakers))
+	}
+	for _, e := range st.Frontier {
+		l.fr.push(e.ID, e.Dist, e.Prio)
+	}
+	if l.restore != nil {
+		l.restore(st)
+	}
+	l.tel.Checkpoint().Resumes.Inc()
+	return nil
+}
+
+// halt makes the checks due before every fetch: the checkpoint stride,
+// the emulated kill, a graceful stop, and the page budget. It reports
+// whether the crawl should stop; the error is a failed checkpoint write
+// or checkpoint.ErrKilled.
+func (l *loop) halt() (bool, error) {
+	if l.ckp != nil && l.res.Crawled >= l.nextCk {
+		if err := l.checkpoint(); err != nil {
+			return true, err
+		}
+		l.nextCk = (l.res.Crawled/l.ckEvery + 1) * l.ckEvery
+	}
+	if l.cfg.StopAfter > 0 && l.res.Crawled >= l.cfg.StopAfter {
+		return true, checkpoint.ErrKilled // emulated SIGKILL: no final checkpoint
+	}
+	if l.cfg.Stop != nil {
+		select {
+		case <-l.cfg.Stop:
+			return true, nil // graceful: finish writes the final checkpoint
+		default:
+		}
+	}
+	return !l.budgetLeft(), nil
+}
+
+// result is what an engine returns: res on success or beside
+// checkpoint.ErrKilled (a partial result), nothing beside other errors.
+func result[R any](res *R, err error) (*R, error) {
+	if err != nil && !errors.Is(err, checkpoint.ErrKilled) {
+		return nil, err
+	}
+	return res, err
+}
+
+// checkpoint commits one checkpoint: the frontier is drained and
+// re-pushed to capture its contents in pop order (order-preserving for
+// every queue kind — FIFO ties re-enter in sequence, bucket classes keep
+// per-class order, the heap rebuilds identically), and the full state
+// goes down atomically.
+func (l *loop) checkpoint() error {
+	l.fr.flush()
+	var entries []checkpoint.Entry
+	for {
+		it, ok := l.fr.pop()
+		if !ok {
+			break
+		}
+		entries = append(entries, checkpoint.Entry{ID: it.id, Dist: it.dist, Prio: it.prio})
+	}
+	for _, e := range entries {
+		l.fr.push(e.ID, e.Dist, e.Prio)
+	}
+	l.fr.flush()
+	var inc checkpoint.State
+	if l.save != nil {
+		inc = l.save()
+	}
+	r := l.res
+	return l.ckp.Write(&checkpoint.State{
+		Kind:        checkpoint.KindSim,
+		Strategy:    r.Strategy,
+		Crawled:     r.Crawled,
+		Relevant:    r.RelevantCrawled,
+		Dropped:     r.DroppedPages,
+		MaxQueue:    max(r.MaxQueueLen, l.fr.max()),
+		Frontier:    entries,
+		VisitedBits: checkpoint.PackBits(l.visited),
+		VisitedN:    len(l.visited),
+		Breakers:    faults.SnapshotsToCheckpoint(l.fs.snapshotBreakers()),
+		Faults:      r.Faults,
+		VTime:       inc.VTime,
+		Fresh:       inc.Fresh,
+		Revisit:     inc.Revisit,
+		FreshCurve:  inc.FreshCurve,
+	})
+}
+
+// sample adds one point to each series.
+func (l *loop) sample() {
+	r := l.res
+	x := float64(r.Crawled)
+	q := l.fr.len()
+	r.Harvest.Add(x, 100*safeDiv(r.RelevantCrawled, r.Crawled))
+	r.Coverage.Add(x, 100*safeDiv(r.RelevantCrawled, r.RelevantTotal))
+	r.QueueSize.Add(x, float64(q))
+	l.tel.QueueDepth.Set(int64(q))
+	if !l.runStart.IsZero() {
+		if el := time.Since(l.runStart).Seconds(); el > 0 {
+			l.tel.PagesPerSec.Set(float64(r.Crawled) / el)
+		}
+	}
+	if l.onSample != nil {
+		l.onSample()
+	}
+}
+
+// sampleDue samples when the crawl has reached the next stride.
+func (l *loop) sampleDue() {
+	if l.res.Crawled%l.every == 0 {
+		l.sample()
+	}
+}
+
+// fetched counts one fetch attempt against the page budget.
+func (l *loop) fetched() {
+	l.res.Crawled++
+	l.tel.Pages.Inc()
+}
+
+// budgetLeft reports whether the page budget allows another fetch.
+func (l *loop) budgetLeft() bool {
+	return l.cfg.MaxPages <= 0 || l.res.Crawled < l.cfg.MaxPages
+}
+
+// relevant is the ground truth harvest and coverage count against: an
+// explicit RelevantFn wins (multi-language truth), then the evolving
+// view's current language, then the snapshot's.
+func (l *loop) relevant(id webgraph.PageID) bool {
+	if l.cfg.RelevantFn != nil {
+		return l.cfg.RelevantFn(l.space, id)
+	}
+	if l.ev != nil {
+		return l.ev.IsRelevant(id)
+	}
+	return l.space.IsRelevant(id)
+}
+
+// visitPage handles one fetched page: it builds the core.Visit, counts
+// relevance, reports the page to OnVisit when observe is set, classifies
+// it, asks the strategy, and enqueues the out-links the decision admits
+// or counts the page as dropped.
+func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool) {
+	sp := l.space
+	l.visit = core.Visit{
+		Status:      int(sp.Status[id]),
+		Declared:    sp.Declared[id],
+		TrueCharset: sp.Charset[id],
+		Truncated:   truncated,
+	}
+	v := &l.visit
+	if l.ev != nil {
+		// The evolving view serves the page: dead or unborn pages answer
+		// 404, and a drifted body is regenerated in UTF-8 and declares it.
+		if sp.IsOK(id) && !l.ev.Alive(id) {
+			v.Status = 404
+		}
+		v.TrueCharset = l.ev.Charset(id)
+		if l.ev.Lang(id) != sp.Lang[id] {
+			v.Declared = v.TrueCharset
+		}
+	}
+	if l.needBody && v.Status == 200 {
+		reused := cap(l.body) > 0
+		if l.ev != nil {
+			l.body = l.ev.PageBytesAppend(l.body[:0], id)
+		} else {
+			l.body = sp.PageBytesAppend(l.body[:0], id)
+		}
+		v.Body = l.body
+		if truncated {
+			v.Body = v.Body[:len(v.Body)/2]
+		}
+		l.tel.Parse.Observe(int64(len(v.Body)), reused, 0, false)
+	}
+	if v.Status == 200 && l.relevant(id) {
+		l.res.RelevantCrawled++
+		l.tel.Relevant.Inc()
+	}
+	if observe && l.cfg.OnVisit != nil {
+		l.cfg.OnVisit(id)
+	}
+
+	var ct0 time.Time
+	if telemetry.Timed(l.tel.ClassifierTime) {
+		ct0 = time.Now()
+	}
+	score := l.cfg.Classifier.Score(v)
+	if !ct0.IsZero() {
+		l.tel.ClassifierTime.ObserveSince(ct0)
+	}
+	if info, ok := v.DetectionInfo(); ok {
+		l.tel.Detect.Observe(info.Scanned, info.EarlyExit, info.PoolHit)
+	}
+	dec := l.cfg.Strategy.Decide(score, int(dist))
+	if v.Status == 200 {
+		if dec.Follow {
+			visited := l.visited
+			for _, t := range sp.Outlinks(id) {
+				if visited[t] {
+					continue
+				}
+				l.fr.push(t, int32(dec.Dist), dec.Priority)
+			}
+		} else if sp.OutDegree(id) > 0 {
+			l.res.DroppedPages++
+		}
+	}
+	if l.observer != nil {
+		l.observer.ObserveQueueLen(l.fr.len())
+	}
+}
+
+// finish closes the run: a last sample, the queue maximum, the fault
+// layer's trip totals, the final checkpoint (after the trip totals, so
+// they persist), and the visited bitmap when KeepVisited asks for it.
+func (l *loop) finish() error {
+	l.sample()
+	l.res.MaxQueueLen = max(l.res.MaxQueueLen, l.fr.max())
+	l.fs.finish()
+	if l.ckp != nil {
+		if err := l.checkpoint(); err != nil {
+			return err
+		}
+	}
+	if l.cfg.KeepVisited {
+		l.res.Visited = l.visited
+	}
+	return nil
+}

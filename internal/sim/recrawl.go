@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"langcrawl/internal/checkpoint"
-	"langcrawl/internal/core"
 	"langcrawl/internal/frontier"
 	"langcrawl/internal/metrics"
-	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 )
 
@@ -61,9 +59,6 @@ type RecrawlResult struct {
 // clock, so an interrupted run continues exactly as the uninterrupted
 // one would — freshness curve included.
 func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*RecrawlResult, error) {
-	if cfg.Strategy == nil || cfg.Classifier == nil {
-		return nil, fmt.Errorf("sim: Strategy and Classifier are required")
-	}
 	if cfg.Faults != nil {
 		return nil, fmt.Errorf("sim: RunIncremental does not support fault injection (the fault clock counts attempts, the evolver counts virtual seconds)")
 	}
@@ -82,181 +77,54 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 		maxGap = 4096
 	}
 
-	n := space.N()
-	sample := cfg.SampleEvery
-	if sample <= 0 {
-		sample = n / 256
-		if sample < 1 {
-			sample = 1
-		}
-	}
-	relevant := cfg.RelevantFn
-	if relevant == nil {
-		relevant = func(s *webgraph.Space, id webgraph.PageID) bool { return s.IsRelevant(id) }
-	}
-	relevantTotal := 0
-	for id := 0; id < n; id++ {
-		pid := webgraph.PageID(id)
-		if space.IsOK(pid) && relevant(space, pid) {
-			relevantTotal++
-		}
-	}
-
-	res := &RecrawlResult{
-		Result: Result{
-			Strategy:      cfg.Strategy.Name(),
-			Classifier:    cfg.Classifier.Name(),
-			RelevantTotal: relevantTotal,
-			Harvest:       &metrics.Series{Name: cfg.Strategy.Name()},
-			Coverage:      &metrics.Series{Name: cfg.Strategy.Name()},
-			QueueSize:     &metrics.Series{Name: cfg.Strategy.Name()},
-		},
-		Freshness: &metrics.Series{Name: cfg.Strategy.Name()},
-	}
-
-	fr, err := buildFrontier(space, cfg, n)
+	res := &RecrawlResult{}
+	l, err := newLoop(space, cfg, &res.Result)
 	if err != nil {
 		return nil, err
 	}
-	defer fr.close()
-	visited := make([]bool, n)
-	needBody := cfg.Classifier.NeedsBody()
-	observer, _ := cfg.Strategy.(core.QueueObserver)
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = &telemetry.SimStats{}
-	}
-
+	defer l.fr.close()
+	res.Freshness = &metrics.Series{Name: res.Strategy}
 	ev := webgraph.NewEvolver(space, rc.Evolve)
+	l.ev = ev
 	vtime := 0.0
 
 	// The revisit ledger: which pages the crawl tracks, whether it holds
 	// a live copy, and at which version. The scheduler orders revisits by
 	// estimated change rate with a deterministic tie-break, so its state
 	// rebuilds exactly from a checkpoint.
+	n := space.N()
 	rv := frontier.NewRevisit[webgraph.PageID](minGap, maxGap)
 	tracked := make([]bool, n)
 	held := make([]bool, n)
 	storedVer := make([]uint32, n)
 	distOf := make([]int32, n)
 
-	// isRel is current-version relevance: an explicit RelevantFn override
-	// wins (multi-language truth), otherwise the evolver's live language
-	// — which with zero churn is the snapshot's.
-	isRel := func(id webgraph.PageID) bool {
-		if cfg.RelevantFn != nil {
-			return cfg.RelevantFn(space, id)
+	l.restore = func(st *checkpoint.State) {
+		res.Fresh = st.Fresh
+		vtime = st.VTime
+		// Re-advancing a fresh evolver to the persisted clock restores the
+		// exact evolving view the killed run saw.
+		ev.AdvanceTo(vtime)
+		for _, r := range st.Revisit {
+			id := webgraph.PageID(r.ID)
+			tracked[id] = true
+			held[id] = r.Held
+			storedVer[id] = r.Version
+			distOf[id] = r.Dist
+			rv.Restore(id, frontier.ChangeStats{Visits: r.Visits, Changes: r.Changes}, r.Due, r.Dead)
 		}
-		return ev.IsRelevant(id)
-	}
-
-	// Resume from a checkpoint when one exists.
-	var ckp *checkpoint.Checkpointer
-	var nextCk int
-	ckEvery := cfg.CheckpointEvery
-	resumed := false
-	if cfg.CheckpointDir != "" {
-		if ckEvery <= 0 {
-			ckEvery = 1024
-		}
-		st, _, err := checkpoint.Load(cfg.CheckpointDir, cfg.CheckpointFS)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			if st.Kind != checkpoint.KindSim {
-				return nil, fmt.Errorf("sim: checkpoint in %s was written by the live crawler", cfg.CheckpointDir)
-			}
-			if st.Strategy != cfg.Strategy.Name() {
-				return nil, fmt.Errorf("sim: checkpoint strategy %q does not match configured %q", st.Strategy, cfg.Strategy.Name())
-			}
-			if st.VisitedN != n {
-				return nil, fmt.Errorf("sim: checkpoint covers %d pages, space has %d", st.VisitedN, n)
-			}
-			bits, err := checkpoint.UnpackBits(st.VisitedBits, st.VisitedN)
-			if err != nil {
-				return nil, err
-			}
-			visited = bits
-			res.Crawled, res.RelevantCrawled, res.DroppedPages = st.Crawled, st.Relevant, st.Dropped
-			res.MaxQueueLen = st.MaxQueue
-			res.Fresh = st.Fresh
-			vtime = st.VTime
-			// Re-advancing a fresh evolver to the persisted clock restores
-			// the exact evolving view the killed run saw.
-			ev.AdvanceTo(vtime)
-			for _, e := range st.Frontier {
-				fr.push(e.ID, e.Dist, e.Prio)
-			}
-			for _, r := range st.Revisit {
-				id := webgraph.PageID(r.ID)
-				tracked[id] = true
-				held[id] = r.Held
-				storedVer[id] = r.Version
-				distOf[id] = r.Dist
-				rv.Restore(id, frontier.ChangeStats{Visits: r.Visits, Changes: r.Changes}, r.Due, r.Dead)
-			}
-			for _, p := range st.FreshCurve {
-				res.Freshness.Add(p.X, p.Y)
-			}
-			resumed = true
-			tel.Checkpoint().Resumes.Inc()
-		}
-		ckp, err = checkpoint.New(cfg.CheckpointDir, cfg.CheckpointFS, tel.Checkpoint())
-		if err != nil {
-			return nil, err
-		}
-		nextCk = (res.Crawled/ckEvery + 1) * ckEvery
-	}
-
-	if !resumed {
-		seeds := cfg.Seeds
-		if seeds == nil {
-			seeds = space.Seeds
-		}
-		for _, seed := range seeds {
-			if int(seed) >= n {
-				return nil, fmt.Errorf("sim: seed %d out of range", seed)
-			}
-			fr.push(seed, 0, 1)
+		for _, p := range st.FreshCurve {
+			res.Freshness.Add(p.X, p.Y)
 		}
 	}
-
-	recordSample := func() {
-		x := float64(res.Crawled)
-		res.Harvest.Add(x, 100*safeDiv(res.RelevantCrawled, res.Crawled))
-		res.Coverage.Add(x, 100*safeDiv(res.RelevantCrawled, res.RelevantTotal))
-		res.QueueSize.Add(x, float64(fr.len()))
-		tel.QueueDepth.Set(int64(fr.len()))
-		// Freshness: the fraction of held copies that still match the
-		// live space. O(n) per sample, ~256 samples per run.
-		heldN, freshN := 0, 0
-		for id := 0; id < n; id++ {
-			if !held[id] {
-				continue
-			}
-			heldN++
-			p := webgraph.PageID(id)
-			if ev.Alive(p) && ev.Version(p) == storedVer[id] {
-				freshN++
-			}
-		}
-		res.Freshness.Add(vtime, 100*safeDiv(freshN, heldN))
-	}
-	// A resumed run restored its curve from the checkpoint; re-recording
-	// here would insert a point the uninterrupted run never sampled.
-	if !resumed {
-		recordSample()
-	}
-
-	ledgerRecs := func() []checkpoint.RevisitRec {
-		var recs []checkpoint.RevisitRec
+	l.save = func() checkpoint.State {
+		st := checkpoint.State{VTime: vtime, Fresh: res.Fresh}
 		for id := 0; id < n; id++ {
 			if !tracked[id] {
 				continue
 			}
 			stats, due, dead, _ := rv.State(webgraph.PageID(id))
-			recs = append(recs, checkpoint.RevisitRec{
+			st.Revisit = append(st.Revisit, checkpoint.RevisitRec{
 				ID:      uint32(id),
 				Dist:    distOf[id],
 				Version: storedVer[id],
@@ -267,164 +135,71 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 				Held:    held[id],
 			})
 		}
-		return recs
-	}
-	writeCk := func() error {
-		fr.flush()
-		var entries []checkpoint.Entry
-		for {
-			it, ok := fr.pop()
-			if !ok {
-				break
-			}
-			entries = append(entries, checkpoint.Entry{ID: it.id, Dist: it.dist, Prio: it.prio})
-		}
-		for _, e := range entries {
-			fr.push(e.ID, e.Dist, e.Prio)
-		}
-		fr.flush()
-		curve := make([]checkpoint.Point, len(res.Freshness.Points))
+		st.FreshCurve = make([]checkpoint.Point, len(res.Freshness.Points))
 		for i, p := range res.Freshness.Points {
-			curve[i] = checkpoint.Point{X: p.X, Y: p.Y}
+			st.FreshCurve[i] = checkpoint.Point{X: p.X, Y: p.Y}
 		}
-		return ckp.Write(&checkpoint.State{
-			Kind:        checkpoint.KindSim,
-			Strategy:    cfg.Strategy.Name(),
-			Crawled:     res.Crawled,
-			Relevant:    res.RelevantCrawled,
-			Dropped:     res.DroppedPages,
-			MaxQueue:    max(res.MaxQueueLen, fr.max()),
-			Frontier:    entries,
-			VisitedBits: checkpoint.PackBits(visited),
-			VisitedN:    n,
-			VTime:       vtime,
-			Fresh:       res.Fresh,
-			Revisit:     ledgerRecs(),
-			FreshCurve:  curve,
-		})
+		return st
+	}
+	// Freshness: the fraction of held copies that still match the live
+	// space. O(n) per sample, ~256 samples per run.
+	l.onSample = func() {
+		heldN, freshN := 0, 0
+		for id, h := range held {
+			if !h {
+				continue
+			}
+			heldN++
+			if p := webgraph.PageID(id); ev.Alive(p) && ev.Version(p) == storedVer[id] {
+				freshN++
+			}
+		}
+		res.Freshness.Add(vtime, 100*safeDiv(freshN, heldN))
 	}
 
-	var visit core.Visit
-	var bodyBuf []byte
-	// classifyAndExpand is the tail every successful (status-200) fetch
-	// shares with Run: body, relevance accounting, classification, and
-	// the strategy's follow decision.
-	classifyAndExpand := func(id webgraph.PageID, dist int32, onVisit bool) {
-		visit = core.Visit{
-			Status:      200,
-			Declared:    space.Declared[id],
-			TrueCharset: ev.Charset(id),
-		}
-		if ev.Lang(id) != space.Lang[id] {
-			// Drifted bodies are regenerated in UTF-8 and declare it.
-			visit.Declared = ev.Charset(id)
-		}
-		if needBody {
-			reused := cap(bodyBuf) > 0
-			bodyBuf = ev.PageBytesAppend(bodyBuf[:0], id)
-			visit.Body = bodyBuf
-			tel.Parse.Observe(int64(len(visit.Body)), reused, 0, false)
-		}
-		if isRel(id) {
-			res.RelevantCrawled++
-			tel.Relevant.Inc()
-		}
-		if onVisit && cfg.OnVisit != nil {
-			cfg.OnVisit(id)
-		}
-		score := cfg.Classifier.Score(&visit)
-		dec := cfg.Strategy.Decide(score, int(dist))
-		if dec.Follow {
-			for _, t := range space.Outlinks(id) {
-				if visited[t] {
-					continue
-				}
-				fr.push(t, int32(dec.Dist), dec.Priority)
-			}
-		} else if space.OutDegree(id) > 0 {
-			res.DroppedPages++
-		}
-		if observer != nil {
-			observer.ObserveQueueLen(fr.len())
-		}
+	resumed, err := l.start()
+	if err != nil {
+		return nil, err
+	}
+	// A resumed run restored its curve from the checkpoint; sampling here
+	// would insert a point the uninterrupted run never took.
+	if !resumed {
+		l.sample()
 	}
 
 	for {
-		if ckp != nil && res.Crawled >= nextCk {
-			if err := writeCk(); err != nil {
-				return nil, err
-			}
-			nextCk = (res.Crawled/ckEvery + 1) * ckEvery
-		}
-		if cfg.StopAfter > 0 && res.Crawled >= cfg.StopAfter {
+		stop, err := l.halt()
+		if err != nil {
 			res.VTime = vtime
-			return res, checkpoint.ErrKilled
+			return result(res, err)
 		}
-		if cfg.Stop != nil {
-			stopped := false
-			select {
-			case <-cfg.Stop:
-				stopped = true
-			default:
-			}
-			if stopped {
-				break
-			}
-		}
-		if cfg.MaxPages > 0 && res.Crawled >= cfg.MaxPages {
-			break
-		}
-		if rc.Horizon > 0 && vtime >= rc.Horizon {
+		if stop || rc.Horizon > 0 && vtime >= rc.Horizon {
 			break
 		}
 
-		if item, ok := fr.pop(); ok {
-			// Discovery: identical to Run's loop, plus ledger enrollment.
+		if item, ok := l.fr.pop(); ok {
+			// Discovery: Run's loop, plus ledger enrollment.
 			id := item.id
-			if visited[id] {
+			if l.visited[id] {
 				continue
 			}
-			visited[id] = true
+			l.visited[id] = true
 			vtime += fetchCost
 			ev.AdvanceTo(vtime)
-			res.Crawled++
-			tel.Pages.Inc()
-
-			alive := ev.Alive(id)
+			l.fetched()
 			if space.IsOK(id) {
 				// Every OK page joins the revisit ledger — latent ones
 				// included, which is how births get found later.
 				tracked[id] = true
 				distOf[id] = item.dist
 				rv.Track(id, vtime)
-				if alive {
+				if ev.Alive(id) {
 					held[id] = true
 					storedVer[id] = ev.Version(id)
 				}
 			}
-			if alive {
-				classifyAndExpand(id, item.dist, true)
-			} else {
-				// 404 (snapshot non-OK, latent, or already deleted): the
-				// classifier still sees the error visit, as in Run.
-				status := int(space.Status[id])
-				if space.IsOK(id) {
-					status = 404
-				}
-				visit = core.Visit{
-					Status:      status,
-					Declared:    space.Declared[id],
-					TrueCharset: space.Charset[id],
-				}
-				if cfg.OnVisit != nil {
-					cfg.OnVisit(id)
-				}
-				score := cfg.Classifier.Score(&visit)
-				cfg.Strategy.Decide(score, int(item.dist))
-				if observer != nil {
-					observer.ObserveQueueLen(fr.len())
-				}
-			}
+			// A page not alive (non-OK, latent or deleted) visits as a 404.
+			l.visitPage(id, item.dist, false, true)
 		} else {
 			// Frontier drained: revalidate the earliest-due page.
 			id, due, ok := rv.Next()
@@ -435,13 +210,9 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 				break // next revisit lies beyond the horizon
 			}
 			rv.Pop()
-			if due > vtime {
-				vtime = due // fast-forward the idle clock
-			}
-			vtime += fetchCost
+			vtime = max(vtime, due) + fetchCost // fast-forward the idle clock
 			ev.AdvanceTo(vtime)
-			res.Crawled++
-			tel.Pages.Inc()
+			l.fetched()
 			res.Fresh.Revisits++
 
 			alive := ev.Alive(id)
@@ -453,7 +224,7 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 				held[id] = true
 				storedVer[id] = ev.Version(id)
 				rv.Observe(id, true, vtime)
-				classifyAndExpand(id, distOf[id], false)
+				l.visitPage(id, distOf[id], false, false)
 			case alive && held[id]:
 				if v := ev.Version(id); v != storedVer[id] {
 					res.Fresh.Changed++
@@ -474,21 +245,8 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 				rv.Observe(id, false, vtime)
 			}
 		}
-
-		if res.Crawled%sample == 0 {
-			recordSample()
-		}
+		l.sampleDue()
 	}
-	recordSample()
 	res.VTime = vtime
-	res.MaxQueueLen = max(res.MaxQueueLen, fr.max())
-	if ckp != nil {
-		if err := writeCk(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.KeepVisited {
-		res.Visited = visited
-	}
-	return res, nil
+	return result(res, l.finish())
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"time"
 
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/core"
@@ -73,14 +72,11 @@ type Config struct {
 	// leaves results identical to the fault-free engine.
 	Faults *faults.Config
 	// FrontierShards stripes the frontier across N host-hashed shards.
-	// 0 (the default) keeps the single queue the engines have always
-	// used; an explicit 1 routes through the sharded wrapper with one
-	// stripe, which reproduces the legacy order exactly — the
-	// sequential-equivalence mode the conformance suite pins down.
-	// More shards change pop order — the crawl stays deterministic, but
-	// it is a different deterministic order — so the golden conformance
-	// traces all run unsharded. Incompatible with QueueUpgrade, whose
-	// indexed heap is inherently global.
+	// 0 (the default) keeps a single queue; an explicit 1 routes through
+	// the sharded wrapper with one stripe, which reproduces the single
+	// queue's order exactly (the conformance suite pins this). More
+	// shards give a different, still deterministic, pop order.
+	// Incompatible with QueueUpgrade, whose indexed heap is global.
 	FrontierShards int
 	// FrontierBatch stages frontier pushes per shard, applying them to
 	// the priority structure a batch at a time (default 1: every push
@@ -100,10 +96,10 @@ type Config struct {
 	// state — frontier contents (in queue order), visited bitmap, budget
 	// counters, breaker states, sampler position — is committed
 	// atomically under this directory every CheckpointEvery crawled
-	// pages and once more when the run ends. When the directory already
-	// holds a checkpoint for the same strategy and space size, the run
-	// resumes from it instead of starting at the seeds, and continues
-	// exactly as the uninterrupted run would have.
+	// pages and once more when the run ends. A checkpoint there from the
+	// same engine, strategy and space size is resumed instead of starting
+	// at the seeds, and the run continues exactly as the uninterrupted
+	// one would have. The timed engine does not checkpoint.
 	CheckpointDir string
 	// CheckpointEvery is the crawled-page stride between checkpoints
 	// (default 1024 when CheckpointDir is set).
@@ -117,10 +113,10 @@ type Config struct {
 	// no final checkpoint — the kill-resume suite's stand-in for
 	// SIGKILL.
 	StopAfter int
-	// Stop, when non-nil, requests a graceful stop once closed: the loop
-	// breaks at the next iteration boundary, a final checkpoint is
-	// written (when checkpointing is on), and Run returns normally — the
-	// SIGINT drain path.
+	// Stop, when non-nil, requests a graceful stop once closed: the crawl
+	// ends before its next fetch, a final checkpoint is written (when
+	// checkpointing is on), and the engine returns normally — the SIGINT
+	// drain path.
 	Stop <-chan struct{}
 }
 
@@ -131,7 +127,11 @@ const (
 	// QueueDuplicates retains one entry per discovery, as the paper's
 	// simulator does — re-discovery from a better referrer enqueues a
 	// fresh entry at the new priority, and stale entries are skipped at
-	// pop time. Memory is O(discoveries).
+	// pop time. Memory is O(discoveries). The paper's soft-focused queue
+	// peaks at ~8M URLs on a 3.9M-OK-page dataset, which only per-
+	// discovery entries allow, and it is what makes prioritized limited
+	// distance work: a page first seen far from relevant territory is
+	// promoted when a relevant page later links to it.
 	QueueDuplicates QueueMode = iota
 	// QueueUpgrade keeps at most one entry per URL in an indexed heap
 	// and raises its priority in place on re-discovery (downgrades
@@ -162,7 +162,8 @@ type Result struct {
 	Faults metrics.FaultCounters
 
 	// Visited is the per-page fetched bitmap, retained only when
-	// Config.KeepVisited was set.
+	// Config.KeepVisited was set. The timed engine also marks the fetches
+	// still in flight when the crawl stopped.
 	Visited []bool
 }
 
@@ -191,362 +192,68 @@ func (r *Result) String() string {
 // Run executes one crawl simulation over space. It is deterministic:
 // identical (space, cfg) pairs produce identical results.
 func Run(space *webgraph.Space, cfg Config) (*Result, error) {
-	if cfg.Strategy == nil {
-		return nil, fmt.Errorf("sim: Config.Strategy is required")
-	}
-	if cfg.Classifier == nil {
-		return nil, fmt.Errorf("sim: Config.Classifier is required")
-	}
-	n := space.N()
-	sample := cfg.SampleEvery
-	if sample <= 0 {
-		sample = n / 256
-		if sample < 1 {
-			sample = 1
-		}
-	}
-
-	relevant := cfg.RelevantFn
-	if relevant == nil {
-		relevant = func(s *webgraph.Space, id webgraph.PageID) bool { return s.IsRelevant(id) }
-	}
-	relevantTotal := 0
-	if cfg.RelevantFn == nil {
-		relevantTotal = space.RelevantTotal()
-	} else {
-		for id := 0; id < n; id++ {
-			pid := webgraph.PageID(id)
-			if space.IsOK(pid) && relevant(space, pid) {
-				relevantTotal++
-			}
-		}
-	}
-
-	res := &Result{
-		Strategy:      cfg.Strategy.Name(),
-		Classifier:    cfg.Classifier.Name(),
-		RelevantTotal: relevantTotal,
-		Harvest:       &metrics.Series{Name: cfg.Strategy.Name()},
-		Coverage:      &metrics.Series{Name: cfg.Strategy.Name()},
-		QueueSize:     &metrics.Series{Name: cfg.Strategy.Name()},
-	}
-
-	// In the default QueueDuplicates mode the frontier holds one (page,
-	// distance) entry per *discovery*: a URL re-discovered from a better
-	// referrer is enqueued again at the new priority, and stale entries
-	// are skipped at pop time. This matches the paper's simulator — its
-	// soft-focused queue peaks at ~8M URLs on a 3.9M-OK-page dataset,
-	// which is only possible if entries are kept per discovery — and is
-	// what makes the prioritized limited-distance mode work: a page first
-	// seen far from relevant territory is promoted when a relevant page
-	// later links to it. QueueUpgrade reaches the same crawl via an
-	// indexed heap with in-place upgrades (see QueueMode).
-	//
-	// The frontier is abstracted behind closures so both modes share the
-	// crawl loop.
-	fr, err := buildFrontier(space, cfg, n)
+	res := &Result{}
+	l, err := newLoop(space, cfg, res)
 	if err != nil {
 		return nil, err
 	}
-	defer fr.close()
-	push, pop, qlen, qmax, qflush := fr.push, fr.pop, fr.len, fr.max, fr.flush
-	visited := make([]bool, n)
-	needBody := cfg.Classifier.NeedsBody()
-	observer, _ := cfg.Strategy.(core.QueueObserver)
-	// A zero SimStats has all-nil instruments (each a no-op), so the loop
-	// records unconditionally without nil guards.
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = &telemetry.SimStats{}
+	defer l.fr.close()
+	if _, err := l.start(); err != nil {
+		return nil, err
 	}
-	var runStart time.Time
-	if tel.PagesPerSec != nil {
-		runStart = time.Now()
-	}
+	l.sample()
 
 	// The untimed engine has no clock, so the fault layer measures breaker
-	// cooldowns in attempts: one fetch attempt = one virtual second. Built
-	// before the resume path so a restored run can rewind it.
-	fs := newFaultState(cfg.Faults, space.Seed, &res.Faults)
+	// cooldowns in attempts: one fetch attempt = one virtual second.
+	fs := l.fs
 	clock := func() float64 { return float64(res.Faults.Attempts) }
-
-	// Resume from a checkpoint when one exists; otherwise start at the
-	// seeds. The restored frontier entries re-enter in their snapshot
-	// (queue) order, so the resumed run pops exactly the sequence the
-	// killed run would have.
-	var ckp *checkpoint.Checkpointer
-	var nextCk int
-	ckEvery := cfg.CheckpointEvery
-	resumed := false
-	if cfg.CheckpointDir != "" {
-		if ckEvery <= 0 {
-			ckEvery = 1024
-		}
-		st, _, err := checkpoint.Load(cfg.CheckpointDir, cfg.CheckpointFS)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			if st.Kind != checkpoint.KindSim {
-				return nil, fmt.Errorf("sim: checkpoint in %s was written by the live crawler", cfg.CheckpointDir)
-			}
-			if st.Strategy != cfg.Strategy.Name() {
-				return nil, fmt.Errorf("sim: checkpoint strategy %q does not match configured %q", st.Strategy, cfg.Strategy.Name())
-			}
-			if st.VisitedN != n {
-				return nil, fmt.Errorf("sim: checkpoint covers %d pages, space has %d", st.VisitedN, n)
-			}
-			bits, err := checkpoint.UnpackBits(st.VisitedBits, st.VisitedN)
-			if err != nil {
-				return nil, err
-			}
-			visited = bits
-			res.Crawled, res.RelevantCrawled, res.DroppedPages = st.Crawled, st.Relevant, st.Dropped
-			res.MaxQueueLen = st.MaxQueue
-			res.Faults = st.Faults
-			if fs != nil {
-				fs.restore(faults.SnapshotsFromCheckpoint(st.Breakers))
-			}
-			for _, e := range st.Frontier {
-				push(e.ID, e.Dist, e.Prio)
-			}
-			resumed = true
-			tel.Checkpoint().Resumes.Inc()
-		}
-		ckp, err = checkpoint.New(cfg.CheckpointDir, cfg.CheckpointFS, tel.Checkpoint())
-		if err != nil {
-			return nil, err
-		}
-		nextCk = (res.Crawled/ckEvery + 1) * ckEvery
-	}
-
-	if !resumed {
-		seeds := cfg.Seeds
-		if seeds == nil {
-			seeds = space.Seeds
-		}
-		for _, seed := range seeds {
-			if int(seed) >= n {
-				return nil, fmt.Errorf("sim: seed %d out of range", seed)
-			}
-			// Seeds are enqueued as if referred by a relevant page, at the
-			// top priority class.
-			push(seed, 0, 1)
-		}
-	}
-
-	recordSample := func() {
-		x := float64(res.Crawled)
-		res.Harvest.Add(x, 100*safeDiv(res.RelevantCrawled, res.Crawled))
-		res.Coverage.Add(x, 100*safeDiv(res.RelevantCrawled, res.RelevantTotal))
-		res.QueueSize.Add(x, float64(qlen()))
-		tel.QueueDepth.Set(int64(qlen()))
-		if !runStart.IsZero() {
-			if el := time.Since(runStart).Seconds(); el > 0 {
-				tel.PagesPerSec.Set(float64(res.Crawled) / el)
-			}
-		}
-	}
-	recordSample()
-
-	// writeCk commits one checkpoint: the frontier is drained and
-	// re-pushed to capture its contents in pop order (order-preserving
-	// for every queue kind — FIFO ties re-enter in sequence, bucket
-	// classes keep per-class order, the heap rebuilds identically), and
-	// the full state goes down atomically.
-	writeCk := func() error {
-		qflush()
-		var entries []checkpoint.Entry
-		for {
-			it, ok := pop()
-			if !ok {
-				break
-			}
-			entries = append(entries, checkpoint.Entry{ID: it.id, Dist: it.dist, Prio: it.prio})
-		}
-		for _, e := range entries {
-			push(e.ID, e.Dist, e.Prio)
-		}
-		qflush()
-		return ckp.Write(&checkpoint.State{
-			Kind:        checkpoint.KindSim,
-			Strategy:    cfg.Strategy.Name(),
-			Crawled:     res.Crawled,
-			Relevant:    res.RelevantCrawled,
-			Dropped:     res.DroppedPages,
-			MaxQueue:    max(res.MaxQueueLen, qmax()),
-			Frontier:    entries,
-			VisitedBits: checkpoint.PackBits(visited),
-			VisitedN:    n,
-			Breakers:    faults.SnapshotsToCheckpoint(fs.snapshotBreakers()),
-			Faults:      res.Faults,
-		})
-	}
-
-	var visit core.Visit
-	// bodyBuf is reused across iterations: page bodies are regenerated in
-	// place and consumed synchronously by the classifier before the next
-	// iteration overwrites them (see core.Visit.Body's ownership note).
-	var bodyBuf []byte
 	for {
-		if ckp != nil && res.Crawled >= nextCk {
-			if err := writeCk(); err != nil {
-				return nil, err
-			}
-			nextCk = (res.Crawled/ckEvery + 1) * ckEvery
-		}
-		if cfg.StopAfter > 0 && res.Crawled >= cfg.StopAfter {
-			// Simulated SIGKILL: no final checkpoint, no cleanup beyond
-			// the deferred frontier close.
-			return res, checkpoint.ErrKilled
-		}
-		if cfg.Stop != nil {
-			stopped := false
-			select {
-			case <-cfg.Stop:
-				stopped = true
-			default:
-			}
-			if stopped {
-				// Graceful stop: fall through to the end-of-run path,
-				// which writes the final checkpoint.
-				break
-			}
-		}
-		if cfg.MaxPages > 0 && res.Crawled >= cfg.MaxPages {
+		if stop, err := l.halt(); err != nil {
+			return result(res, err)
+		} else if stop {
 			break
 		}
-		item, ok := pop()
+		item, ok := l.fr.pop()
 		if !ok {
 			break
 		}
 		id := item.id
-		if visited[id] {
+		if l.visited[id] {
 			continue
 		}
 		var host string
 		if fs != nil {
 			host = space.Site(id).Host
 			if !fs.allow(host, clock()) {
-				// Open breaker: drop the pop without visiting, so a later
-				// duplicate entry can still reach the page once the host
-				// recovers.
+				// Open breaker: drop the pop unvisited; a later duplicate
+				// entry can still reach the page once the host recovers.
 				continue
 			}
 		}
-		visited[id] = true
+		l.visited[id] = true
 
 		// "Fetch" from the virtual web space, through the fault layer when
 		// one is configured. Failed attempts consume page budget without
 		// yielding a page; a retried URL costs one budget unit per attempt.
-		truncated := false
-		if fs != nil {
-			fetched := false
-			for attempt := 1; ; attempt++ {
-				class := fs.attempt(host)
-				res.Crawled++
-				tel.Pages.Inc()
-				if !class.Failed() {
-					fs.success(host, clock())
-					truncated = class == faults.TruncatedBody
-					if truncated {
-						res.Faults.Truncated++
-					}
-					fetched = true
-					break
-				}
-				res.Faults.WastedFetches++
-				fs.failure(host, clock())
-				budgetLeft := cfg.MaxPages <= 0 || res.Crawled < cfg.MaxPages
-				if !budgetLeft || !fs.canRetry(host, attempt, clock()) {
-					res.Faults.Failures++
-					break
-				}
-				fs.noteRetry()
+		var class faults.FailureClass
+		for attempt := 1; ; attempt++ {
+			if fs != nil {
+				class = fs.attempt(host)
 			}
-			if !fetched {
-				if res.Crawled%sample == 0 {
-					recordSample()
-				}
-				continue
-			}
-		} else {
-			res.Crawled++
-			tel.Pages.Inc()
-		}
-
-		visit = core.Visit{
-			Status:      int(space.Status[id]),
-			Declared:    space.Declared[id],
-			TrueCharset: space.Charset[id],
-			Truncated:   truncated,
-		}
-		if needBody && visit.Status == 200 {
-			reused := cap(bodyBuf) > 0
-			bodyBuf = space.PageBytesAppend(bodyBuf[:0], id)
-			visit.Body = bodyBuf
-			if truncated {
-				visit.Body = visit.Body[:len(visit.Body)/2]
-			}
-			tel.Parse.Observe(int64(len(visit.Body)), reused, 0, false)
-		}
-		if visit.Status == 200 && relevant(space, id) {
-			res.RelevantCrawled++
-			tel.Relevant.Inc()
-		}
-		if cfg.OnVisit != nil {
-			cfg.OnVisit(id)
-		}
-
-		var ct0 time.Time
-		if telemetry.Timed(tel.ClassifierTime) {
-			ct0 = time.Now()
-		}
-		score := cfg.Classifier.Score(&visit)
-		if !ct0.IsZero() {
-			tel.ClassifierTime.ObserveSince(ct0)
-		}
-		if info, ok := visit.DetectionInfo(); ok {
-			tel.Detect.Observe(info.Scanned, info.EarlyExit, info.PoolHit)
-		}
-		dec := cfg.Strategy.Decide(score, int(item.dist))
-		if visit.Status == 200 {
-			if dec.Follow {
-				for _, t := range space.Outlinks(id) {
-					if visited[t] {
-						continue
-					}
-					push(t, int32(dec.Dist), dec.Priority)
-				}
-			} else if space.OutDegree(id) > 0 {
-				res.DroppedPages++
+			l.fetched()
+			if !class.Failed() || !fs.failed(host, attempt, clock(), l.budgetLeft()) {
+				break
 			}
 		}
-		if observer != nil {
-			observer.ObserveQueueLen(qlen())
+		if class.Failed() {
+			l.sampleDue()
+			continue
 		}
-
-		if res.Crawled%sample == 0 {
-			recordSample()
-		}
+		truncated := fs != nil && fs.succeeded(host, class, clock())
+		l.visitPage(id, item.dist, truncated, true)
+		l.sampleDue()
 	}
-	recordSample()
-	res.MaxQueueLen = max(res.MaxQueueLen, qmax())
-	if fs != nil {
-		fs.finish()
-	}
-	if ckp != nil {
-		// Final checkpoint (after finish, so the trip totals persist):
-		// a killed-and-resumed run and a graceful stop both leave the
-		// directory resumable.
-		if err := writeCk(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.KeepVisited {
-		res.Visited = visited
-	}
-	return res, nil
+	return result(res, l.finish())
 }
 
 // entry is one frontier element: a page plus the crawl-path distance
@@ -560,7 +267,7 @@ type entry struct {
 	prio float64
 }
 
-// simFrontier is the frontier abstraction both engines crawl through:
+// simFrontier is the frontier abstraction every engine crawls through:
 // push/pop/len/max closures over whichever queue the Config selected.
 // flush forces staged pushes into the priority structures (a no-op
 // except for the batching sharded frontier) so a checkpoint's pop-all
@@ -578,18 +285,18 @@ type simFrontier struct {
 // an indexed heap with in-place upgrades, or the paper-faithful
 // duplicate-retaining queue (optionally disk-spilling), optionally
 // striped across host-hashed shards.
-func buildFrontier(space *webgraph.Space, cfg Config, n int) (*simFrontier, error) {
+func buildFrontier(space *webgraph.Space, cfg Config, n int) (simFrontier, error) {
 	if cfg.QueueMode == QueueUpgrade {
 		if cfg.SpillDir != "" {
-			return nil, fmt.Errorf("sim: QueueUpgrade is incompatible with SpillDir")
+			return simFrontier{}, fmt.Errorf("sim: QueueUpgrade is incompatible with SpillDir")
 		}
 		if cfg.FrontierShards >= 1 || cfg.FrontierBatch > 1 {
-			return nil, fmt.Errorf("sim: FrontierShards/FrontierBatch are incompatible with QueueUpgrade")
+			return simFrontier{}, fmt.Errorf("sim: FrontierShards/FrontierBatch are incompatible with QueueUpgrade")
 		}
 		heap := frontier.NewIndexedHeap[webgraph.PageID]()
 		distOf := make([]int32, n)
 		prioOf := make([]float64, n)
-		return &simFrontier{
+		return simFrontier{
 			push: func(id webgraph.PageID, dist int32, prio float64) {
 				if prev, ok := heap.Priority(id); ok && prio <= prev {
 					return // queued entry is already at least as good
@@ -616,9 +323,9 @@ func buildFrontier(space *webgraph.Space, cfg Config, n int) (*simFrontier, erro
 	}
 	queue, closeFn, err := buildDuplicateQueue(cfg)
 	if err != nil {
-		return nil, err
+		return simFrontier{}, err
 	}
-	return &simFrontier{
+	return simFrontier{
 		push: func(id webgraph.PageID, dist int32, prio float64) {
 			queue.Push(entry{id: id, dist: dist, prio: prio}, prio)
 		},
@@ -636,7 +343,7 @@ func buildFrontier(space *webgraph.Space, cfg Config, n int) (*simFrontier, erro
 // set, so concurrent-looking shard files never collide. Pops go through
 // the sharded queue's Pop (worker 0: home shard first, then stealing),
 // which keeps single-threaded simulation runs deterministic.
-func buildShardedFrontier(space *webgraph.Space, cfg Config) (*simFrontier, error) {
+func buildShardedFrontier(space *webgraph.Space, cfg Config) (simFrontier, error) {
 	var closers []func()
 	var buildErr error
 	shardSeq := 0
@@ -669,9 +376,9 @@ func buildShardedFrontier(space *webgraph.Space, cfg Config) (*simFrontier, erro
 	}
 	if buildErr != nil {
 		closeAll()
-		return nil, buildErr
+		return simFrontier{}, buildErr
 	}
-	return &simFrontier{
+	return simFrontier{
 		push: func(id webgraph.PageID, dist int32, prio float64) {
 			s.Push(entry{id: id, dist: dist, prio: prio}, prio)
 		},
@@ -685,10 +392,18 @@ func buildShardedFrontier(space *webgraph.Space, cfg Config) (*simFrontier, erro
 
 // buildDuplicateQueue constructs the duplicates-mode frontier: the
 // strategy's in-memory queue kind, or its disk-spilling variant when
-// SpillDir is set. The returned closer releases spill resources.
+// SpillDir is set — a single SpillFIFO for FIFO strategies, spill-backed
+// classes for bucket strategies. Heap strategies (continuous priorities)
+// cannot spill and keep the in-memory heap. The returned closer removes
+// leftover segment files.
 func buildDuplicateQueue(cfg Config) (frontier.Queue[entry], func(), error) {
-	if cfg.SpillDir == "" {
-		return frontier.New[entry](cfg.Strategy.QueueKind()), func() {}, nil
+	kind := cfg.Strategy.QueueKind()
+	if cfg.SpillDir == "" || kind != frontier.KindFIFO && kind != frontier.KindBucket {
+		return frontier.New[entry](kind), func() {}, nil
+	}
+	limit := cfg.SpillMemLimit
+	if limit <= 0 {
+		limit = 1 << 16
 	}
 	enc := func(it entry) []byte {
 		var b [16]byte
@@ -707,7 +422,23 @@ func buildDuplicateQueue(cfg Config) (frontier.Queue[entry], func(), error) {
 			prio: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 		}, nil
 	}
-	return newSpillQueue(cfg, enc, dec)
+	if kind == frontier.KindFIFO {
+		q, err := frontier.NewSpillFIFO(cfg.SpillDir, limit, enc, dec)
+		if err != nil {
+			return nil, nil, err
+		}
+		return q, func() { q.Close() }, nil
+	}
+	dir, seq := cfg.SpillDir, 0
+	bucket := frontier.NewBucketWith(func() frontier.Queue[entry] {
+		seq++
+		q, err := frontier.NewSpillFIFO(filepath.Join(dir, fmt.Sprintf("class-%d", seq)), limit, enc, dec)
+		if err != nil {
+			return frontier.NewFIFO[entry]() // degrade to memory
+		}
+		return q
+	})
+	return bucket, func() { bucket.Close() }, nil
 }
 
 func safeDiv(a, b int) float64 {
@@ -715,42 +446,4 @@ func safeDiv(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// newSpillQueue builds a disk-spilling frontier for the strategy's queue
-// kind: a single SpillFIFO for FIFO strategies, spill-backed classes for
-// bucket strategies. The returned closer removes leftover segment files.
-// Heap strategies (continuous priorities) cannot spill and fall back to
-// the in-memory heap.
-func newSpillQueue[T any](cfg Config, enc func(T) []byte, dec func([]byte) (T, error)) (frontier.Queue[T], func(), error) {
-	limit := cfg.SpillMemLimit
-	if limit <= 0 {
-		limit = 1 << 16
-	}
-	switch cfg.Strategy.QueueKind() {
-	case frontier.KindFIFO:
-		q, err := frontier.NewSpillFIFO(cfg.SpillDir, limit, enc, dec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return q, func() { q.Close() }, nil
-	case frontier.KindBucket:
-		seq := 0
-		var firstErr error
-		bucket := frontier.NewBucketWith(func() frontier.Queue[T] {
-			seq++
-			q, err := frontier.NewSpillFIFO(
-				filepath.Join(cfg.SpillDir, fmt.Sprintf("class-%d", seq)), limit, enc, dec)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return frontier.NewFIFO[T]() // degrade to memory
-			}
-			return q
-		})
-		return bucket, func() { bucket.Close() }, nil
-	default:
-		return frontier.New[T](cfg.Strategy.QueueKind()), func() {}, nil
-	}
 }

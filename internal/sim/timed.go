@@ -2,15 +2,12 @@ package sim
 
 import (
 	"fmt"
-
 	"time"
 
-	"langcrawl/internal/core"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/metrics"
 	"langcrawl/internal/rng"
 	"langcrawl/internal/simtime"
-	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 )
 
@@ -54,9 +51,6 @@ type TimedResult struct {
 // its own pages while others proceed — which is exactly the effect the
 // paper wanted to add to its simulator.
 func RunTimed(space *webgraph.Space, cfg TimedConfig) (*TimedResult, error) {
-	if cfg.Strategy == nil || cfg.Classifier == nil {
-		return nil, fmt.Errorf("sim: Strategy and Classifier are required")
-	}
 	if cfg.CheckpointDir != "" || cfg.CheckpointEvery > 0 || cfg.StopAfter > 0 {
 		// The event queue's in-flight fetches have no serialized form yet,
 		// so a timed checkpoint could not capture a consistent cut.
@@ -71,45 +65,19 @@ func RunTimed(space *webgraph.Space, cfg TimedConfig) (*TimedResult, error) {
 	if cfg.Delays == (simtime.DelayModel{}) {
 		cfg.Delays = simtime.DefaultDelayModel(space.Seed)
 	}
-	n := space.N()
-	sample := cfg.SampleEvery
-	if sample <= 0 {
-		sample = n / 256
-		if sample < 1 {
-			sample = 1
-		}
-	}
 
-	res := &TimedResult{
-		Result: Result{
-			Strategy:      cfg.Strategy.Name(),
-			Classifier:    cfg.Classifier.Name(),
-			RelevantTotal: space.RelevantTotal(),
-			Harvest:       &metrics.Series{Name: cfg.Strategy.Name()},
-			Coverage:      &metrics.Series{Name: cfg.Strategy.Name()},
-			QueueSize:     &metrics.Series{Name: cfg.Strategy.Name()},
-		},
-		Throughput: &metrics.Series{Name: cfg.Strategy.Name()},
-	}
-
-	fr, err := buildFrontier(space, cfg.Config, n)
+	res := &TimedResult{}
+	l, err := newLoop(space, cfg.Config, &res.Result)
 	if err != nil {
 		return nil, err
 	}
-	defer fr.close()
-	visited := make([]bool, n)
-	needBody := cfg.Classifier.NeedsBody()
-	observer, _ := cfg.Strategy.(core.QueueObserver)
+	defer l.fr.close()
+	res.Throughput = &metrics.Series{Name: res.Strategy}
+	l.ev = webgraph.NewEvolver(space, cfg.Evolve)
+	fs := l.fs
 	jitter := rng.New2(space.Seed, 0x71BED)
-	evo := webgraph.NewEvolver(space, cfg.Evolve)
-	fs := newFaultState(cfg.Faults, space.Seed, &res.Faults)
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = &telemetry.SimStats{}
-	}
-
-	for _, seed := range space.Seeds {
-		fr.push(seed, 0, 1)
+	if _, err := l.start(); err != nil {
+		return nil, err
 	}
 
 	// timedJob is one in-flight fetch: the frontier entry plus which
@@ -139,161 +107,77 @@ func RunTimed(space *webgraph.Space, cfg TimedConfig) (*TimedResult, error) {
 	// until the connection pool is full or the frontier is exhausted.
 	startFetches := func() {
 		for inflight < cfg.Concurrency {
-			item, ok := fr.pop()
+			item, ok := l.fr.pop()
 			if !ok {
 				return
 			}
-			if visited[item.id] {
+			if l.visited[item.id] {
 				continue
 			}
 			host := space.Site(item.id).Host
 			if fs != nil && !fs.allow(host, now) {
 				continue // open breaker: drop without visiting
 			}
-			visited[item.id] = true
+			l.visited[item.id] = true
 			events.Schedule(transferDelay(item.id, host, now), timedJob{entry: item, attempt: 1})
 			inflight++
 		}
 	}
 
-	recordSample := func() {
-		x := float64(res.Crawled)
-		res.Harvest.Add(x, 100*safeDiv(res.RelevantCrawled, res.Crawled))
-		res.Coverage.Add(x, 100*safeDiv(res.RelevantCrawled, res.RelevantTotal))
-		res.QueueSize.Add(x, float64(fr.len()))
-		tel.QueueDepth.Set(int64(fr.len()))
+	// Throughput and the PagesPerSec gauge count pages per virtual second.
+	l.runStart = time.Time{}
+	l.onSample = func() {
 		if now > 0 {
 			res.Throughput.Add(now, float64(res.Crawled)/now)
-			// Virtual-time throughput: pages per simulated second.
-			tel.PagesPerSec.Set(float64(res.Crawled) / now)
+			l.tel.PagesPerSec.Set(float64(res.Crawled) / now)
 		}
 	}
-	recordSample()
+	l.sample()
 
-	// bodyBuf is reused across events: bodies are regenerated in place and
-	// consumed synchronously by the classifier before the next event
-	// overwrites them (see core.Visit.Body's ownership note).
-	var bodyBuf []byte
 	for {
-		if cfg.MaxPages > 0 && res.Crawled >= cfg.MaxPages {
+		// halt cannot fail: the timed engine takes no checkpoint or kill.
+		if stop, _ := l.halt(); stop {
 			break
 		}
 		startFetches()
-		ev, ok := events.Next()
+		e, ok := events.Next()
 		if !ok {
 			break // frontier and connections both empty
 		}
-		now = ev.At
+		now = e.At
 		if cfg.MaxVirtualTime > 0 && now > cfg.MaxVirtualTime {
 			break
 		}
-		id := ev.Payload.id
-
-		truncated := false
+		job := e.Payload
+		var host string
+		var class faults.FailureClass
 		if fs != nil {
-			host := space.Site(id).Host
-			class := fs.attempt(host)
-			if class.Failed() {
-				res.Crawled++
-				tel.Pages.Inc()
-				res.Faults.WastedFetches++
-				fs.failure(host, now)
-				budgetLeft := cfg.MaxPages <= 0 || res.Crawled < cfg.MaxPages
-				if budgetLeft && fs.canRetry(host, ev.Payload.attempt, now) {
-					// Retry keeps its connection slot: the refetch enters
-					// the event queue after backoff + politeness + transfer.
-					fs.noteRetry()
-					at := transferDelay(id, host, now+fs.backoff(ev.Payload.attempt))
-					events.Schedule(at, timedJob{entry: ev.Payload.entry, attempt: ev.Payload.attempt + 1})
-				} else {
-					inflight--
-					res.Faults.Failures++
-				}
-				if res.Crawled%sample == 0 {
-					recordSample()
-				}
-				continue
+			host = space.Site(job.id).Host
+			class = fs.attempt(host)
+		}
+		l.fetched()
+		if class.Failed() {
+			if fs.failed(host, job.attempt, now, l.budgetLeft()) {
+				// Retry keeps its connection slot: the refetch enters the
+				// event queue after backoff + politeness + transfer.
+				at := transferDelay(job.id, host, now+fs.backoff(job.attempt))
+				events.Schedule(at, timedJob{entry: job.entry, attempt: job.attempt + 1})
+			} else {
+				inflight--
 			}
-			fs.success(host, now)
-			truncated = class == faults.TruncatedBody
-			if truncated {
-				res.Faults.Truncated++
-			}
+			l.sampleDue()
+			continue
 		}
 		inflight--
+		truncated := fs != nil && fs.succeeded(host, class, now)
 
 		// The fetch completes at virtual instant `now`: the page served is
-		// whatever the evolving space holds then. A page that died (or is
-		// not yet born) between discovery and fetch answers 404 — the
-		// moving-target effect a wall-clock crawl of a live web sees.
-		evo.AdvanceTo(now)
-		visit := core.Visit{
-			Status:      int(space.Status[id]),
-			Declared:    space.Declared[id],
-			TrueCharset: evo.Charset(id),
-			Truncated:   truncated,
-		}
-		if space.IsOK(id) && !evo.Alive(id) {
-			visit.Status = 404
-		}
-		if evo.Lang(id) != space.Lang[id] {
-			visit.Declared = evo.Charset(id) // drifted bodies declare UTF-8
-		}
-		if needBody && visit.Status == 200 {
-			reused := cap(bodyBuf) > 0
-			bodyBuf = evo.PageBytesAppend(bodyBuf[:0], id)
-			visit.Body = bodyBuf
-			if truncated {
-				visit.Body = visit.Body[:len(visit.Body)/2]
-			}
-			tel.Parse.Observe(int64(len(visit.Body)), reused, 0, false)
-		}
-		res.Crawled++
-		tel.Pages.Inc()
-		if visit.Status == 200 && evo.IsRelevant(id) {
-			res.RelevantCrawled++
-			tel.Relevant.Inc()
-		}
-		if cfg.OnVisit != nil {
-			cfg.OnVisit(id)
-		}
-
-		var ct0 time.Time
-		if telemetry.Timed(tel.ClassifierTime) {
-			ct0 = time.Now()
-		}
-		score := cfg.Classifier.Score(&visit)
-		if !ct0.IsZero() {
-			tel.ClassifierTime.ObserveSince(ct0)
-		}
-		if info, ok := visit.DetectionInfo(); ok {
-			tel.Detect.Observe(info.Scanned, info.EarlyExit, info.PoolHit)
-		}
-		dec := cfg.Strategy.Decide(score, int(ev.Payload.dist))
-		if visit.Status == 200 {
-			if dec.Follow {
-				for _, t := range space.Outlinks(id) {
-					if visited[t] {
-						continue
-					}
-					fr.push(t, int32(dec.Dist), dec.Priority)
-				}
-			} else if space.OutDegree(id) > 0 {
-				res.DroppedPages++
-			}
-		}
-		if observer != nil {
-			observer.ObserveQueueLen(fr.len())
-		}
-		if res.Crawled%sample == 0 {
-			recordSample()
-		}
+		// whatever the evolving space holds then — the moving-target
+		// effect a wall-clock crawl of a live web sees.
+		l.ev.AdvanceTo(now)
+		l.visitPage(job.id, job.dist, truncated, true)
+		l.sampleDue()
 	}
-	recordSample()
 	res.Duration = now
-	res.MaxQueueLen = fr.max()
-	if fs != nil {
-		fs.finish()
-	}
-	return res, nil
+	return result(res, l.finish())
 }
