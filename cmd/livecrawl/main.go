@@ -58,7 +58,7 @@ func main() {
 		retryBase    = flag.Float64("retry-base", 0.5, "base retry backoff seconds (doubles per attempt, jittered)")
 		brkThreshold = flag.Int("breaker-threshold", 0, "consecutive failures to open a host's circuit breaker (0 = no breakers)")
 		brkCooldown  = flag.Float64("breaker-cooldown", 30, "seconds an open breaker waits before probing the host again")
-		shards       = flag.Int("shards", 0, "host-hash frontier shards for the parallel engine (0/1 = one shard, legacy order)")
+		shards       = flag.Int("shards", 0, "host-hash frontier shards (0/1 = one shard, legacy order)")
 		frBatch      = flag.Int("frontier-batch", 0, "frontier insert batch size per shard (0/1 = unbatched)")
 		appendBatch  = flag.Int("append-batch", 0, "group-commit size for crawl-log and link-DB appends (0/1 = synchronous)")
 		appendEvery  = flag.Duration("append-interval", 0, "flush staged appends at least this often (0 = only on full batches)")
@@ -73,7 +73,7 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 0, "end-to-end deadline per HTTP request (0 = default 60s, negative = off)")
 		hostBudget   = flag.Int("host-budget", 0, "max pages crawled per host; any budget also enables the spider-trap URL heuristics (0 = unlimited)")
 		hostileSpec  = flag.String("hostile", "", "self-serve mode: mix adversarial hosts into the space, e.g. 'trap=1,loop=2,storm=1,seed=7' (see internal/hostile)")
-		recrawl      = flag.Int("recrawl", 0, "revisit sweeps after discovery drains: refetch the corpus in change-rate order with conditional GET (sequential engine; 0 = off)")
+		recrawl      = flag.Int("recrawl", 0, "revisit sweeps after discovery drains: refetch the corpus in change-rate order with conditional GET (any -parallel; 0 = off)")
 		evolveSpec   = flag.String("evolve", "", "self-serve mode: evolve the served space ('news', 'archive', or key=val list) so pages edit, die and get born while the crawl runs")
 		evolveTick   = flag.Float64("evolve-tick", 1, "virtual seconds the served space's clock advances per page request (-evolve)")
 	)

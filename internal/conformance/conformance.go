@@ -4,7 +4,7 @@
 // space. The engines that followed the original — the fault-layer
 // engine at injection rate zero, the timed engine at concurrency one,
 // the sharded frontier in sequential-equivalence mode, and the live
-// crawler pair — are each held to those traces, so a refactor that
+// crawler at one worker and at several — are each held to those traces, so a refactor that
 // silently changes crawl order fails a test instead of shifting every
 // experiment's curves.
 //

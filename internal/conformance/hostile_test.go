@@ -124,8 +124,8 @@ func diffURLSets(t *testing.T, label string, want, got map[string]bool) {
 	}
 }
 
-// TestHostileChaosSequential is the headline chaos proof for the
-// sequential engine: benign space + full zoo, all defenses on. The
+// TestHostileChaosSequential is the headline chaos proof for the live
+// crawler at one worker: benign space + full zoo, all defenses on. The
 // crawl must drain its frontier unaided (no MaxPages crutch), within a
 // wall-clock bound, with a bounded frontier, crawling the benign golden
 // set exactly, and every defense family must have fired.
@@ -170,8 +170,8 @@ func TestHostileChaosSequential(t *testing.T) {
 	}
 }
 
-// TestHostileChaosParallel repeats the chaos crawl on the parallel
-// engine at full width. Order is free; the benign set is not.
+// TestHostileChaosParallel repeats the chaos crawl with several
+// workers over a sharded frontier. Order is free; the benign set is not.
 func TestHostileChaosParallel(t *testing.T) {
 	sp := space(t)
 	m := chaosModel()

@@ -394,7 +394,7 @@ func logURLSet(t *testing.T, data []byte) map[string]bool {
 	return set
 }
 
-// TestKillResumeLiveSequential kills the live sequential engine over and
+// TestKillResumeLiveSequential kills the one-worker live crawl over and
 // over and requires the recovered, stitched crawl log to be
 // byte-identical to an uninterrupted crawl's log: recovery truncates the
 // post-checkpoint tail, and the resumed run re-fetches exactly those
@@ -425,8 +425,8 @@ func TestKillResumeLiveSequential(t *testing.T) {
 	}
 }
 
-// TestKillResumeLiveParallel kills the live parallel engine (full width:
-// several workers over a sharded frontier) and checks set equivalence:
+// TestKillResumeLiveParallel kills the live crawl at full width
+// (several workers over a sharded frontier) and checks set equivalence:
 // worker scheduling makes order non-deterministic, but the final visit
 // set after dedup must match the uninterrupted golden set exactly.
 func TestKillResumeLiveParallel(t *testing.T) {

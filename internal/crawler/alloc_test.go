@@ -62,7 +62,7 @@ func chainWeb(n, size int) *cannedWeb {
 	return w
 }
 
-// chainCrawl crawls w from page 0 on the sequential engine with default
+// chainCrawl crawls w from page 0 on one worker with default
 // settings (deadline and stall watchdog on) and reports pages crawled.
 func chainCrawl(t *testing.T, w *cannedWeb) int {
 	c, err := New(Config{
@@ -93,7 +93,7 @@ func perPage(t *testing.T, n, size int, measure func(func()) float64) float64 {
 	return (measure(func() { chainCrawl(t, large) }) - measure(func() { chainCrawl(t, small) })) / float64(n)
 }
 
-// maxFetchAllocs pins what one sequential-engine page allocates once the
+// maxFetchAllocs pins what one page of a one-worker crawl allocates once the
 // pools are warm, counted against a canned transport: the page request
 // and its URL; net/http's client bookkeeping (header copy for redirects,
 // cancel plumbing); the request deadline and stall watchdog; the visit

@@ -9,10 +9,10 @@ import (
 	"langcrawl/internal/linkdb"
 )
 
-// ckState is an engine's view of checkpointing for one run: the writer,
+// ckState is the crawl loop's view of checkpointing for one run: the writer,
 // the state loaded from a prior run (nil on a fresh start), and the
 // crawl count at which the next checkpoint is due. A nil *ckState means
-// checkpointing is off; every method is nil-safe so the engines call
+// checkpointing is off; every method is nil-safe so the loop calls
 // them unconditionally.
 type ckState struct {
 	ckp    *checkpoint.Checkpointer

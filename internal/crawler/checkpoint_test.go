@@ -172,7 +172,7 @@ func TestCheckpointKillResumeSequential(t *testing.T) {
 }
 
 // TestCheckpointKillResumeParallel runs the same flow through the
-// parallel engine's checkpoint barrier. Worker interleaving makes the
+// checkpoint barrier with four workers. Worker interleaving makes the
 // crawl order approximate, so the assertion is set equality of logged
 // URLs, not byte identity.
 func TestCheckpointKillResumeParallel(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -25,12 +24,10 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
-	"langcrawl/internal/frontier"
 	"langcrawl/internal/linkdb"
 	"langcrawl/internal/metrics"
 	"langcrawl/internal/parse"
 	"langcrawl/internal/telemetry"
-	"langcrawl/internal/urlutil"
 )
 
 // Config parameterizes a crawl.
@@ -68,8 +65,9 @@ type Config struct {
 	// MaxBodyBytes caps each response body read (default 1 MiB).
 	MaxBodyBytes int64
 	// HostInterval is the minimum delay between requests to one host.
-	// The crawl loop is sequential, so this is enforced by sleeping when
-	// the next URL's host was hit too recently.
+	// Each fetch books the host's next slot in a shared ledger (after the
+	// robots check, raised by any Crawl-delay), and the worker sleeps
+	// until its slot comes up.
 	HostInterval time.Duration
 	// IgnoreRobots skips robots.txt handling (simulated webs only).
 	IgnoreRobots bool
@@ -88,20 +86,16 @@ type Config struct {
 	// fully deterministic). With more workers, frontier order is
 	// approximate and politeness is still enforced per host.
 	Parallelism int
-	// UseParallelEngine forces the concurrent engine even at Parallelism
-	// 1. With FrontierShards and FrontierBatch at their defaults this is
-	// sequential-equivalence mode: the parallel machinery runs but must
-	// reproduce the sequential engine's crawl order exactly (the
-	// conformance suite holds it to that).
+	// Deprecated: there is one engine; ignored. Delete once bench/ stops setting it.
 	UseParallelEngine bool
-	// FrontierShards stripes the parallel engine's frontier across N
-	// host-hashed shards, each with its own lock and queue (default 1:
-	// a single shard, preserving global frontier order). Ignored by the
-	// sequential engine.
+	// FrontierShards stripes the frontier across N host-hashed shards,
+	// each with its own lock and queue (default 1: a single shard,
+	// preserving global frontier order, which one worker then follows
+	// exactly).
 	FrontierShards int
 	// FrontierBatch stages frontier inserts per shard and applies them to
 	// the priority structure a batch at a time (default 1: unbatched,
-	// every push immediately visible). Ignored by the sequential engine.
+	// every push immediately visible).
 	FrontierBatch int
 	// AppendBatch group-commits Log and DB appends in batches of this
 	// size (default 1: today's synchronous path). Batched DB commits end
@@ -144,7 +138,7 @@ type Config struct {
 	// zero value disables the guard.
 	HostBudget HostBudget
 	// Telemetry, when non-nil, receives runtime counters, latency
-	// histograms, and trace events from both engines (see
+	// histograms, and trace events from the crawl loop (see
 	// telemetry.NewCrawlStats). Observation-only: an instrumented crawl
 	// fetches exactly the pages an uninstrumented one does. nil disables
 	// all instrumentation at the cost of one branch per event.
@@ -184,11 +178,11 @@ type Config struct {
 	// instead of wall-clock-dependent behavior.
 	Now func() time.Time
 	// Recrawl enables the incremental crawl mode: after the discovery
-	// frontier drains, the sequential engine runs Recrawl.Passes extra
-	// revisit passes over the crawled corpus, ordered by estimated
-	// per-URL change rate and revalidated with conditional GET
-	// (If-None-Match / If-Modified-Since), so unchanged pages cost a 304
-	// and no body bytes. See RecrawlConfig. Zero value disables.
+	// frontier drains, the workers run Recrawl.Passes extra revisit
+	// passes over the crawled corpus, ordered by estimated per-URL change
+	// rate and revalidated with conditional GET (If-None-Match /
+	// If-Modified-Since), so unchanged pages cost a 304 and no body
+	// bytes. See RecrawlConfig. Zero value disables.
 	Recrawl RecrawlConfig
 }
 
@@ -229,8 +223,7 @@ type Crawler struct {
 	// fetch gives that case its own copy).
 	get *http.Request
 	// rc is the incremental-mode revisit controller, nil for one-shot
-	// crawls. Non-nil only with the sequential engine (New enforces it),
-	// so it is accessed without locking.
+	// crawls. The crawl loop touches it only under its engine mutex.
 	rc *recrawlCtl
 }
 
@@ -259,9 +252,6 @@ func New(cfg Config) (*Crawler, error) {
 	}
 	if cfg.Recrawl.Passes < 0 {
 		return nil, errors.New("crawler: Recrawl.Passes must be >= 0")
-	}
-	if cfg.Recrawl.Passes > 0 && (cfg.Parallelism > 1 || cfg.UseParallelEngine) {
-		return nil, errors.New("crawler: Recrawl requires the sequential engine")
 	}
 	c := &Crawler{
 		cfg:    cfg,
@@ -299,8 +289,8 @@ type qitem struct {
 	dist int32
 	prio float64
 	// demoted counts how many times an open breaker pushed this item back
-	// at lower priority. In-memory only — not part of the persisted
-	// frontier format.
+	// at lower priority. The count itself is not persisted: checkpoints
+	// and frontier files carry the effective priority (effPrio) instead.
 	demoted int32
 	// revisit marks an incremental-mode revalidation of an already
 	// crawled URL: it bypasses the seen-set and already-in-DB skips and
@@ -308,273 +298,18 @@ type qitem struct {
 	revisit bool
 }
 
-// Run crawls until the frontier drains, MaxPages is reached, or ctx is
-// canceled (in-flight requests finish first). With Config.Parallelism
-// greater than one (or UseParallelEngine set) the concurrent engine in
-// parallel.go takes over.
+// effPrio is the priority the frontier orders the item at: its assigned
+// priority less one per breaker demotion. Every re-push and every saved
+// copy of the item uses it, so a restored frontier pops in the order
+// the running one would have.
+func (it qitem) effPrio() float64 { return it.prio - float64(it.demoted) }
+
+// Run crawls until the frontier (and, in incremental mode, the last
+// revisit sweep) drains, MaxPages is reached, or ctx is canceled
+// (in-flight requests finish first). The loop is runParallel at every
+// Config.Parallelism.
 func (c *Crawler) Run(ctx context.Context) (*Result, error) {
-	if c.cfg.Parallelism > 1 || c.cfg.UseParallelEngine {
-		return c.runParallel(ctx)
-	}
-	return c.runSequential(ctx)
-}
-
-// runSequential is the deterministic single-worker crawl loop.
-func (c *Crawler) runSequential(ctx context.Context) (*Result, error) {
-	res := &Result{Harvest: &metrics.Series{Name: c.cfg.Strategy.Name()}}
-	queue := frontier.New[qitem](c.cfg.Strategy.QueueKind())
-	seen := checkpoint.NewSeen(0)
-	observer, _ := c.cfg.Strategy.(core.QueueObserver)
-	sinks := c.newSinks()
-	defer sinks.close()
-
-	ck, err := c.openCheckpoint()
-	if err != nil {
-		return nil, err
-	}
-	resumed := ck.resume(res, seen, c.flt, c.guard, func(e checkpoint.Entry) {
-		if e.Revisit {
-			if c.rc != nil {
-				c.rc.pushEntry(e)
-			}
-			return
-		}
-		queue.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
-	})
-	if resumed && c.rc != nil {
-		c.rc.restore(ck.st)
-	}
-	if !resumed {
-		if c.cfg.FrontierPath != "" {
-			items, err := loadFrontierWarn(c.cfg.FrontierPath)
-			if err != nil {
-				return nil, fmt.Errorf("crawler: loading frontier: %w", err)
-			}
-			for _, it := range items {
-				queue.Push(it, it.prio)
-			}
-		}
-		for _, s := range c.cfg.Seeds {
-			u, err := urlutil.Normalize(s)
-			if err != nil {
-				return nil, fmt.Errorf("crawler: seed %q: %w", s, err)
-			}
-			queue.Push(qitem{url: u, prio: 1}, 1)
-		}
-	}
-	// SeedItems go in even on resume: a leased batch delivered after the
-	// last snapshot is not in the restored frontier, and re-pushing
-	// entries that are is deduplicated by the seen-set skip below.
-	for _, e := range c.cfg.SeedItems {
-		queue.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
-	}
-
-	// writeCk flushes the sinks for durable positions, snapshots the
-	// frontier by draining and re-pushing it (each item at its current
-	// effective priority, so the running crawl's order is unchanged),
-	// and writes the checkpoint.
-	writeCk := func() error {
-		logPos, dbPos, err := sinks.sync(c.cfg.Log, c.cfg.DB)
-		if err != nil {
-			return fmt.Errorf("crawler: flushing appends for checkpoint: %w", err)
-		}
-		var items []qitem
-		for {
-			it, ok := queue.Pop()
-			if !ok {
-				break
-			}
-			items = append(items, it)
-		}
-		entries := make([]checkpoint.Entry, len(items))
-		for i, it := range items {
-			prio := it.prio - float64(it.demoted)
-			entries[i] = checkpoint.Entry{URL: it.url, Dist: it.dist, Prio: prio, Revisit: it.revisit}
-			queue.Push(it, prio)
-		}
-		if c.rc != nil {
-			entries = append(entries, c.rc.pendingEntries()...)
-		}
-		res.MaxQueueLen = max(res.MaxQueueLen, queue.MaxLen())
-		return ck.write(c, res, seen, entries, logPos, dbPos)
-	}
-
-	for {
-		if ck.due(res.Crawled) {
-			if err := writeCk(); err != nil {
-				return res, err
-			}
-			ck.advance(res.Crawled)
-		}
-		if c.cfg.StopAfter > 0 && res.Crawled >= c.cfg.StopAfter {
-			// Emulated SIGKILL for the crash harness: no final checkpoint,
-			// no frontier save — recovery must reconstruct everything.
-			return res, checkpoint.ErrKilled
-		}
-		if stopRequested(c.cfg.Stop) {
-			break // graceful drain: fall through to the final checkpoint
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		if c.cfg.MaxPages > 0 && res.Crawled >= c.cfg.MaxPages {
-			break
-		}
-		item, ok := queue.Pop()
-		if !ok && c.rc != nil {
-			// Discovery drained: the incremental mode takes over, popping
-			// revisits in change-rate order and starting new sweeps until
-			// the configured passes are spent.
-			item, ok = c.rc.next()
-		}
-		if !ok {
-			break
-		}
-		if !item.revisit && seen.Has(item.url) {
-			continue
-		}
-		host := urlutil.Host(item.url)
-		if !c.guard.admitFetch(host) {
-			continue // quarantined host: the URL is dropped outright
-		}
-		if !c.flt.allow(host) {
-			// Open breaker: demote the URL so other hosts go first, and
-			// drop it for good only after maxDemotions round trips.
-			if item.demoted < maxDemotions {
-				item.demoted++
-				queue.Push(item, item.prio-float64(item.demoted))
-			} else {
-				c.flt.gaveUp()
-			}
-			continue
-		}
-		seen.Add(item.url)
-		if !item.revisit && sinks.db != nil && sinks.db.Has(item.url) {
-			continue // already crawled in a previous run
-		}
-
-		if !c.cfg.IgnoreRobots && !c.allowed(ctx, item.url, host) {
-			res.RobotsBlocked++
-			c.tel.RobotsBlocked.Inc()
-			continue
-		}
-		interval := c.cfg.HostInterval
-		if rb := c.cachedRobots(host); rb != nil {
-			interval = rb.Delay(interval) // honor Crawl-delay
-		}
-		if wait := c.polite.reserve(host, interval); wait > 0 {
-			time.Sleep(wait)
-		}
-
-		if item.revisit {
-			c.rc.arm(item.url)
-		}
-		out := c.fetchWithRetry(ctx, item.url, host)
-		if item.revisit {
-			c.rc.disarm()
-		}
-		res.Errors += out.transportErrs
-		if sinks.log != nil {
-			for _, frec := range out.failed {
-				if err := sinks.log.Write(frec); err != nil {
-					return res, fmt.Errorf("crawler: writing log: %w", err)
-				}
-			}
-		}
-		if out.err != nil {
-			continue // gave up on this URL; the failure is on record
-		}
-		visit, links, rec := out.visit, out.links, out.rec
-		res.Crawled++
-		c.tel.Pages.Inc()
-		c.guard.recordPage(host, int64(len(visit.Body)))
-		if item.revisit {
-			// Revalidation outcome: fold it into the ledger and the
-			// freshness counters. Revisits consume the page budget and are
-			// logged, but never classify, expand the frontier, or touch
-			// the link DB — a sweep refreshes copies, it is not discovery.
-			c.rc.applyRevisit(item.url, visit)
-			c.release(visit)
-			if sinks.log != nil {
-				if err := sinks.log.Write(rec); err != nil {
-					return res, fmt.Errorf("crawler: writing log: %w", err)
-				}
-			}
-			continue
-		}
-		if c.rc != nil {
-			c.rc.observeDiscovery(item.url, item.dist, visit)
-		}
-		score := c.classify(visit)
-		c.release(visit)
-		if score >= 0.5 {
-			res.Relevant++
-			c.tel.Relevant.Inc()
-		}
-		res.Harvest.Add(float64(res.Crawled), 100*float64(res.Relevant)/float64(res.Crawled))
-
-		if sinks.log != nil {
-			if err := sinks.log.Write(rec); err != nil {
-				return res, fmt.Errorf("crawler: writing log: %w", err)
-			}
-		}
-		if sinks.db != nil {
-			if err := sinks.db.Put(rec); err != nil {
-				return res, fmt.Errorf("crawler: writing linkdb: %w", err)
-			}
-		}
-
-		// A page's links share one allocation; each that goes on to the
-		// frontier or the sink gets its own copy, so the queue never pins
-		// a whole page's worth of links.
-		dec := c.cfg.Strategy.Decide(score, int(item.dist))
-		if visit.Status == 200 && dec.Follow {
-			if c.cfg.LinkSink != nil {
-				var out []checkpoint.Entry
-				for _, l := range links {
-					if !seen.Has(l) && c.guard.admitLink(l) {
-						out = append(out, checkpoint.Entry{URL: strings.Clone(l), Dist: int32(dec.Dist), Prio: dec.Priority})
-					}
-				}
-				if len(out) > 0 {
-					if err := c.cfg.LinkSink(out); err != nil {
-						return res, fmt.Errorf("crawler: link sink: %w", err)
-					}
-				}
-			} else {
-				for _, l := range links {
-					if !seen.Has(l) && c.guard.admitLink(l) {
-						queue.Push(qitem{url: strings.Clone(l), dist: int32(dec.Dist), prio: dec.Priority}, dec.Priority)
-					}
-				}
-			}
-		}
-		if observer != nil {
-			observer.ObserveQueueLen(queue.Len())
-		}
-	}
-	res.MaxQueueLen = max(res.MaxQueueLen, queue.MaxLen())
-	res.Faults = c.flt.snapshot()
-	if c.rc != nil {
-		res.Fresh = c.rc.fresh
-		res.Passes = c.rc.pass
-	}
-	if ck != nil {
-		// Final checkpoint: a later resume sees the finished state and
-		// has nothing left to redo.
-		if err := writeCk(); err != nil {
-			return res, err
-		}
-	}
-	if err := sinks.close(); err != nil {
-		return res, fmt.Errorf("crawler: flushing appends: %w", err)
-	}
-	if c.cfg.FrontierPath != "" {
-		if err := saveFrontier(c.cfg.FrontierPath, queue); err != nil {
-			return res, fmt.Errorf("crawler: saving frontier: %w", err)
-		}
-	}
-	return res, nil
+	return c.runParallel(ctx)
 }
 
 // classify scores a visit and records classification telemetry: the
@@ -604,7 +339,7 @@ func (c *Crawler) cachedRobots(host string) *Robots {
 
 // allowed consults (fetching and caching once per host) robots.txt.
 // The cache is guarded by robotsMu; the fetch itself happens unlocked,
-// so under the parallel engine a host's robots may be fetched more than
+// so with several workers a host's robots may be fetched more than
 // once in a race, which is harmless — the first cached result wins.
 func (c *Crawler) allowed(ctx context.Context, pageURL, host string) bool {
 	c.robotsMu.Lock()
@@ -709,12 +444,21 @@ func (c *Crawler) stallInterval() time.Duration {
 	return c.cfg.StallTimeout
 }
 
+// validators are a page's cache validators: a revisit sends the held
+// pair as If-None-Match / If-Modified-Since, and a 200 or 304 answer
+// carries the pair to hold next.
+type validators struct{ etag, lastMod string }
+
 // fetch GETs pageURL and assembles the visit record: status, declared
 // charset (Content-Type header first, META second), true charset (by
 // detection over the body), and normalized extracted links. The request
 // runs under the per-request deadline and the stall watchdog; a body
 // cut short by a lying Content-Length is salvaged as a truncated page.
-func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []string, *crawlog.Record, error) {
+//
+// val is the incremental mode's validator slot, nil for one-shot
+// crawls: whatever it holds goes out as conditional headers, and a 200
+// or 304 response's validators replace it.
+func (c *Crawler) fetch(ctx context.Context, pageURL string, val *validators) (*core.Visit, []string, *crawlog.Record, error) {
 	ctx, cancelReq := c.requestContext(ctx)
 	defer cancelReq()
 	// The watchdog aborts through its own cancel-cause, armed before Do
@@ -743,17 +487,15 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []str
 		// The client adds the jar's cookies to the request's own header.
 		req.Header = req.Header.Clone()
 	}
-	if c.rc != nil {
-		// An armed revisit revalidates instead of refetching: the server
-		// may answer 304 with no body at all if the held copy is current.
-		if etag, lastMod, ok := c.rc.condFor(pageURL); ok {
-			req.Header = req.Header.Clone()
-			if etag != "" {
-				req.Header.Set("If-None-Match", etag)
-			}
-			if lastMod != "" {
-				req.Header.Set("If-Modified-Since", lastMod)
-			}
+	if val != nil && (val.etag != "" || val.lastMod != "") {
+		// A revisit revalidates instead of refetching: the server may
+		// answer 304 with no body at all if the held copy is current.
+		req.Header = req.Header.Clone()
+		if val.etag != "" {
+			req.Header.Set("If-None-Match", val.etag)
+		}
+		if val.lastMod != "" {
+			req.Header.Set("If-Modified-Since", val.lastMod)
 		}
 	}
 	resp, err := c.client.Do(req)
@@ -765,12 +507,9 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string) (*core.Visit, []str
 		return nil, nil, nil, err
 	}
 	defer resp.Body.Close()
-	if c.rc != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
-		// Stash the response validators for the crawl loop's ledger; the
-		// sequential engine is single-threaded, so plain fields suffice.
-		c.rc.lastVal.url = pageURL
-		c.rc.lastVal.etag = resp.Header.Get("ETag")
-		c.rc.lastVal.lastMod = resp.Header.Get("Last-Modified")
+	if val != nil && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
+		val.etag = resp.Header.Get("ETag")
+		val.lastMod = resp.Header.Get("Last-Modified")
 	}
 
 	// An explicit slow-down (429, or 503 with Retry-After) holds the

@@ -20,8 +20,8 @@ const maxDemotions = 3
 
 // faultCtl is the crawler's fault-tolerance state: retry policy, per-host
 // circuit breakers (on the wall clock), and the fault counters. It has
-// its own mutex so both engines — the lock-free sequential loop and the
-// mutex-sharing parallel workers — use the same calls.
+// its own mutex so workers call it outside the crawl loop's lock — from
+// fetchWithRetry, mid-fetch.
 type faultCtl struct {
 	mu       sync.Mutex
 	retry    faults.RetryPolicy
@@ -247,7 +247,9 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 // finally obtained. failed carries one crawlog record per attempt that
 // did not produce that page (transport errors and retried 5xx), so no
 // failure is silently dropped from the log. transportErrs counts
-// attempts that died below HTTP (the Result.Errors unit).
+// attempts that died below HTTP (the Result.Errors unit). In incremental
+// mode val holds the validators of the last 200 or 304 answer (the ones
+// sent when there was none).
 type fetchOutcome struct {
 	visit         *core.Visit
 	links         []string
@@ -255,14 +257,21 @@ type fetchOutcome struct {
 	err           error
 	failed        []*crawlog.Record
 	transportErrs int
+	val           validators
 }
 
 // fetchWithRetry fetches pageURL under the configured retry policy. With
 // retries disabled it degenerates to exactly one c.fetch call, preserving
 // the engine's original behavior; an exhausted-retries 5xx is returned as
 // a normal page (the status is recorded, as a single-attempt crawl would).
-func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string) fetchOutcome {
-	var out fetchOutcome
+// cond are the validators a revisit revalidates against (zero for a
+// discovery fetch).
+func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string, cond validators) fetchOutcome {
+	out := fetchOutcome{val: cond}
+	var val *validators
+	if c.rc != nil {
+		val = &out.val
+	}
 	for attempt := 1; ; attempt++ {
 		c.flt.countAttempt(attempt > 1)
 		c.tel.Inflight.Add(1)
@@ -270,7 +279,7 @@ func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string) fetc
 		if telemetry.Timed(c.tel.FetchLatency) {
 			t0 = time.Now()
 		}
-		visit, links, rec, err := c.fetch(ctx, pageURL)
+		visit, links, rec, err := c.fetch(ctx, pageURL, val)
 		if !t0.IsZero() {
 			c.tel.FetchLatency.ObserveSince(t0)
 		}

@@ -72,7 +72,7 @@ func TestFetchAssemblesVisit(t *testing.T) {
 	}
 
 	// Header charset absent: the META declaration wins.
-	visit, links, rec, err := c.fetch(context.Background(), ts.URL+"/page.html")
+	visit, links, rec, err := c.fetch(context.Background(), ts.URL+"/page.html", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFetchAssemblesVisit(t *testing.T) {
 
 	// Header charset present: it takes precedence over META.
 	sendHeaderCharset = true
-	visit, _, _, err = c.fetch(context.Background(), ts.URL+"/page.html")
+	visit, _, _, err = c.fetch(context.Background(), ts.URL+"/page.html", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFetchNoFollowMeta(t *testing.T) {
 		Classifier: core.MetaClassifier{Target: charset.LangThai},
 		Client:     ts.Client(),
 	})
-	_, links, rec, err := c.fetch(context.Background(), ts.URL+"/p.html")
+	_, links, rec, err := c.fetch(context.Background(), ts.URL+"/p.html", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFetchBodyCap(t *testing.T) {
 		Client:       ts.Client(),
 		MaxBodyBytes: 1024,
 	})
-	visit, _, _, err := c.fetch(context.Background(), ts.URL+"/big.html")
+	visit, _, _, err := c.fetch(context.Background(), ts.URL+"/big.html", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

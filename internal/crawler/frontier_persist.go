@@ -26,7 +26,9 @@ var frontierMagic = []byte("LCFRONT1\n")
 // a crash mid-save leaves either the old frontier or the new one — and
 // a completed save survives power loss, not just process death. An
 // emptied frontier removes the file instead, so stale state never
-// shadows a completed crawl.
+// shadows a completed crawl. Each entry is written at its effective
+// priority (breaker demotions included), so a run resumed from the file
+// pops in the order this one would have.
 func saveFrontier(path string, queue frontier.Queue[qitem]) error {
 	fsys := checkpoint.OSFS{}
 	if queue.Len() == 0 {
@@ -49,7 +51,7 @@ func saveFrontier(path string, queue frontier.Queue[qitem]) error {
 		buf = binary.AppendUvarint(buf, uint64(len(it.url)))
 		buf = append(buf, it.url...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(it.dist))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.prio))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.effPrio()))
 	}
 	return checkpoint.WriteFileAtomic(fsys, path, buf)
 }
@@ -103,7 +105,7 @@ func loadFrontier(path string) (items []qitem, torn bool, err error) {
 	}
 }
 
-// loadFrontierWarn is the engines' entry point: a torn tail is worth a
+// loadFrontierWarn is the crawl loop's entry point: a torn tail is worth a
 // warning on stderr but never aborts the resume.
 func loadFrontierWarn(path string) ([]qitem, error) {
 	items, torn, err := loadFrontier(path)

@@ -140,7 +140,7 @@ func TestRetryAfterHoldInjectedClock(t *testing.T) {
 		http.Error(w, "slow down", http.StatusServiceUnavailable)
 	}))
 	c, tel := newHardened(t, Config{Client: client, IgnoreRobots: true, Now: func() time.Time { return frozen }})
-	if _, _, _, err := c.fetch(context.Background(), "http://busy.test/page"); err != nil {
+	if _, _, _, err := c.fetch(context.Background(), "http://busy.test/page", nil); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
 	if got := c.polite.holdRemaining("busy.test"); got != 73*time.Second {
@@ -197,7 +197,7 @@ func TestHostileRedirectCap(t *testing.T) {
 		http.Redirect(w, r, fmt.Sprintf("http://chain.test/hop%d", hop+1), http.StatusFound)
 	}))
 	c, tel := newHardened(t, Config{Client: client, MaxRedirects: 3, IgnoreRobots: true})
-	visit, _, _, err := c.fetch(context.Background(), "http://chain.test/")
+	visit, _, _, err := c.fetch(context.Background(), "http://chain.test/", nil)
 	if err != nil {
 		t.Fatalf("capped chain should yield the last 3xx, got error %v", err)
 	}
@@ -226,7 +226,7 @@ func TestHostileRedirectLoop(t *testing.T) {
 		http.Redirect(w, r, "http://loop.test"+next, http.StatusFound)
 	}))
 	c, tel := newHardened(t, Config{Client: client, IgnoreRobots: true})
-	visit, _, _, err := c.fetch(context.Background(), "http://loop.test/")
+	visit, _, _, err := c.fetch(context.Background(), "http://loop.test/", nil)
 	if err != nil {
 		t.Fatalf("broken loop should yield the last 3xx, got error %v", err)
 	}
@@ -256,7 +256,7 @@ func TestHostileCrossHostRedirect(t *testing.T) {
 	// Destination robots already cached and permissive: the hop follows,
 	// and b.test gets a politeness booking it never popped for.
 	c.robots["b.test"] = &Robots{}
-	visit, _, _, err := c.fetch(context.Background(), "http://a.test/")
+	visit, _, _, err := c.fetch(context.Background(), "http://a.test/", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestHostileCrossHostRedirect(t *testing.T) {
 	// Destination robots disallow the landing path: the hop is refused
 	// and the 3xx is the observation.
 	c.robots["b.test"] = ParseRobots([]byte("User-agent: *\nDisallow: /landing\n"), "langcrawl/1.0")
-	visit, _, _, err = c.fetch(context.Background(), "http://a.test/again")
+	visit, _, _, err = c.fetch(context.Background(), "http://a.test/again", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestHostileStallWatchdog(t *testing.T) {
 	}))
 	c, tel := newHardened(t, Config{Client: client, StallTimeout: 100 * time.Millisecond, IgnoreRobots: true})
 	start := time.Now()
-	_, _, _, err := c.fetch(context.Background(), "http://frozen.test/")
+	_, _, _, err := c.fetch(context.Background(), "http://frozen.test/", nil)
 	if err == nil {
 		t.Fatal("stalled body not aborted")
 	}
@@ -327,7 +327,7 @@ func TestHostileRequestTimeout(t *testing.T) {
 		IgnoreRobots:   true,
 	})
 	start := time.Now()
-	_, _, _, err := c.fetch(context.Background(), "http://silent.test/")
+	_, _, _, err := c.fetch(context.Background(), "http://silent.test/", nil)
 	if err == nil {
 		t.Fatal("silent server did not time out")
 	}
@@ -347,7 +347,7 @@ func TestHostileSalvageShortBody(t *testing.T) {
 		_, _ = w.Write([]byte("<html><body>short but real</body></html>"))
 	}))
 	c, tel := newHardened(t, Config{Client: client, IgnoreRobots: true})
-	visit, _, rec, err := c.fetch(context.Background(), "http://liar.test/")
+	visit, _, rec, err := c.fetch(context.Background(), "http://liar.test/", nil)
 	if err != nil {
 		t.Fatalf("short body should be salvaged, got %v", err)
 	}
@@ -429,7 +429,7 @@ func TestHostileRetryAfterForms(t *testing.T) {
 				IgnoreRobots: true,
 				Retry:        faults.RetryPolicy{MaxAttempts: 3, BaseDelay: 0.01, Jitter: 0},
 			})
-			out := c.fetchWithRetry(context.Background(), "http://throttle.test/", "throttle.test")
+			out := c.fetchWithRetry(context.Background(), "http://throttle.test/", "throttle.test", validators{})
 			if out.err != nil {
 				t.Fatal(out.err)
 			}

@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -19,19 +20,25 @@ import (
 // frontier pop, before the worker retakes the engine lock.
 var testHookPopped func(qitem)
 
-// runParallel is the concurrent crawl engine. The frontier is a
-// lock-striped sharded queue keyed by host (Config.FrontierShards wide,
-// with per-shard insert batching of Config.FrontierBatch), so workers
-// pop and push without holding the engine mutex; mu now guards only the
-// crawl bookkeeping — visited set, budget slots, politeness bookings,
-// result counters. Workers claim page-budget slots before fetching (so
-// MaxPages is exact) and respect the per-host access interval by
-// booking start times the way the timed simulator's limiter does.
+// runParallel is the crawl loop: Config.Parallelism workers share one
+// frontier and one set of books. The frontier is a lock-striped sharded
+// queue keyed by host (Config.FrontierShards wide, with per-shard insert
+// batching of Config.FrontierBatch), so workers pop and push without
+// holding the engine mutex; mu guards the crawl bookkeeping — visited
+// set, budget slots, result counters and the recrawl ledger. Workers
+// claim page-budget slots before fetching (so MaxPages is exact) and
+// respect the per-host access interval by booking start times the way
+// the timed simulator's limiter does.
 //
-// With Parallelism 1, FrontierShards 1 and FrontierBatch 1 this engine
-// is sequentially equivalent: pops come out of the single shard in
-// exactly the order the sequential engine would take, and the crawl log
-// it writes is byte-identical (the conformance suite asserts this).
+// With one worker, one shard and batch size 1 the loop is deterministic:
+// every run over the same web writes the same crawl log, link DB,
+// frontier file and Result (testdata/live.digest pins them).
+//
+// In incremental mode a worker takes a revisit only once discovery has
+// drained — the frontier is empty and no discovery fetch is in flight
+// or being popped — and starts a new sweep only once no revisit of the
+// current one is still in flight, so each sweep is ordered by change
+// rates that include every outcome of the previous one.
 func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 	res := &Result{Harvest: &metrics.Series{Name: c.cfg.Strategy.Name()}}
 	fr := frontier.NewSharded(frontier.ShardedOptions[qitem]{
@@ -45,11 +52,13 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 	observer, _ := c.cfg.Strategy.(core.QueueObserver)
 	sinks := c.newSinks()
 	defer sinks.close()
+	rc := c.rc
 
 	var (
 		mu       sync.Mutex
 		started  int // budget slots claimed (successful or in flight)
 		inflight int
+		revisits int // in-flight fetches that are revisits
 		popping  int // workers mid-PopWorker: items in transit, visible to neither the frontier nor inflight
 		runErr   error
 		killed   bool // StopAfter tripped: emulated SIGKILL
@@ -74,10 +83,19 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	resumed := ck.resume(res, seen, c.flt, c.guard, func(e checkpoint.Entry) {
+		if e.Revisit {
+			if rc != nil {
+				rc.pushEntry(e)
+			}
+			return
+		}
 		fr.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
 	})
 	if resumed {
 		started = res.Crawled // budget slots the dead run already spent
+		if rc != nil {
+			rc.restore(ck.st)
+		}
 	} else {
 		if c.cfg.FrontierPath != "" {
 			items, err := loadFrontierWarn(c.cfg.FrontierPath)
@@ -96,9 +114,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			fr.Push(qitem{url: u, prio: 1}, 1)
 		}
 	}
-	// SeedItems go in even on resume (see runSequential): leased batches
-	// delivered after the last snapshot are only here, and duplicates are
-	// absorbed by the pop-side seen-set skip.
+	// SeedItems go in even on resume: a leased batch delivered after the
+	// last snapshot is not in the restored frontier, and re-pushing
+	// entries that are is deduplicated by the pop-side seen-set skip.
 	for _, e := range c.cfg.SeedItems {
 		fr.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
 	}
@@ -106,7 +124,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 
 	// writeCk snapshots the crawl. The caller guarantees quiescence —
 	// inflight == 0 and popping == 0 with every other worker parked — so
-	// draining and re-pushing the sharded frontier races with nobody.
+	// draining and re-pushing the sharded frontier (each item at its
+	// effective priority, so the running crawl's order is unchanged)
+	// races with nobody.
 	writeCk := func() error {
 		logPos, dbPos, err := sinks.sync(c.cfg.Log, c.cfg.DB)
 		if err != nil {
@@ -123,34 +143,29 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		}
 		entries := make([]checkpoint.Entry, len(items))
 		for i, it := range items {
-			prio := it.prio - float64(it.demoted)
-			entries[i] = checkpoint.Entry{URL: it.url, Dist: it.dist, Prio: prio}
+			prio := it.effPrio()
+			entries[i] = checkpoint.Entry{URL: it.url, Dist: it.dist, Prio: prio, Revisit: it.revisit}
 			fr.Push(it, prio)
 		}
 		fr.Flush()
+		if rc != nil {
+			entries = append(entries, rc.pendingEntries()...)
+		}
 		res.MaxQueueLen = max(res.MaxQueueLen, fr.MaxLen())
 		return ck.write(c, res, seen, entries, logPos, dbPos)
 	}
 
 	worker := func(w int) {
+		// fresh is this worker's frontier batch, reused page after page:
+		// PushBatch copies the items out. LinkSink batches are not reused,
+		// because a sink may keep the slice it is handed.
+		var fresh []frontier.Pending[qitem]
 		for {
 			mu.Lock()
 			var item qitem
 			for {
 				if runErr != nil || ctx.Err() != nil || killed || stopped {
 					cond.Broadcast() // wake peers so they observe the same exit condition
-					mu.Unlock()
-					return
-				}
-				if c.cfg.StopAfter > 0 && res.Crawled >= c.cfg.StopAfter {
-					killed = true // emulated SIGKILL: peers exit without cleanup
-					cond.Broadcast()
-					mu.Unlock()
-					return
-				}
-				if stopRequested(c.cfg.Stop) {
-					stopped = true // graceful drain: run writes the final checkpoint
-					cond.Broadcast()
 					mu.Unlock()
 					return
 				}
@@ -170,6 +185,18 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 					ck.advance(res.Crawled)
 					cond.Broadcast()
 					continue
+				}
+				if c.cfg.StopAfter > 0 && res.Crawled >= c.cfg.StopAfter {
+					killed = true // emulated SIGKILL: peers exit without cleanup
+					cond.Broadcast()
+					mu.Unlock()
+					return
+				}
+				if stopRequested(c.cfg.Stop) {
+					stopped = true // graceful drain: run writes the final checkpoint
+					cond.Broadcast()
+					mu.Unlock()
+					return
 				}
 				if c.cfg.MaxPages > 0 && started >= c.cfg.MaxPages {
 					cond.Broadcast()
@@ -191,7 +218,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 						// The crawl ended while we popped; put the item back so
 						// frontier persistence still sees it, at its demoted
 						// priority like every other re-push.
-						fr.Push(item, item.prio-float64(item.demoted))
+						fr.Push(item, item.effPrio())
 						cond.Broadcast()
 						mu.Unlock()
 						return
@@ -200,7 +227,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 						// A checkpoint became due while we popped; the item
 						// must be in the frontier for the snapshot, not in
 						// our hands.
-						fr.Push(item, item.prio-float64(item.demoted))
+						fr.Push(item, item.effPrio())
 						cond.Broadcast()
 						continue
 					}
@@ -208,6 +235,14 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				}
 				if fr.Len() > 0 {
 					continue // a racing push landed between our pop and lock
+				}
+				if rc != nil && popping == 0 && inflight == revisits {
+					// Discovery has drained: take the sweep's next revisit,
+					// refilling a new sweep only when none of this one is
+					// still in flight.
+					if item, ok = rc.next(revisits == 0); ok {
+						break
+					}
 				}
 				if inflight == 0 && popping == 0 {
 					cond.Broadcast() // global quiescence: release waiting peers
@@ -224,7 +259,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 					c.tel.IdleTime.ObserveSince(idle0)
 				}
 			}
-			if seen.Has(item.url) {
+			// A revisit is an already-crawled URL by definition: it skips
+			// the seen-set and link-DB checks that stop discovery refetches.
+			if !item.revisit && seen.Has(item.url) {
 				mu.Unlock()
 				continue
 			}
@@ -238,7 +275,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				// it only after maxDemotions round trips.
 				if item.demoted < maxDemotions {
 					item.demoted++
-					fr.Push(item, item.prio-float64(item.demoted))
+					fr.Push(item, item.effPrio())
 					cond.Broadcast()
 				} else {
 					c.flt.gaveUp()
@@ -247,140 +284,168 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				continue
 			}
 			seen.Add(item.url)
-			if sinks.db != nil && sinks.db.Has(item.url) {
+			if !item.revisit && sinks.db != nil && sinks.db.Has(item.url) {
 				mu.Unlock()
-				continue
+				continue // already crawled in a previous run
 			}
-			interval := c.cfg.HostInterval
-			if rb := c.cachedRobots(host); rb != nil {
-				// Crawl-delay is honored once the host's robots have been
-				// fetched (best effort: the very first request per host
-				// books with the configured interval).
-				interval = rb.Delay(interval)
+			var val validators
+			if item.revisit {
+				val = rc.validatorsOf(item.url)
+				revisits++
 			}
-			// The politeness ledger books the host's next slot under its
-			// own lock; the worker sleeps outside mu until its turn.
-			wait := c.polite.reserve(host, interval)
 			started++
 			inflight++
 			mu.Unlock()
 
-			if wait > 0 {
-				time.Sleep(wait)
-			}
-
-			allowed := true
-			if !c.cfg.IgnoreRobots {
-				allowed = c.allowed(ctx, item.url, host)
-			}
-
-			if allowed {
-				out := c.fetchWithRetry(ctx, item.url, host)
-				// Classify before taking the engine lock: scoring — and the
-				// charset detection behind it — of this page overlaps other
-				// workers' fetches and bookkeeping instead of serializing
-				// under mu. Classifiers only read the visit, so the move is
-				// observation-equivalent.
-				var s float64
-				var bodyLen int64
-				if out.err == nil {
-					s = c.classify(out.visit)
-					bodyLen = int64(len(out.visit.Body))
-					c.release(out.visit)
-				}
-				mu.Lock()
-				res.Errors += out.transportErrs
-				if sinks.log != nil {
-					for _, frec := range out.failed {
-						if werr := sinks.log.Write(frec); werr != nil && runErr == nil {
-							runErr = fmt.Errorf("crawler: writing log: %w", werr)
-						}
-					}
-				}
-				if out.err != nil {
-					started-- // free the budget slot for another page
-					inflight--
-					cond.Broadcast()
-					mu.Unlock()
-					continue
-				}
-				visit, links, rec := out.visit, out.links, out.rec
-				res.Crawled++
-				c.tel.Pages.Inc()
-				c.guard.recordPage(host, bodyLen)
-				if s >= 0.5 {
-					res.Relevant++
-					c.tel.Relevant.Inc()
-				}
-				res.Harvest.Add(float64(res.Crawled), 100*float64(res.Relevant)/float64(res.Crawled))
-				if sinks.log != nil {
-					if werr := sinks.log.Write(rec); werr != nil && runErr == nil {
-						runErr = fmt.Errorf("crawler: writing log: %w", werr)
-					}
-				}
-				if sinks.db != nil {
-					if werr := sinks.db.Put(rec); werr != nil && runErr == nil {
-						runErr = fmt.Errorf("crawler: writing linkdb: %w", werr)
-					}
-				}
-				dec := c.cfg.Strategy.Decide(s, int(item.dist))
-				var fresh []frontier.Pending[qitem]
-				var sunk []checkpoint.Entry
-				if visit.Status == 200 && dec.Follow {
-					for _, l := range links {
-						if seen.Has(l) || !c.guard.admitLink(l) {
-							continue
-						}
-						// Own copies, as in the sequential engine: the page's
-						// links share one allocation.
-						l = strings.Clone(l)
-						if c.cfg.LinkSink != nil {
-							sunk = append(sunk, checkpoint.Entry{URL: l, Dist: int32(dec.Dist), Prio: dec.Priority})
-						} else {
-							fresh = append(fresh, frontier.Pending[qitem]{
-								Item: qitem{url: l, dist: int32(dec.Dist), prio: dec.Priority},
-								Prio: dec.Priority,
-							})
-						}
-					}
-				}
-				mu.Unlock()
-				// The link fan-out goes in as one grouped insert, touching
-				// each destination shard's lock once — outside mu so other
-				// workers' bookkeeping proceeds meanwhile. inflight stays
-				// claimed until after the push, so no peer can conclude
-				// quiescence while these links are in transit. A LinkSink
-				// call likewise overlaps peers — it may block on the
-				// network — and a sink error ends the crawl like a write
-				// error would.
-				if len(fresh) > 0 {
-					fr.PushBatch(fresh)
-				}
-				if len(sunk) > 0 {
-					if serr := c.cfg.LinkSink(sunk); serr != nil {
-						mu.Lock()
-						if runErr == nil {
-							runErr = fmt.Errorf("crawler: link sink: %w", serr)
-						}
-						mu.Unlock()
-					}
-				}
-				mu.Lock()
-				if observer != nil {
-					observer.ObserveQueueLen(fr.Len())
+			// finish ends the page's in-flight claim, returns its budget
+			// slot unless the page spent it, wakes peers and unlocks mu,
+			// which the caller holds.
+			finish := func(spent bool) {
+				if !spent {
+					started--
 				}
 				inflight--
-				cond.Broadcast() // new links and/or a freed in-flight slot
+				if item.revisit {
+					revisits--
+				}
+				cond.Broadcast() // new links, a freed slot, or a sweep's end
 				mu.Unlock()
-			} else {
+			}
+
+			// Robots first, then the politeness booking: a blocked URL
+			// costs its host no access slot, and the host's first fetch
+			// books its Crawl-delay rather than the configured interval.
+			if !c.cfg.IgnoreRobots && !c.allowed(ctx, item.url, host) {
 				mu.Lock()
 				res.RobotsBlocked++
 				c.tel.RobotsBlocked.Inc()
-				started-- // robots blocks do not consume page budget
-				inflight--
-				cond.Broadcast()
-				mu.Unlock()
+				finish(false) // robots blocks do not consume page budget
+				continue
 			}
+			interval := c.cfg.HostInterval
+			if rb := c.cachedRobots(host); rb != nil {
+				interval = rb.Delay(interval) // honor Crawl-delay
+			}
+			// The politeness ledger books the host's next slot under its
+			// own lock; the worker sleeps outside mu until its turn.
+			if wait := c.polite.reserve(host, interval); wait > 0 {
+				time.Sleep(wait)
+			}
+
+			out := c.fetchWithRetry(ctx, item.url, host, val)
+			// Classify and hash before taking the engine lock: scoring —
+			// and the charset detection behind it — of this page overlaps
+			// other workers' fetches and bookkeeping instead of serializing
+			// under mu. Classifiers only read the visit, so the move is
+			// observation-equivalent.
+			var (
+				s       float64
+				bodyLen int64
+				sum     uint64
+				status  int
+			)
+			if out.err == nil {
+				status = out.visit.Status
+				bodyLen = int64(len(out.visit.Body))
+				if rc != nil && status == http.StatusOK {
+					sum = hashBody(out.visit.Body)
+				}
+				if !item.revisit {
+					s = c.classify(out.visit)
+				}
+				c.release(out.visit)
+			}
+			mu.Lock()
+			res.Errors += out.transportErrs
+			if sinks.log != nil {
+				for _, frec := range out.failed {
+					if werr := sinks.log.Write(frec); werr != nil && runErr == nil {
+						runErr = fmt.Errorf("crawler: writing log: %w", werr)
+					}
+				}
+			}
+			if out.err != nil {
+				finish(false) // gave up on this URL; the failure is on record
+				continue
+			}
+			res.Crawled++
+			c.tel.Pages.Inc()
+			c.guard.recordPage(host, bodyLen)
+			if sinks.log != nil {
+				if werr := sinks.log.Write(out.rec); werr != nil && runErr == nil {
+					runErr = fmt.Errorf("crawler: writing log: %w", werr)
+				}
+			}
+			if item.revisit {
+				// Revalidation outcome: fold it into the ledger and the
+				// freshness counters. Revisits consume the page budget and
+				// are logged, but never classify, expand the frontier, or
+				// touch the link DB — a sweep refreshes copies, it is not
+				// discovery.
+				rc.applyRevisit(item.url, status, sum, out.val)
+				finish(true)
+				continue
+			}
+			if rc != nil {
+				rc.observeDiscovery(item.url, item.dist, status, sum, out.val)
+			}
+			if s >= 0.5 {
+				res.Relevant++
+				c.tel.Relevant.Inc()
+			}
+			res.Harvest.Add(float64(res.Crawled), 100*float64(res.Relevant)/float64(res.Crawled))
+			if sinks.db != nil {
+				if werr := sinks.db.Put(out.rec); werr != nil && runErr == nil {
+					runErr = fmt.Errorf("crawler: writing linkdb: %w", werr)
+				}
+			}
+			dec := c.cfg.Strategy.Decide(s, int(item.dist))
+			fresh = fresh[:0]
+			var sunk []checkpoint.Entry
+			if status == http.StatusOK && dec.Follow {
+				for _, l := range out.links {
+					if seen.Has(l) || !c.guard.admitLink(l) {
+						continue
+					}
+					// A page's links share one allocation; each that goes
+					// on to the frontier or the sink gets its own copy, so
+					// the queue never pins a whole page's worth of links.
+					l = strings.Clone(l)
+					if c.cfg.LinkSink != nil {
+						sunk = append(sunk, checkpoint.Entry{URL: l, Dist: int32(dec.Dist), Prio: dec.Priority})
+					} else {
+						fresh = append(fresh, frontier.Pending[qitem]{
+							Item: qitem{url: l, dist: int32(dec.Dist), prio: dec.Priority},
+							Prio: dec.Priority,
+						})
+					}
+				}
+			}
+			mu.Unlock()
+			// The link fan-out goes in as one grouped insert, touching
+			// each destination shard's lock once — outside mu so other
+			// workers' bookkeeping proceeds meanwhile. inflight stays
+			// claimed until after the push, so no peer can conclude
+			// quiescence while these links are in transit. A LinkSink
+			// call likewise overlaps peers — it may block on the network
+			// — and a sink error ends the crawl like a write error would.
+			if len(fresh) > 0 {
+				fr.PushBatch(fresh)
+			}
+			if len(sunk) > 0 {
+				if serr := c.cfg.LinkSink(sunk); serr != nil {
+					mu.Lock()
+					if runErr == nil {
+						runErr = fmt.Errorf("crawler: link sink: %w", serr)
+					}
+					mu.Unlock()
+				}
+			}
+			mu.Lock()
+			if observer != nil {
+				observer.ObserveQueueLen(fr.Len())
+			}
+			finish(true)
 		}
 	}
 
@@ -400,6 +465,10 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 
 	res.MaxQueueLen = max(res.MaxQueueLen, fr.MaxLen())
 	res.Faults = c.flt.snapshot()
+	if rc != nil {
+		res.Fresh = rc.fresh
+		res.Passes = rc.pass
+	}
 	if killed {
 		// Emulated SIGKILL: no final checkpoint, no frontier save. (The
 		// deferred sink close still flushes; recovery truncates anything
@@ -407,7 +476,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		return res, checkpoint.ErrKilled
 	}
 	if ck != nil && runErr == nil {
-		// Workers are gone, so the quiescence writeCk needs holds trivially.
+		// Final checkpoint: a later resume sees the finished state and
+		// has nothing left to redo. Workers are gone, so the quiescence
+		// writeCk needs holds trivially.
 		if err := writeCk(); err != nil {
 			runErr = err
 		}

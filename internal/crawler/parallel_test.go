@@ -3,6 +3,7 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -75,7 +76,7 @@ func TestParallelExactBudget(t *testing.T) {
 
 func TestParallelMatchesSequentialSet(t *testing.T) {
 	// Order differs under concurrency, but an exhaustive crawl must end
-	// with the same totals as the sequential engine.
+	// with the same totals as the one-worker crawl.
 	space, _, client := testWeb(t, 400, 47)
 	mk := func(par int) *Result {
 		c, err := New(Config{
@@ -99,49 +100,6 @@ func TestParallelMatchesSequentialSet(t *testing.T) {
 	if seq.Crawled != par.Crawled || seq.Relevant != par.Relevant {
 		t.Errorf("sequential %d/%d vs parallel %d/%d",
 			seq.Crawled, seq.Relevant, par.Crawled, par.Relevant)
-	}
-}
-
-func TestParallelSequentialEquivalence(t *testing.T) {
-	// The acceptance bar for the sharded-frontier refactor: with one
-	// worker, one shard and batch size 1, the parallel engine must write
-	// a crawl log byte-identical to the sequential engine's — same pages,
-	// same order, same records.
-	space, _, client := testWeb(t, 400, 67)
-	for _, strat := range []core.Strategy{
-		core.BreadthFirst{}, core.SoftFocused{}, core.HardFocused{},
-	} {
-		run := func(parallel bool) []byte {
-			var buf bytes.Buffer
-			w, err := crawlog.NewWriter(&buf, crawlog.Header{Seeds: seedsOf(space)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := New(Config{
-				Seeds:             seedsOf(space),
-				Strategy:          strat,
-				Classifier:        core.MetaClassifier{Target: charset.LangThai},
-				Client:            client,
-				Log:               w,
-				IgnoreRobots:      true,
-				UseParallelEngine: parallel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		seq, par := run(false), run(true)
-		if !bytes.Equal(seq, par) {
-			t.Errorf("%s: parallel engine in sequential-equivalence mode diverged: %d vs %d log bytes",
-				strat.Name(), len(seq), len(par))
-		}
 	}
 }
 
@@ -329,7 +287,8 @@ func (prioOne) Decide(float64, int) core.Decision {
 // a.test/x from class 2 to class 1 behind nothing, then queues b.test/q
 // in class 1 after it; the crawl ends while a.test/x is in hand. Back at
 // class 1 it saves behind b.test/q; re-pushed at its undemoted priority
-// it would jump ahead.
+// it would jump ahead. The file itself must keep the demotion too: a run
+// resumed from it pops the entries in the order they were saved.
 func TestParallelRequeueKeepsDemotion(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -360,13 +319,12 @@ func TestParallelRequeueKeepsDemotion(t *testing.T) {
 			{URL: "http://a.test/x", Prio: 2},
 			{URL: "http://b.test/1", Prio: 2},
 		},
-		Strategy:          prioOne{},
-		Classifier:        core.MetaClassifier{Target: charset.LangThai},
-		Client:            client,
-		IgnoreRobots:      true,
-		UseParallelEngine: true,
-		Breaker:           faults.BreakerConfig{Threshold: 1, Cooldown: 3600},
-		FrontierPath:      path,
+		Strategy:     prioOne{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		IgnoreRobots: true,
+		Breaker:      faults.BreakerConfig{Threshold: 1, Cooldown: 3600},
+		FrontierPath: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -379,10 +337,67 @@ func TestParallelRequeueKeepsDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
+	resumed := frontier.New[qitem](prioOne{}.QueueKind())
 	for _, it := range items {
 		got = append(got, it.url)
+		resumed.Push(it, it.prio) // as a run loading the file does
 	}
-	if want := []string{"http://b.test/q", "http://a.test/x"}; !slices.Equal(got, want) {
+	want := []string{"http://b.test/q", "http://a.test/x"}
+	if !slices.Equal(got, want) {
 		t.Errorf("saved frontier %q, want %q", got, want)
+	}
+	var popped []string
+	for it, ok := resumed.Pop(); ok; it, ok = resumed.Pop() {
+		popped = append(popped, it.url)
+	}
+	if !slices.Equal(popped, want) {
+		t.Errorf("frontier resumed from the file pops %q, want the saved order %q", popped, want)
+	}
+}
+
+// TestParallelRobotsBlockedBooksNoSlot: the robots check comes before the
+// politeness booking, so URLs robots.txt forbids cost their host no
+// access slot. With a frozen clock every booking stays visible in the
+// ledger: one allowed fetch books one interval, however many blocked
+// URLs of the same host went before it.
+func TestParallelRobotsBlockedBooksNoSlot(t *testing.T) {
+	const blocked = 5
+	now := time.Date(2005, 4, 5, 0, 0, 0, 0, time.UTC)
+	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		body := "<html></html>"
+		if req.URL.Path == "/robots.txt" {
+			body = "User-agent: *\nDisallow: /blocked\n"
+		}
+		return &http.Response{
+			StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"text/html"}},
+			Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)), Request: req,
+		}, nil
+	})}
+	var seeds []checkpoint.Entry
+	for i := 0; i < blocked; i++ {
+		seeds = append(seeds, checkpoint.Entry{URL: fmt.Sprintf("http://a.test/blocked/%d", i), Prio: 1})
+	}
+	seeds = append(seeds, checkpoint.Entry{URL: "http://a.test/ok", Prio: 1})
+	c, err := New(Config{
+		SeedItems:    seeds,
+		Strategy:     prioOne{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		Parallelism:  2,
+		HostInterval: time.Millisecond,
+		Now:          func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RobotsBlocked != blocked || res.Crawled != 1 {
+		t.Fatalf("crawled %d, robots-blocked %d; want 1 and %d", res.Crawled, res.RobotsBlocked, blocked)
+	}
+	if got, want := c.polite.next["a.test"], now.Add(time.Millisecond); !got.Equal(want) {
+		t.Errorf("host booked until clock+%v, want clock+%v (one interval)", got.Sub(now), want.Sub(now))
 	}
 }

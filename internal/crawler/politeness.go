@@ -13,7 +13,7 @@ import (
 // crawl for the rest of its life.
 const maxRetryAfterHold = 5 * time.Minute
 
-// politeness is the shared per-host pacing ledger used by both engines.
+// politeness is the crawl's shared per-host pacing ledger.
 // It unifies three sources of delay under one booking map:
 //
 //   - the configured HostInterval (possibly raised by Crawl-delay),

@@ -5,14 +5,13 @@ import (
 	"net/http"
 
 	"langcrawl/internal/checkpoint"
-	"langcrawl/internal/core"
 	"langcrawl/internal/frontier"
 	"langcrawl/internal/metrics"
 )
 
-// RecrawlConfig parameterizes the incremental crawl mode of the
-// sequential engine. After the discovery frontier drains, the engine
-// runs Passes revisit sweeps over the corpus it crawled: each sweep
+// RecrawlConfig parameterizes the incremental crawl mode. After the
+// discovery frontier drains, the crawl runs Passes revisit sweeps over
+// the corpus it crawled, at any worker count: each sweep
 // orders the known-live URLs by estimated per-URL change rate (pages
 // observed to change often are revalidated first) and refetches them
 // with conditional GET — If-None-Match / If-Modified-Since from the
@@ -20,16 +19,18 @@ import (
 // 304 and zero body bytes. Revisit fetches consume the MaxPages budget
 // and checkpoint like discovery fetches, but they never expand the
 // frontier: a sweep refreshes held copies, it does not re-run discovery.
+// A sweep starts only once no revisit of the previous one is in flight,
+// so its order reflects every outcome the previous sweep saw.
 type RecrawlConfig struct {
 	// Passes is the number of revisit sweeps (0 disables the mode).
 	Passes int
 }
 
-// recrawlCtl is the sequential engine's revisit state: the per-URL
-// change ledger, the pass counter, the freshness counters, and the
-// revisit priority queue for the sweep in progress. It is touched only
-// from the sequential crawl loop (New refuses Recrawl with the parallel
-// engine), so it needs no lock.
+// recrawlCtl is the crawl's revisit state: the per-URL change ledger,
+// the pass counter, the freshness counters, and the revisit priority
+// queue for the sweep in progress. The crawl loop touches it only under
+// its engine mutex; a revisit's validators travel with its fetch, and
+// body hashes are taken before the lock, so no call here does I/O.
 type recrawlCtl struct {
 	cfg   RecrawlConfig
 	recs  map[string]*checkpoint.RevisitRec
@@ -37,13 +38,6 @@ type recrawlCtl struct {
 	rq    *frontier.Heap[qitem]
 	pass  int
 	fresh metrics.FreshCounters
-
-	// cond is the armed conditional request: while a revisit item is in
-	// flight (retries included), fetch adds this URL's validators to the
-	// request. lastVal is the validator pair of the most recent response,
-	// stashed by fetch for the loop to fold into the ledger.
-	cond    string // URL, "" when disarmed
-	lastVal struct{ url, etag, lastMod string }
 }
 
 func newRecrawlCtl(cfg RecrawlConfig) *recrawlCtl {
@@ -71,33 +65,30 @@ func estRate(r *checkpoint.RevisitRec) float64 {
 	return (float64(r.Changes) + 0.5) / (float64(r.Visits) + 1)
 }
 
-// observeDiscovery registers a first-time successful fetch in the
-// ledger. Only 200s enter: a page that never produced a copy has
-// nothing to keep fresh.
-func (rc *recrawlCtl) observeDiscovery(url string, dist int32, visit *core.Visit) {
-	if visit.Status != http.StatusOK {
+// observeDiscovery registers a first-time successful fetch — its body
+// hash and validators — in the ledger. Only 200s enter: a page that
+// never produced a copy has nothing to keep fresh.
+func (rc *recrawlCtl) observeDiscovery(url string, dist int32, status int, hash uint64, val validators) {
+	if status != http.StatusOK {
 		return
 	}
 	if _, ok := rc.recs[url]; ok {
 		return
 	}
-	r := &checkpoint.RevisitRec{URL: url, Dist: dist, Hash: hashBody(visit.Body)}
-	if rc.lastVal.url == url {
-		r.ETag, r.LastMod = rc.lastVal.etag, rc.lastVal.lastMod
-	}
-	rc.recs[url] = r
+	rc.recs[url] = &checkpoint.RevisitRec{URL: url, Dist: dist, Hash: hash, ETag: val.etag, LastMod: val.lastMod}
 	rc.order = append(rc.order, url)
 }
 
-// next pops the most change-prone pending revisit, starting the next
-// sweep when the current one is exhausted and passes remain. ok=false
-// means the incremental crawl is done.
-func (rc *recrawlCtl) next() (qitem, bool) {
+// next pops the most change-prone pending revisit. When the sweep is
+// exhausted and refill is set, it starts the next sweep if passes
+// remain. ok=false means no revisit is available now — or, with refill
+// set, that the incremental crawl is done.
+func (rc *recrawlCtl) next(refill bool) (qitem, bool) {
 	for {
 		if it, ok := rc.rq.Pop(); ok {
 			return it, true
 		}
-		if rc.pass >= rc.cfg.Passes || !rc.refill() {
+		if !refill || rc.pass >= rc.cfg.Passes || !rc.refill() {
 			return qitem{}, false
 		}
 	}
@@ -120,15 +111,16 @@ func (rc *recrawlCtl) refill() bool {
 	return n > 0
 }
 
-// applyRevisit folds one revisit outcome into the ledger and counters.
-func (rc *recrawlCtl) applyRevisit(url string, visit *core.Visit) {
+// applyRevisit folds one revisit outcome — status, body hash (of a
+// 200) and response validators — into the ledger and counters.
+func (rc *recrawlCtl) applyRevisit(url string, status int, hash uint64, val validators) {
 	r := rc.recs[url]
 	if r == nil {
 		return
 	}
 	rc.fresh.Revisits++
 	r.Visits++
-	switch visit.Status {
+	switch status {
 	case http.StatusNotModified:
 		rc.fresh.Unchanged++
 		rc.fresh.CondHits++
@@ -136,34 +128,24 @@ func (rc *recrawlCtl) applyRevisit(url string, visit *core.Visit) {
 		rc.fresh.Deleted++
 		r.Dead = true
 	case http.StatusOK:
-		if h := hashBody(visit.Body); h != r.Hash {
+		if hash != r.Hash {
 			rc.fresh.Changed++
 			r.Changes++
-			r.Hash = h
+			r.Hash = hash
 		} else {
 			rc.fresh.Unchanged++
 		}
-		if rc.lastVal.url == url {
-			r.ETag, r.LastMod = rc.lastVal.etag, rc.lastVal.lastMod
-		}
+		r.ETag, r.LastMod = val.etag, val.lastMod
 	}
 }
 
-// condFor returns the validators to send with url's in-flight revisit
-// (ok=false for ordinary discovery fetches).
-func (rc *recrawlCtl) condFor(url string) (etag, lastMod string, ok bool) {
-	if rc.cond != url {
-		return "", "", false
+// validatorsOf returns the validators a revisit of url sends.
+func (rc *recrawlCtl) validatorsOf(url string) validators {
+	if r := rc.recs[url]; r != nil {
+		return validators{etag: r.ETag, lastMod: r.LastMod}
 	}
-	r := rc.recs[url]
-	if r == nil {
-		return "", "", false
-	}
-	return r.ETag, r.LastMod, true
+	return validators{}
 }
-
-func (rc *recrawlCtl) arm(url string) { rc.cond = url }
-func (rc *recrawlCtl) disarm()        { rc.cond = "" }
 
 // pendingEntries snapshots the revisit queue for a checkpoint by
 // draining and re-pushing it, mirroring the engine's frontier snapshot.

@@ -66,28 +66,80 @@ func runRecrawl(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-// TestRecrawlRequiresSequentialEngine pins the New-time validation.
-func TestRecrawlRequiresSequentialEngine(t *testing.T) {
-	base := Config{
+// TestRecrawlParallel runs revisit sweeps on four workers. New still
+// rejects a negative pass count. On a static space every revisit is a
+// 304 that transfers no body bytes, and the freshness tally and pass
+// count equal the one-worker run's; on a churning space every revisit
+// has exactly one outcome; and a crawl killed mid-sweep resumes to the
+// uninterrupted run's tally.
+func TestRecrawlParallel(t *testing.T) {
+	bad := Config{
 		Seeds: []string{"http://x/"}, Strategy: core.BreadthFirst{},
 		Classifier: core.MetaClassifier{Target: charset.LangThai},
 	}
-	bad := base
 	bad.Recrawl.Passes = -1
 	if _, err := New(bad); err == nil {
 		t.Error("negative Passes accepted")
 	}
-	bad = base
-	bad.Recrawl.Passes = 1
-	bad.Parallelism = 2
-	if _, err := New(bad); err == nil {
-		t.Error("Recrawl with parallel engine accepted")
-	}
-	bad.Parallelism = 0
-	bad.UseParallelEngine = true
-	if _, err := New(bad); err == nil {
-		t.Error("Recrawl with forced parallel engine accepted")
-	}
+
+	space, srvOne, client := testWeb(t, 400, 7)
+	oneShot := recrawlConfig(space, client, 0)
+	oneShot.Parallelism = 4
+	runRecrawl(t, oneShot)
+	discoveryBytes := srvOne.BodyBytes()
+	space, _, client = testWeb(t, 400, 7)
+	want := runRecrawl(t, recrawlConfig(space, client, 2))
+
+	t.Run("static", func(t *testing.T) {
+		space, srv, client := testWeb(t, 400, 7)
+		cfg := recrawlConfig(space, client, 2)
+		cfg.Parallelism = 4
+		res := runRecrawl(t, cfg)
+		if res.Passes != want.Passes || res.Fresh != want.Fresh {
+			t.Errorf("4 workers: %d passes, %s\n1 worker:  %d passes, %s", res.Passes, res.Fresh, want.Passes, want.Fresh)
+		}
+		if res.Fresh.Revisits == 0 || res.Fresh.CondHits != res.Fresh.Revisits {
+			t.Errorf("unchanged space: %s — every revisit should be a 304", res.Fresh)
+		}
+		if got := srv.BodyBytes(); got != discoveryBytes {
+			t.Errorf("revisit sweeps transferred %d extra body bytes, want 0", got-discoveryBytes)
+		}
+	})
+
+	t.Run("churn", func(t *testing.T) {
+		space, _, client := evolvingWeb(t, 400, 7, webgraph.NewsChurn(42), 1.0)
+		cfg := recrawlConfig(space, client, 2)
+		cfg.Parallelism = 4
+		res := runRecrawl(t, cfg)
+		if res.Passes != 2 || res.Fresh.Revisits == 0 {
+			t.Fatalf("%d passes, %s", res.Passes, res.Fresh)
+		}
+		if got := res.Fresh.Unchanged + res.Fresh.Changed + res.Fresh.Deleted; got != res.Fresh.Revisits {
+			t.Errorf("revisit outcomes %d do not account for %d revisits (%s)", got, res.Fresh.Revisits, res.Fresh)
+		}
+	})
+
+	t.Run("kill-resume", func(t *testing.T) {
+		space, _, client := testWeb(t, 400, 7)
+		cfg := recrawlConfig(space, client, 2)
+		cfg.Parallelism = 4
+		cfg.CheckpointDir = t.TempDir()
+		cfg.CheckpointEvery = 25
+		cfg.StopAfter = want.Crawled - want.Fresh.Revisits + want.Fresh.Revisits/3 // inside the first sweep
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err != checkpoint.ErrKilled {
+			t.Fatalf("expected emulated kill, got %v", err)
+		}
+		cfg.StopAfter = 0
+		res := runRecrawl(t, cfg)
+		if res.Passes != want.Passes || res.Fresh != want.Fresh || res.Crawled != want.Crawled {
+			t.Errorf("resumed: %d crawled, %d passes, %s\nwant:    %d crawled, %d passes, %s",
+				res.Crawled, res.Passes, res.Fresh, want.Crawled, want.Passes, want.Fresh)
+		}
+	})
 }
 
 // TestRecrawlUnchangedSpaceZeroBodyBytes is the conditional-GET payoff

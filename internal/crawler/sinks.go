@@ -7,8 +7,8 @@ import (
 
 // sinks bundles the crawl-log and link-DB append paths behind their
 // group-commit writers. With Config.AppendBatch at its default of 1 both
-// wrappers degrade to the synchronous write-through path, so the
-// sequential engine's output stays byte-identical to the pre-batching
+// wrappers degrade to the synchronous write-through path, so a
+// one-worker crawl's output stays byte-identical to the pre-batching
 // crawler; larger batches amortize encoding locks and (for the DB) the
 // per-commit fsync.
 type sinks struct {
@@ -30,7 +30,7 @@ func (c *Crawler) newSinks() sinks {
 }
 
 // close flushes both writers and stops their interval flushers. It is
-// idempotent, so engines both defer it (goroutine hygiene on error
+// idempotent, so the crawl loop both defers it (goroutine hygiene on error
 // paths) and call it explicitly to surface the final flush error.
 func (s sinks) close() error {
 	var first error
