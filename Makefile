@@ -71,7 +71,7 @@ profile:
 	done
 	@echo "profiles written; read one with: $(GO) tool pprof -top bench/out/cpu-sim.jp-detect.pprof"
 
-# Frontier/append-path benchmarks gated against BENCH_frontier.json
+# Append-path benchmarks (crawl log, link DB) gated against BENCH_frontier.json
 # (what CI runs); bench-baseline re-records the baseline on this machine.
 # The telemetry *Disabled benchmarks are skipped from the ratio gate: the
 # nil no-op path compiles to an empty loop, so their timing is dominated
@@ -80,7 +80,7 @@ profile:
 # baseline for reference.
 bench-check:
 	$(GO) test -bench=. -benchtime=1x -count=5 -benchmem -run='^$$' \
-		./internal/frontier ./internal/crawlog ./internal/linkdb | \
+		./internal/crawlog ./internal/linkdb | \
 		$(GO) run ./cmd/benchcheck -baseline BENCH_frontier.json -min-ns 10000 -skip SyncEach
 	$(GO) test -bench=. -benchtime=1x -count=5 -benchmem -run='^$$' \
 		./internal/telemetry | \
@@ -106,7 +106,7 @@ bench-check:
 
 bench-baseline:
 	$(GO) test -bench=. -benchtime=1x -count=5 -benchmem -run='^$$' \
-		./internal/frontier ./internal/crawlog ./internal/linkdb | \
+		./internal/crawlog ./internal/linkdb | \
 		$(GO) run ./cmd/benchcheck -baseline BENCH_frontier.json -update \
 		-note "min of 5 single-iteration runs; machine-specific, gate tracks relative drift"
 	$(GO) test -bench=. -benchtime=1x -count=5 -benchmem -run='^$$' \
@@ -148,7 +148,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/crawlog/
 	$(GO) test -fuzz=FuzzCrawlogRoundTrip -fuzztime=30s ./internal/crawlog/
 	$(GO) test -fuzz=FuzzFrontierOps -fuzztime=30s ./internal/frontier/
-	$(GO) test -fuzz=FuzzShardedFrontier -fuzztime=30s ./internal/frontier/
 	$(GO) test -fuzz=FuzzCheckpointRecover -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzLeaseWireCodec -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzJobSpecDecode -fuzztime=30s ./internal/jobs/

@@ -62,7 +62,7 @@ func (b *Baseline) Save(path string) error {
 
 // benchLine matches `go test -bench` result lines, e.g.
 //
-//	BenchmarkFrontierSharded8-8   1  64042 ns/op  35numbers B/op  12 allocs/op
+//	BenchmarkCrawlogAppendBatched64-8   1  64042 ns/op  35 B/op  12 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so baselines survive core-count
 // changes in the runner name (the metadata still records the real one).

@@ -49,8 +49,6 @@ func main() {
 		conns     = flag.Int("conns", 16, "concurrent connections (timed mode)")
 		spillDir  = flag.String("spill", "", "spill the frontier to disk segments under this directory")
 		spillMem  = flag.Int("spill-mem", 1<<16, "in-memory frontier items per queue before spilling")
-		shards    = flag.Int("shards", 0, "host-hash frontier shards (0 = single queue; changes pop order)")
-		frBatch   = flag.Int("frontier-batch", 0, "frontier insert batch size per shard (0/1 = unbatched)")
 		compare   = flag.String("compare", "", "comma-separated strategies to compare in one table (overrides -strategy)")
 		faultRate = flag.Float64("fault-rate", 0, "per-attempt transient fault probability (0 disables fault injection)")
 		faultDead = flag.Float64("fault-dead", 0, "fraction of hosts that are permanently dead")
@@ -138,7 +136,6 @@ func main() {
 	cfg := sim.Config{
 		Strategy: strategy, Classifier: classifier, MaxPages: *maxPages,
 		SpillDir: *spillDir, SpillMemLimit: *spillMem,
-		FrontierShards: *shards, FrontierBatch: *frBatch,
 		CheckpointDir: *ckDir, CheckpointEvery: *ckEvery,
 	}
 

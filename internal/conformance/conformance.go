@@ -3,10 +3,9 @@
 // from the deterministic sequential simulator on a small fixed Thai-like
 // space. The engines that followed the original — the fault-layer
 // engine at injection rate zero, the timed engine at concurrency one,
-// the sharded frontier in sequential-equivalence mode, and the live
-// crawler at one worker and at several — are each held to those traces, so a refactor that
-// silently changes crawl order fails a test instead of shifting every
-// experiment's curves.
+// and the live crawler at one worker and at several — are each held to
+// those traces, so a refactor that silently changes crawl order fails a
+// test instead of shifting every experiment's curves.
 //
 // Regenerate the goldens (after an intentional ordering change) with:
 //
@@ -221,7 +220,7 @@ func (t *Trace) Diff(other *Trace) string {
 }
 
 // DiffSet compares two traces as visit sets — for engines whose order
-// legitimately differs (sharded frontiers, many workers) but which must
+// legitimately differs (many workers) but which must
 // still crawl exactly the same pages. Returns "" when the sets and
 // summary counts agree.
 func (t *Trace) DiffSet(other *Trace) string {

@@ -153,40 +153,11 @@ func TestGoldenTimedConcurrencyOne(t *testing.T) {
 	}
 }
 
-// TestGoldenShardedEquivalence holds the sharded frontier machinery in
-// sequential-equivalence mode (one explicit shard, batch 1) to the
-// goldens: the Sharded wrapper must be order-transparent.
-func TestGoldenShardedEquivalence(t *testing.T) {
-	sp := space(t)
-	for _, c := range Cases() {
-		var visits []webgraph.PageID
-		res, err := sim.Run(sp, sim.Config{
-			Strategy:       c.Strategy,
-			Classifier:     Classifier(),
-			FrontierShards: 1,
-			FrontierBatch:  1,
-			OnVisit:        func(id webgraph.PageID) { visits = append(visits, id) },
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.Key, err)
-		}
-		got := &Trace{
-			Strategy: c.Strategy.Name(), Crawled: res.Crawled,
-			Relevant: res.RelevantCrawled,
-			Harvest:  res.FinalHarvest(), Coverage: res.FinalCoverage(),
-			Visits: visits,
-		}
-		if d := golden(t, c.Key).Diff(got); d != "" {
-			t.Errorf("%s: sharded frontier in equivalence mode diverged from golden: %s", c.Key, d)
-		}
-	}
-}
-
 // TestGoldenTelemetryEnabled holds an instrumented run of every sim
 // engine — the sequential one, the timed one at one connection, and the
 // incremental one at zero churn — to the goldens: telemetry is
-// observation-only, so wiring a full SimStats bundle (with the sharded
-// frontier carrying its stats too) must not move a single visit. The
+// observation-only, so wiring a full SimStats bundle (frontier counters
+// included) must not move a single visit. The
 // counters must agree with the result, and every engine records the
 // same instruments from its one shared visit step.
 func TestGoldenTelemetryEnabled(t *testing.T) {
@@ -227,12 +198,10 @@ func TestGoldenTelemetryEnabled(t *testing.T) {
 			stats := telemetry.NewSimStats(telemetry.NewRegistry())
 			var visits []webgraph.PageID
 			res, crawled, err := e.run(sim.Config{
-				Strategy:       c.Strategy,
-				Classifier:     Classifier(),
-				FrontierShards: 1,
-				FrontierBatch:  1,
-				Telemetry:      stats,
-				OnVisit:        func(id webgraph.PageID) { visits = append(visits, id) },
+				Strategy:   c.Strategy,
+				Classifier: Classifier(),
+				Telemetry:  stats,
+				OnVisit:    func(id webgraph.PageID) { visits = append(visits, id) },
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
@@ -399,20 +368,18 @@ func TestGoldenLiveTelemetry(t *testing.T) {
 	}
 }
 
-// TestGoldenLiveShardedWorkers runs the live crawler at full
-// width — 8 workers over an 8-shard batched frontier — and checks set
+// TestGoldenLiveWorkers runs the live crawler at full width — 8
+// workers sharing one frontier, with batched appends — and checks set
 // equality against the golden: order may differ, coverage may not.
-func TestGoldenLiveShardedWorkers(t *testing.T) {
+func TestGoldenLiveWorkers(t *testing.T) {
 	sp := space(t)
 	client := liveWeb(t, sp)
 	tr, _ := liveTrace(t, sp, client, core.SoftFocused{}, func(cfg *crawler.Config) {
 		cfg.Parallelism = 8
-		cfg.FrontierShards = 8
-		cfg.FrontierBatch = 16
 		cfg.AppendBatch = 32
 		cfg.AppendInterval = 5 * time.Millisecond
 	})
 	if d := golden(t, "soft").DiffSet(tr); d != "" {
-		t.Errorf("sharded live crawl diverged from golden set: %s", d)
+		t.Errorf("8-worker live crawl diverged from golden set: %s", d)
 	}
 }

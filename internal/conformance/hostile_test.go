@@ -171,7 +171,7 @@ func TestHostileChaosSequential(t *testing.T) {
 }
 
 // TestHostileChaosParallel repeats the chaos crawl with several
-// workers over a sharded frontier. Order is free; the benign set is not.
+// workers sharing one frontier. Order is free; the benign set is not.
 func TestHostileChaosParallel(t *testing.T) {
 	sp := space(t)
 	m := chaosModel()
@@ -179,8 +179,6 @@ func TestHostileChaosParallel(t *testing.T) {
 	start := time.Now()
 	tr, logBytes := chaosTrace(t, sp, m, client, nil, func(cfg *crawler.Config) {
 		cfg.Parallelism = 4
-		cfg.FrontierShards = 4
-		cfg.FrontierBatch = 8
 	})
 	if elapsed := time.Since(start); elapsed > 90*time.Second {
 		t.Errorf("parallel chaos crawl took %v", elapsed)

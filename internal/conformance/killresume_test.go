@@ -105,47 +105,6 @@ func TestKillResumeSim(t *testing.T) {
 	}
 }
 
-// TestKillResumeSimSharded repeats the kill-resume run over the sharded
-// frontier in sequential-equivalence mode, proving the snapshot path
-// that drains worker shards is order-transparent too.
-func TestKillResumeSimSharded(t *testing.T) {
-	sp := space(t)
-	dir := t.TempDir()
-	var visits []webgraph.PageID
-	kills := 0
-	for stopAt := 83; ; stopAt += 83 {
-		res, err := sim.Run(sp, sim.Config{
-			Strategy:        core.SoftFocused{},
-			Classifier:      Classifier(),
-			FrontierShards:  1,
-			FrontierBatch:   1,
-			CheckpointDir:   dir,
-			CheckpointEvery: 60,
-			StopAfter:       stopAt,
-			OnVisit:         func(id webgraph.PageID) { visits = append(visits, id) },
-		})
-		if errors.Is(err, checkpoint.ErrKilled) {
-			kills++
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := &Trace{
-			Strategy: res.Strategy, Crawled: res.Crawled, Relevant: res.RelevantCrawled,
-			Harvest: res.FinalHarvest(), Coverage: res.FinalCoverage(),
-			Visits: dedupeVisits(visits),
-		}
-		if kills == 0 {
-			t.Fatal("crawl finished before the first kill")
-		}
-		if d := golden(t, "soft").Diff(got); d != "" {
-			t.Errorf("sharded kill-resume diverged from golden: %s", d)
-		}
-		return
-	}
-}
-
 // TestKillResumeSimWithFaults runs kill-resume under fault injection:
 // the resumed sampler must fast-forward its attempt stream, the spent
 // retries must re-book against the budget, and the breakers must come
@@ -426,15 +385,13 @@ func TestKillResumeLiveSequential(t *testing.T) {
 }
 
 // TestKillResumeLiveParallel kills the live crawl at full width
-// (several workers over a sharded frontier) and checks set equivalence:
+// (several workers sharing one frontier) and checks set equivalence:
 // worker scheduling makes order non-deterministic, but the final visit
 // set after dedup must match the uninterrupted golden set exactly.
 func TestKillResumeLiveParallel(t *testing.T) {
 	sp := space(t)
 	gotLog, _ := liveKillResume(t, sp, core.SoftFocused{}, 40, 93, func(cfg *crawler.Config) {
 		cfg.Parallelism = 4
-		cfg.FrontierShards = 4
-		cfg.FrontierBatch = 8
 	})
 	got := logURLSet(t, gotLog)
 	ref := golden(t, "soft")

@@ -431,8 +431,8 @@ func (s DecayingBestFirst) Decide(score float64, dist int) Decision {
 }
 
 // ContextLayers is the §2.2 tunneling baseline in this framework: one
-// queue per distance layer up to Layers, popping from the nearest
-// non-empty layer, with no discard cutoff at all (links beyond the last
+// queue per distance layer up to Layers, served nearest non-empty
+// layer first, with no discard cutoff at all (links beyond the last
 // layer pool in the outermost one). It is prioritized limited distance
 // with N = ∞ and a bounded layer alphabet.
 type ContextLayers struct {

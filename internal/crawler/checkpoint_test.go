@@ -185,8 +185,6 @@ func TestCheckpointKillResumeParallel(t *testing.T) {
 			Client:          client,
 			IgnoreRobots:    true,
 			Parallelism:     4,
-			FrontierShards:  4,
-			FrontierBatch:   8,
 			AppendBatch:     8,
 			CheckpointEvery: 50,
 		}

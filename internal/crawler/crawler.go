@@ -83,20 +83,13 @@ type Config struct {
 	// removes the file. Combined with DB this gives stop/resume crawls.
 	FrontierPath string
 	// Parallelism is the number of concurrent fetch workers (default 1,
-	// fully deterministic). With more workers, frontier order is
-	// approximate and politeness is still enforced per host.
+	// fully deterministic). Workers pop one shared frontier in its
+	// strategy's order, but with more than one, pages finish — and
+	// their links enter the queue — in a timing-dependent order;
+	// politeness is still enforced per host.
 	Parallelism int
 	// Deprecated: there is one engine; ignored. Delete once bench/ stops setting it.
 	UseParallelEngine bool
-	// FrontierShards stripes the frontier across N host-hashed shards,
-	// each with its own lock and queue (default 1: a single shard,
-	// preserving global frontier order, which one worker then follows
-	// exactly).
-	FrontierShards int
-	// FrontierBatch stages frontier inserts per shard and applies them to
-	// the priority structure a batch at a time (default 1: unbatched,
-	// every push immediately visible).
-	FrontierBatch int
 	// AppendBatch group-commits Log and DB appends in batches of this
 	// size (default 1: today's synchronous path). Batched DB commits end
 	// in one fsync each, so batching buys durability the synchronous

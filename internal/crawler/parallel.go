@@ -16,38 +16,34 @@ import (
 	"langcrawl/internal/urlutil"
 )
 
-// testHookPopped, when a test sets it, runs on the worker after each
-// frontier pop, before the worker retakes the engine lock.
-var testHookPopped func(qitem)
-
 // runParallel is the crawl loop: Config.Parallelism workers share one
-// frontier and one set of books. The frontier is a lock-striped sharded
-// queue keyed by host (Config.FrontierShards wide, with per-shard insert
-// batching of Config.FrontierBatch), so workers pop and push without
-// holding the engine mutex; mu guards the crawl bookkeeping — visited
-// set, budget slots, result counters and the recrawl ledger. Workers
-// claim page-budget slots before fetching (so MaxPages is exact) and
-// respect the per-host access interval by booking start times the way
-// the timed simulator's limiter does.
+// frontier and one set of books. The frontier is a single queue of the
+// strategy's kind, and mu guards it together with the rest of the crawl
+// bookkeeping — visited set, budget slots, result counters and the
+// recrawl ledger — so a page costs two engine-lock acquisitions: one to
+// pop and claim, one to record and push its links. Fetching, parsing
+// and classifying run outside mu. Workers claim page-budget slots
+// before fetching (so MaxPages is exact) and respect the per-host
+// access interval by booking start times the way the timed simulator's
+// limiter does.
 //
-// With one worker, one shard and batch size 1 the loop is deterministic:
-// every run over the same web writes the same crawl log, link DB,
-// frontier file and Result (testdata/live.digest pins them).
+// With one worker the loop is deterministic: every run over the same
+// web writes the same crawl log, link DB, frontier file and Result
+// (testdata/live.digest pins them).
 //
 // In incremental mode a worker takes a revisit only once discovery has
-// drained — the frontier is empty and no discovery fetch is in flight
-// or being popped — and starts a new sweep only once no revisit of the
-// current one is still in flight, so each sweep is ordered by change
-// rates that include every outcome of the previous one.
+// drained — the frontier is empty and no discovery fetch is in flight —
+// and starts a new sweep only once no revisit of the current one is
+// still in flight, so each sweep is ordered by change rates that include
+// every outcome of the previous one.
 func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 	res := &Result{Harvest: &metrics.Series{Name: c.cfg.Strategy.Name()}}
-	fr := frontier.NewSharded(frontier.ShardedOptions[qitem]{
-		Shards:   c.cfg.FrontierShards,
-		Batch:    c.cfg.FrontierBatch,
-		Key:      func(it qitem) string { return urlutil.Host(it.url) },
-		NewQueue: func() frontier.Queue[qitem] { return frontier.New[qitem](c.cfg.Strategy.QueueKind()) },
-		Stats:    c.tel.FrontierStats(),
-	})
+	fr := frontier.New[qitem](c.cfg.Strategy.QueueKind())
+	fs := c.tel.FrontierStats()
+	push := func(it qitem, prio float64) {
+		fr.Push(it, prio)
+		fs.Pushed()
+	}
 	seen := checkpoint.NewSeen(0)
 	observer, _ := c.cfg.Strategy.(core.QueueObserver)
 	sinks := c.newSinks()
@@ -59,17 +55,13 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		started  int // budget slots claimed (successful or in flight)
 		inflight int
 		revisits int // in-flight fetches that are revisits
-		popping  int // workers mid-PopWorker: items in transit, visible to neither the frontier nor inflight
 		runErr   error
 		killed   bool // StopAfter tripped: emulated SIGKILL
 		stopped  bool // Stop closed: graceful drain
 	)
 	// idle workers wait on cond instead of polling; every event that can
 	// create work or end the crawl — a link push, an in-flight fetch
-	// finishing, cancellation — broadcasts. The wakeup protocol relies on
-	// pushes completing before the pusher takes mu to broadcast: a waiter
-	// that saw an empty frontier under mu either saw the push (Len > 0)
-	// or will be woken by the pusher's broadcast.
+	// finishing, cancellation — broadcasts.
 	cond := sync.NewCond(&mu)
 	stopWake := context.AfterFunc(ctx, func() {
 		mu.Lock()
@@ -89,7 +81,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			}
 			return
 		}
-		fr.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
+		push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
 	})
 	if resumed {
 		started = res.Crawled // budget slots the dead run already spent
@@ -103,7 +95,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				return nil, fmt.Errorf("crawler: loading frontier: %w", err)
 			}
 			for _, it := range items {
-				fr.Push(it, it.prio)
+				push(it, it.prio)
 			}
 		}
 		for _, s := range c.cfg.Seeds {
@@ -111,20 +103,18 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("crawler: seed %q: %w", s, err)
 			}
-			fr.Push(qitem{url: u, prio: 1}, 1)
+			push(qitem{url: u, prio: 1}, 1)
 		}
 	}
 	// SeedItems go in even on resume: a leased batch delivered after the
 	// last snapshot is not in the restored frontier, and re-pushing
 	// entries that are is deduplicated by the pop-side seen-set skip.
 	for _, e := range c.cfg.SeedItems {
-		fr.Push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
+		push(qitem{url: e.URL, dist: e.Dist, prio: e.Prio}, e.Prio)
 	}
-	fr.Flush() // restore/seed entries are all visible before workers start
 
-	// writeCk snapshots the crawl. The caller guarantees quiescence —
-	// inflight == 0 and popping == 0 with every other worker parked — so
-	// draining and re-pushing the sharded frontier (each item at its
+	// writeCk snapshots the crawl. The caller holds mu with no page in
+	// flight, so draining and re-pushing the frontier (each item at its
 	// effective priority, so the running crawl's order is unchanged)
 	// races with nobody.
 	writeCk := func() error {
@@ -132,22 +122,21 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("crawler: flushing appends for checkpoint: %w", err)
 		}
-		fr.Flush()
 		var items []qitem
 		for {
-			it, ok := fr.PopWorker(0)
+			it, ok := fr.Pop()
 			if !ok {
 				break
 			}
+			fs.Popped()
 			items = append(items, it)
 		}
 		entries := make([]checkpoint.Entry, len(items))
 		for i, it := range items {
 			prio := it.effPrio()
 			entries[i] = checkpoint.Entry{URL: it.url, Dist: it.dist, Prio: prio, Revisit: it.revisit}
-			fr.Push(it, prio)
+			push(it, prio)
 		}
-		fr.Flush()
 		if rc != nil {
 			entries = append(entries, rc.pendingEntries()...)
 		}
@@ -155,11 +144,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		return ck.write(c, res, seen, entries, logPos, dbPos)
 	}
 
-	worker := func(w int) {
-		// fresh is this worker's frontier batch, reused page after page:
-		// PushBatch copies the items out. LinkSink batches are not reused,
-		// because a sink may keep the slice it is handed.
-		var fresh []frontier.Pending[qitem]
+	worker := func() {
 		for {
 			mu.Lock()
 			var item qitem
@@ -170,9 +155,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 					return
 				}
 				if ck.due(res.Crawled) {
-					// Checkpoint barrier: wait until no page is in flight and
-					// no pop is in transit, then snapshot while holding mu.
-					if inflight > 0 || popping > 0 {
+					// Checkpoint barrier: wait until no page is in flight,
+					// then snapshot while holding mu.
+					if inflight > 0 {
 						cond.Wait()
 						continue
 					}
@@ -204,39 +189,11 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 					return
 				}
 				var ok bool
-				popping++
-				mu.Unlock()
-				item, ok = fr.PopWorker(w)
-				if testHookPopped != nil {
-					testHookPopped(item)
-				}
-				mu.Lock()
-				popping--
-				if ok {
-					if runErr != nil || ctx.Err() != nil || killed || stopped ||
-						(c.cfg.MaxPages > 0 && started >= c.cfg.MaxPages) {
-						// The crawl ended while we popped; put the item back so
-						// frontier persistence still sees it, at its demoted
-						// priority like every other re-push.
-						fr.Push(item, item.effPrio())
-						cond.Broadcast()
-						mu.Unlock()
-						return
-					}
-					if ck.due(res.Crawled) {
-						// A checkpoint became due while we popped; the item
-						// must be in the frontier for the snapshot, not in
-						// our hands.
-						fr.Push(item, item.effPrio())
-						cond.Broadcast()
-						continue
-					}
+				if item, ok = fr.Pop(); ok {
+					fs.Popped()
 					break
 				}
-				if fr.Len() > 0 {
-					continue // a racing push landed between our pop and lock
-				}
-				if rc != nil && popping == 0 && inflight == revisits {
+				if rc != nil && inflight == revisits {
 					// Discovery has drained: take the sweep's next revisit,
 					// refilling a new sweep only when none of this one is
 					// still in flight.
@@ -244,7 +201,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 						break
 					}
 				}
-				if inflight == 0 && popping == 0 {
+				if inflight == 0 {
 					cond.Broadcast() // global quiescence: release waiting peers
 					mu.Unlock()
 					return
@@ -275,7 +232,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				// it only after maxDemotions round trips.
 				if item.demoted < maxDemotions {
 					item.demoted++
-					fr.Push(item, item.effPrio())
+					push(item, item.effPrio())
 					cond.Broadcast()
 				} else {
 					c.flt.gaveUp()
@@ -400,7 +357,6 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				}
 			}
 			dec := c.cfg.Strategy.Decide(s, int(item.dist))
-			fresh = fresh[:0]
 			var sunk []checkpoint.Entry
 			if status == http.StatusOK && dec.Follow {
 				for _, l := range out.links {
@@ -414,34 +370,22 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 					if c.cfg.LinkSink != nil {
 						sunk = append(sunk, checkpoint.Entry{URL: l, Dist: int32(dec.Dist), Prio: dec.Priority})
 					} else {
-						fresh = append(fresh, frontier.Pending[qitem]{
-							Item: qitem{url: l, dist: int32(dec.Dist), prio: dec.Priority},
-							Prio: dec.Priority,
-						})
+						push(qitem{url: l, dist: int32(dec.Dist), prio: dec.Priority}, dec.Priority)
 					}
 				}
-			}
-			mu.Unlock()
-			// The link fan-out goes in as one grouped insert, touching
-			// each destination shard's lock once — outside mu so other
-			// workers' bookkeeping proceeds meanwhile. inflight stays
-			// claimed until after the push, so no peer can conclude
-			// quiescence while these links are in transit. A LinkSink
-			// call likewise overlaps peers — it may block on the network
-			// — and a sink error ends the crawl like a write error would.
-			if len(fresh) > 0 {
-				fr.PushBatch(fresh)
 			}
 			if len(sunk) > 0 {
-				if serr := c.cfg.LinkSink(sunk); serr != nil {
-					mu.Lock()
-					if runErr == nil {
-						runErr = fmt.Errorf("crawler: link sink: %w", serr)
-					}
-					mu.Unlock()
+				// A LinkSink call runs outside mu — it may block on the
+				// network — while inflight stays claimed, so no peer can
+				// conclude quiescence with these links in transit. A sink
+				// error ends the crawl like a write error would.
+				mu.Unlock()
+				serr := c.cfg.LinkSink(sunk)
+				mu.Lock()
+				if serr != nil && runErr == nil {
+					runErr = fmt.Errorf("crawler: link sink: %w", serr)
 				}
 			}
-			mu.Lock()
 			if observer != nil {
 				observer.ObserveQueueLen(fr.Len())
 			}
@@ -456,10 +400,10 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			worker(w)
-		}(i)
+			worker()
+		}()
 	}
 	wg.Wait()
 

@@ -103,20 +103,18 @@ func TestParallelMatchesSequentialSet(t *testing.T) {
 	}
 }
 
-func TestParallelShardedFullCoverage(t *testing.T) {
-	// The sharded frontier at full width changes pop order but must not
-	// lose or duplicate work: 8 workers over 8 shards still crawl the
-	// whole space exactly once.
+func TestParallelFullCoverageExactRequests(t *testing.T) {
+	// Eight workers sharing one frontier must not lose or duplicate
+	// work: with robots off, the whole space is crawled with exactly one
+	// request per page.
 	space, srv, client := testWeb(t, 500, 71)
 	c, err := New(Config{
-		Seeds:          seedsOf(space),
-		Strategy:       core.SoftFocused{},
-		Classifier:     core.MetaClassifier{Target: charset.LangThai},
-		Client:         client,
-		Parallelism:    8,
-		FrontierShards: 8,
-		FrontierBatch:  16,
-		IgnoreRobots:   true,
+		Seeds:        seedsOf(space),
+		Strategy:     core.SoftFocused{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		Parallelism:  8,
+		IgnoreRobots: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +124,7 @@ func TestParallelShardedFullCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Crawled != space.N() {
-		t.Errorf("sharded crawl fetched %d of %d", res.Crawled, space.N())
+		t.Errorf("8-worker crawl fetched %d of %d", res.Crawled, space.N())
 	}
 	if res.Relevant != space.RelevantTotal() {
 		t.Errorf("relevant %d, ground truth %d", res.Relevant, space.RelevantTotal())
@@ -153,8 +151,6 @@ func TestParallelBatchedAppends(t *testing.T) {
 		Client:         client,
 		Log:            w,
 		Parallelism:    4,
-		FrontierShards: 4,
-		FrontierBatch:  8,
 		AppendBatch:    32,
 		AppendInterval: 5 * time.Millisecond,
 		IgnoreRobots:   true,
@@ -280,32 +276,24 @@ func (prioOne) Decide(float64, int) core.Decision {
 	return core.Decision{Follow: true, Priority: 1}
 }
 
-// TestParallelRequeueKeepsDemotion: an item a worker pops just as the
-// crawl ends goes back on the frontier at its breaker-demoted priority,
-// like every other re-push, so the saved frontier keeps the order the
-// demotion gave it. The crawl below opens a.test's breaker, demotes
-// a.test/x from class 2 to class 1 behind nothing, then queues b.test/q
-// in class 1 after it; the crawl ends while a.test/x is in hand. Back at
-// class 1 it saves behind b.test/q; re-pushed at its undemoted priority
-// it would jump ahead. The file itself must keep the demotion too: a run
-// resumed from it pops the entries in the order they were saved.
+// TestParallelRequeueKeepsDemotion: a saved frontier keeps breaker
+// demotion. The crawl below opens a.test's breaker, which demotes
+// a.test/x from class 2 into class 1 behind c.test/early, seeded there;
+// fetching b.test/stop then ends the crawl. Saved at its demoted
+// priority, a.test/x reloads behind c.test/early; saved at its undemoted
+// priority it would reload into class 2 and jump ahead, so a run
+// resumed from the file must pop the entries in the order they were
+// saved.
 func TestParallelRequeueKeepsDemotion(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testHookPopped = func(it qitem) {
-		if it.url == "http://a.test/x" && it.demoted == 1 {
-			cancel() // the crawl ends while this item is in hand
-		}
-	}
-	t.Cleanup(func() { testHookPopped = nil })
-
 	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		status, body := http.StatusOK, ""
 		switch req.URL.String() {
 		case "http://a.test/down":
 			status = http.StatusInternalServerError
-		case "http://b.test/1":
-			body = `<html><body><a href="http://b.test/q">q</a></body></html>`
+		case "http://b.test/stop":
+			cancel() // a.test/x is demoted by now: end the crawl
 		}
 		return &http.Response{
 			StatusCode: status, Header: http.Header{"Content-Type": {"text/html"}},
@@ -317,7 +305,8 @@ func TestParallelRequeueKeepsDemotion(t *testing.T) {
 		SeedItems: []checkpoint.Entry{
 			{URL: "http://a.test/down", Prio: 2},
 			{URL: "http://a.test/x", Prio: 2},
-			{URL: "http://b.test/1", Prio: 2},
+			{URL: "http://b.test/stop", Prio: 2},
+			{URL: "http://c.test/early", Prio: 1},
 		},
 		Strategy:     prioOne{},
 		Classifier:   core.MetaClassifier{Target: charset.LangThai},
@@ -342,7 +331,7 @@ func TestParallelRequeueKeepsDemotion(t *testing.T) {
 		got = append(got, it.url)
 		resumed.Push(it, it.prio) // as a run loading the file does
 	}
-	want := []string{"http://b.test/q", "http://a.test/x"}
+	want := []string{"http://c.test/early", "http://a.test/x"}
 	if !slices.Equal(got, want) {
 		t.Errorf("saved frontier %q, want %q", got, want)
 	}

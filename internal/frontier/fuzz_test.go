@@ -2,101 +2,88 @@ package frontier
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-// FuzzFrontierOps drives an arbitrary operation sequence against a
-// Sharded frontier and checks it against a trivial model: a multiset of
-// live items (map) plus, for the sequential-equivalence configuration
-// (1 shard, batch 1), exact pop-order agreement with a reference Heap.
+// FuzzFrontierOps drives an arbitrary push/pop sequence against every
+// queue Kind and checks it against a brute-force model: the live items
+// with their priorities and insertion sequence, from which the expected
+// next pop is found by a linear scan —
 //
-// Input encoding: byte 0 = shard count (1-8), byte 1 = batch size
-// (1-32), then each subsequent byte is one op: high bit clear = push an
-// item whose identity derives from the byte position and whose priority
-// and host derive from the byte value; high bit set = pop (low bits pick
-// the popping worker). A few op values map to Flush and Len checks.
+//   - KindHeap: highest priority, FIFO among equal priorities;
+//   - KindBucket: highest floor(priority) class, FIFO inside a class
+//     (so -0.25 and -1 share class -1, the rule limited-distance's
+//     negative distance priorities depend on);
+//   - KindFIFO: insertion order, priority ignored.
+//
+// Pop order, Len and MaxLen must agree with the model after every op.
+//
+// Input encoding: byte 0 picks the kind (mod 3); each later byte is one
+// op: high bit clear = push an item whose priority derives from the
+// value (whole and quarter steps in [-3, 3.75]), high bit set = pop.
 func FuzzFrontierOps(f *testing.F) {
-	f.Add([]byte{1, 1, 10, 20, 0x85, 30, 0x81})
-	f.Add([]byte{8, 32, 1, 2, 3, 4, 5, 0x90, 0x91, 0x92})
-	f.Add([]byte{4, 2, 0x7F, 0x00, 0xFF, 0x40, 0x80})
+	f.Add([]byte{byte(KindHeap), 10, 20, 0x85, 30, 0x81})
+	f.Add([]byte{byte(KindBucket), 1, 2, 3, 4, 5, 0x1A, 0x90, 0x91, 0x92})
+	f.Add([]byte{byte(KindFIFO), 0x7F, 0x00, 0xFF, 0x40, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			return
 		}
-		shards := 1 + int(data[0]%8)
-		batch := 1 + int(data[1]%32)
-		ops := data[2:]
+		kind := Kind(data[0] % 3)
+		ops := data[1:]
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
 
-		s := NewSharded(ShardedOptions[string]{
-			Shards:   shards,
-			Batch:    batch,
-			Key:      func(it string) string { return it[:4] }, // "h<n>/" prefix
-			NewQueue: func() Queue[string] { return NewHeap[string]() },
-		})
-		seqEquiv := shards == 1 && batch == 1
-		var ref *Heap[string]
-		if seqEquiv {
-			ref = NewHeap[string]()
+		type live struct {
+			item string
+			prio float64
 		}
-		model := make(map[string]bool)
+		q := New[string](kind)
+		var model []live // insertion order: index order is the FIFO tie-break
+		rank := func(p float64) float64 {
+			switch kind {
+			case KindHeap:
+				return p
+			case KindBucket:
+				return math.Floor(p)
+			default:
+				return 0
+			}
+		}
+		high := 0
 
 		for i, op := range ops {
-			switch {
-			case op&0x80 == 0: // push
-				item := fmt.Sprintf("h%02d/p%d", op%13, i)
-				prio := float64(op % 5)
-				s.Push(item, prio)
-				if model[item] {
-					t.Fatalf("op %d: model already holds %q", i, item)
-				}
-				model[item] = true
-				if ref != nil {
-					ref.Push(item, prio)
-				}
-			case op == 0xFE:
-				s.Flush()
-			case op == 0xFF:
-				if got, want := s.Len(), len(model); got != want {
-					t.Fatalf("op %d: Len=%d, model=%d", i, got, want)
-				}
-			default: // pop
-				item, ok := s.PopWorker(int(op & 0x7F))
-				if ok {
-					if !model[item] {
-						t.Fatalf("op %d: popped %q not in model (lost or duplicated)", i, item)
+			if op&0x80 == 0 {
+				item := fmt.Sprintf("p%d", i)
+				prio := float64(int(op%7)-3) + float64((op>>3)%4)/4
+				q.Push(item, prio)
+				model = append(model, live{item, prio})
+				high = max(high, len(model))
+			} else {
+				item, ok := q.Pop()
+				if len(model) == 0 {
+					if ok {
+						t.Fatalf("op %d: kind %d popped %q from an empty queue", i, kind, item)
 					}
-					delete(model, item)
-				} else if len(model) != 0 {
-					t.Fatalf("op %d: pop failed with %d live items", i, len(model))
-				}
-				if ref != nil {
-					refItem, refOK := ref.Pop()
-					if refItem != item || refOK != ok {
-						t.Fatalf("op %d: sequential-equivalence broken: got (%q,%v), reference (%q,%v)",
-							i, item, ok, refItem, refOK)
+				} else {
+					best := 0
+					for j := 1; j < len(model); j++ {
+						if rank(model[j].prio) > rank(model[best].prio) {
+							best = j
+						}
 					}
+					if want := model[best].item; !ok || item != want {
+						t.Fatalf("op %d: kind %d popped (%q, %v), model wants %q", i, kind, item, ok, want)
+					}
+					model = append(model[:best], model[best+1:]...)
 				}
 			}
-			if s.Len() != len(model) {
-				t.Fatalf("op %d: Len=%d diverged from model %d", i, s.Len(), len(model))
+			if q.Len() != len(model) || q.MaxLen() != high {
+				t.Fatalf("op %d: kind %d Len/MaxLen = %d/%d, model %d/%d",
+					i, kind, q.Len(), q.MaxLen(), len(model), high)
 			}
-		}
-		// Drain: everything the model still holds must come out exactly once.
-		for {
-			item, ok := s.Pop()
-			if !ok {
-				break
-			}
-			if !model[item] {
-				t.Fatalf("drain popped unknown %q", item)
-			}
-			delete(model, item)
-		}
-		if len(model) != 0 {
-			t.Fatalf("%d items lost after drain", len(model))
 		}
 	})
 }

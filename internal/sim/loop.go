@@ -86,7 +86,7 @@ func newLoop(space *webgraph.Space, cfg Config, res *Result) (*loop, error) {
 		Coverage:      &metrics.Series{Name: name},
 		QueueSize:     &metrics.Series{Name: name},
 	}
-	fr, err := buildFrontier(space, cfg, n)
+	fr, err := buildFrontier(cfg, n)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,6 @@ func result[R any](res *R, err error) (*R, error) {
 // per-class order, the heap rebuilds identically), and the full state
 // goes down atomically.
 func (l *loop) checkpoint() error {
-	l.fr.flush()
 	var entries []checkpoint.Entry
 	for {
 		it, ok := l.fr.pop()
@@ -248,7 +247,6 @@ func (l *loop) checkpoint() error {
 	for _, e := range entries {
 		l.fr.push(e.ID, e.Dist, e.Prio)
 	}
-	l.fr.flush()
 	var inc checkpoint.State
 	if l.save != nil {
 		inc = l.save()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"langcrawl/internal/core"
+	"langcrawl/internal/telemetry"
 )
 
 func runMode(t *testing.T, strat core.Strategy, mode QueueMode) *Result {
@@ -88,5 +89,25 @@ func TestUpgradeModeRejectsSpill(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("QueueUpgrade + SpillDir should be rejected")
+	}
+}
+
+func TestFrontierTelemetryCounts(t *testing.T) {
+	// The frontier counters must move in every queue mode: each crawled
+	// page was popped, and the crawl pushed links.
+	for _, mode := range []QueueMode{QueueDuplicates, QueueUpgrade} {
+		stats := telemetry.NewSimStats(telemetry.NewRegistry())
+		res, err := Run(thaiSpace, Config{
+			Strategy: core.SoftFocused{}, Classifier: metaThai(),
+			QueueMode: mode, Telemetry: stats,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushes, pops := stats.Frontier.Pushes.Value(), stats.Frontier.Pops.Value()
+		if pops < int64(res.Crawled) || pushes <= 0 {
+			t.Errorf("mode %d: push_total %d, pop_total %d for %d crawled pages",
+				mode, pushes, pops, res.Crawled)
+		}
 	}
 }

@@ -102,7 +102,6 @@ func resultDigests(t *testing.T) []byte {
 			{"faults", func(c *Config) { c.Faults = faultsOn() }},
 			{"upgrade", func(c *Config) { c.QueueMode = QueueUpgrade }},
 			{"spill", func(c *Config) { c.SpillDir, c.SpillMemLimit = t.TempDir(), 64 }},
-			{"shard1", func(c *Config) { c.FrontierShards, c.FrontierBatch = 1, 1 }},
 		}
 		for _, v := range variants {
 			cfg := base

@@ -71,17 +71,6 @@ type Config struct {
 	// genuinely cost crawl capacity. nil disables injection entirely and
 	// leaves results identical to the fault-free engine.
 	Faults *faults.Config
-	// FrontierShards stripes the frontier across N host-hashed shards.
-	// 0 (the default) keeps a single queue; an explicit 1 routes through
-	// the sharded wrapper with one stripe, which reproduces the single
-	// queue's order exactly (the conformance suite pins this). More
-	// shards give a different, still deterministic, pop order.
-	// Incompatible with QueueUpgrade, whose indexed heap is global.
-	FrontierShards int
-	// FrontierBatch stages frontier pushes per shard, applying them to
-	// the priority structure a batch at a time (default 1: every push
-	// immediately visible, preserving exact historical order).
-	FrontierBatch int
 	// OnVisit, if non-nil, observes each successfully fetched page in
 	// fetch order — the hook the conformance suite uses to capture and
 	// replay crawl traces.
@@ -269,29 +258,42 @@ type entry struct {
 
 // simFrontier is the frontier abstraction every engine crawls through:
 // push/pop/len/max closures over whichever queue the Config selected.
-// flush forces staged pushes into the priority structures (a no-op
-// except for the batching sharded frontier) so a checkpoint's pop-all
-// snapshot sees every queued item.
 type simFrontier struct {
 	push  func(id webgraph.PageID, dist int32, prio float64)
 	pop   func() (entry, bool)
 	len   func() int
 	max   func() int
-	flush func()
 	close func()
 }
 
-// buildFrontier assembles the frontier for the configured queue mode:
+// buildFrontier assembles the frontier for the configured queue mode —
 // an indexed heap with in-place upgrades, or the paper-faithful
-// duplicate-retaining queue (optionally disk-spilling), optionally
-// striped across host-hashed shards.
-func buildFrontier(space *webgraph.Space, cfg Config, n int) (simFrontier, error) {
+// duplicate-retaining queue (optionally disk-spilling) — and, when
+// telemetry is on, counts its pushes and pops.
+func buildFrontier(cfg Config, n int) (simFrontier, error) {
+	fr, err := buildQueue(cfg, n)
+	if fs := cfg.Telemetry.FrontierStats(); fs != nil && err == nil {
+		push, pop := fr.push, fr.pop
+		fr.push = func(id webgraph.PageID, dist int32, prio float64) {
+			push(id, dist, prio)
+			fs.Pushed()
+		}
+		fr.pop = func() (entry, bool) {
+			e, ok := pop()
+			if ok {
+				fs.Popped()
+			}
+			return e, ok
+		}
+	}
+	return fr, err
+}
+
+// buildQueue builds the uninstrumented frontier for buildFrontier.
+func buildQueue(cfg Config, n int) (simFrontier, error) {
 	if cfg.QueueMode == QueueUpgrade {
 		if cfg.SpillDir != "" {
 			return simFrontier{}, fmt.Errorf("sim: QueueUpgrade is incompatible with SpillDir")
-		}
-		if cfg.FrontierShards >= 1 || cfg.FrontierBatch > 1 {
-			return simFrontier{}, fmt.Errorf("sim: FrontierShards/FrontierBatch are incompatible with QueueUpgrade")
 		}
 		heap := frontier.NewIndexedHeap[webgraph.PageID]()
 		distOf := make([]int32, n)
@@ -314,12 +316,8 @@ func buildFrontier(space *webgraph.Space, cfg Config, n int) (simFrontier, error
 			},
 			len:   heap.Len,
 			max:   heap.MaxLen,
-			flush: func() {},
 			close: func() {},
 		}, nil
-	}
-	if cfg.FrontierShards >= 1 || cfg.FrontierBatch > 1 {
-		return buildShardedFrontier(space, cfg)
 	}
 	queue, closeFn, err := buildDuplicateQueue(cfg)
 	if err != nil {
@@ -332,61 +330,7 @@ func buildFrontier(space *webgraph.Space, cfg Config, n int) (simFrontier, error
 		pop:   queue.Pop,
 		len:   queue.Len,
 		max:   queue.MaxLen,
-		flush: func() {},
 		close: closeFn,
-	}, nil
-}
-
-// buildShardedFrontier stripes the duplicates-mode frontier across
-// host-hashed shards. Each shard gets its own inner queue of the
-// strategy's kind — with its own spill subdirectory when SpillDir is
-// set, so concurrent-looking shard files never collide. Pops go through
-// the sharded queue's Pop (worker 0: home shard first, then stealing),
-// which keeps single-threaded simulation runs deterministic.
-func buildShardedFrontier(space *webgraph.Space, cfg Config) (simFrontier, error) {
-	var closers []func()
-	var buildErr error
-	shardSeq := 0
-	s := frontier.NewSharded(frontier.ShardedOptions[entry]{
-		Shards: cfg.FrontierShards,
-		Batch:  cfg.FrontierBatch,
-		Stats:  cfg.Telemetry.FrontierStats(),
-		Key:    func(e entry) string { return space.Site(e.id).Host },
-		NewQueue: func() frontier.Queue[entry] {
-			shardSeq++
-			sub := cfg
-			if cfg.SpillDir != "" {
-				sub.SpillDir = filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%d", shardSeq))
-			}
-			q, closeFn, err := buildDuplicateQueue(sub)
-			if err != nil {
-				if buildErr == nil {
-					buildErr = err
-				}
-				return frontier.NewFIFO[entry]()
-			}
-			closers = append(closers, closeFn)
-			return q
-		},
-	})
-	closeAll := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-	if buildErr != nil {
-		closeAll()
-		return simFrontier{}, buildErr
-	}
-	return simFrontier{
-		push: func(id webgraph.PageID, dist int32, prio float64) {
-			s.Push(entry{id: id, dist: dist, prio: prio}, prio)
-		},
-		pop:   s.Pop,
-		len:   s.Len,
-		max:   s.MaxLen,
-		flush: s.Flush,
-		close: closeAll,
 	}, nil
 }
 

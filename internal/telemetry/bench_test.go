@@ -1,19 +1,15 @@
 package telemetry_test
 
 // Benchmarks for the no-op vs enabled telemetry delta, gated in CI
-// against BENCH_telemetry.json. The package is external (telemetry_test)
-// so the frontier benchmarks can import internal/frontier, which itself
-// imports telemetry.
+// against BENCH_telemetry.json.
 //
 // Each benchmark op records a fixed inner batch (recordsPerOp events),
 // so the repo's single-iteration gate (-benchtime=1x -count=5) still
 // measures a stable multi-microsecond region instead of timer noise.
 
 import (
-	"fmt"
 	"testing"
 
-	"langcrawl/internal/frontier"
 	"langcrawl/internal/telemetry"
 )
 
@@ -77,44 +73,6 @@ func BenchmarkTracerEvent(b *testing.B) {
 			tr.Event("event", "detail")
 		}
 	}
-}
-
-// benchSharded pushes and pops 10k items through a 4-shard frontier,
-// with or without stats wired — the end-to-end overhead check for the
-// instrumented hot path.
-func benchSharded(b *testing.B, stats *telemetry.FrontierStats) {
-	b.Helper()
-	const items = 10000
-	keys := make([]string, items)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("host-%d.example", i%97)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		s := frontier.NewSharded(frontier.ShardedOptions[int]{
-			Shards:   4,
-			Key:      func(it int) string { return keys[it%items] },
-			NewQueue: func() frontier.Queue[int] { return frontier.NewFIFO[int]() },
-			Stats:    stats,
-		})
-		for i := 0; i < items; i++ {
-			s.Push(i, 1)
-		}
-		for i := 0; ; i++ {
-			if _, ok := s.PopWorker(i % 4); !ok {
-				break
-			}
-		}
-	}
-}
-
-func BenchmarkShardedFrontierTelemetry(b *testing.B) {
-	benchSharded(b, telemetry.NewFrontierStats(telemetry.NewRegistry()))
-}
-
-func BenchmarkShardedFrontierNoTelemetry(b *testing.B) {
-	benchSharded(b, nil)
 }
 
 func BenchmarkWritePrometheus(b *testing.B) {

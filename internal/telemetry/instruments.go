@@ -12,21 +12,11 @@ import (
 // so a single `stats == nil` is never needed on record paths — only
 // around time.Now() calls, which Timed()/Enabled() guard.
 
-// maxShardGauges caps the per-shard depth gauge fan-out; wider stripes
-// export only the aggregate depth (per-shard series would drown the
-// scrape).
-const maxShardGauges = 64
-
-// FrontierStats instruments a sharded frontier: operation counters plus
-// scrape-time depth gauges registered by the frontier itself once its
-// stripe width is known.
+// FrontierStats instruments a crawl frontier: push and pop counters,
+// whose difference is the queue's depth at any scrape.
 type FrontierStats struct {
-	reg *Registry
-
-	Pushes  *Counter // items pushed (batch pushes count each item)
-	Pops    *Counter // items popped
-	Steals  *Counter // pops served by a shard other than the worker's home
-	Flushes *Counter // staging-buffer flushes into inner queues
+	Pushes *Counter // items pushed
+	Pops   *Counter // items popped
 }
 
 // NewFrontierStats builds the bundle (nil when reg is nil).
@@ -35,35 +25,25 @@ func NewFrontierStats(reg *Registry) *FrontierStats {
 		return nil
 	}
 	return &FrontierStats{
-		reg:     reg,
-		Pushes:  reg.Counter("langcrawl_frontier_push_total", "Items pushed into the frontier."),
-		Pops:    reg.Counter("langcrawl_frontier_pop_total", "Items popped from the frontier."),
-		Steals:  reg.Counter("langcrawl_frontier_steal_total", "Pops served by a non-home shard (work stealing)."),
-		Flushes: reg.Counter("langcrawl_frontier_flush_total", "Staging-buffer flushes into shard queues."),
+		Pushes: reg.Counter("langcrawl_frontier_push_total", "Items pushed into the frontier."),
+		Pops:   reg.Counter("langcrawl_frontier_pop_total", "Items popped from the frontier."),
 	}
 }
 
-// RegisterDepth wires the depth gauges once the frontier exists: the
-// aggregate depth and high-water mark, plus one gauge per shard (up to
-// maxShardGauges shards). The closures are read at scrape time and must
-// be safe for concurrent use — atomic loads in the sharded frontier.
-func (f *FrontierStats) RegisterDepth(shards int, total, high func() int64, shardLen func(i int) int64) {
+// Pushed counts one pushed item.
+func (f *FrontierStats) Pushed() {
 	if f == nil {
 		return
 	}
-	f.reg.GaugeFunc("langcrawl_frontier_depth", "Queued frontier items, staged inserts included.",
-		func() float64 { return float64(total()) })
-	f.reg.GaugeFunc("langcrawl_frontier_depth_high", "Frontier depth high-water mark.",
-		func() float64 { return float64(high()) })
-	if shards > maxShardGauges {
+	f.Pushes.Inc()
+}
+
+// Popped counts one popped item.
+func (f *FrontierStats) Popped() {
+	if f == nil {
 		return
 	}
-	for i := 0; i < shards; i++ {
-		i := i
-		f.reg.GaugeFunc(fmt.Sprintf("langcrawl_frontier_shard_depth{shard=%q}", fmt.Sprint(i)),
-			"Per-shard frontier depth.",
-			func() float64 { return float64(shardLen(i)) })
-	}
+	f.Pops.Inc()
 }
 
 // BatchStats instruments a group-commit writer (crawl log or link DB).

@@ -17,7 +17,7 @@ import (
 //
 // Names follow Prometheus conventions (snake_case, unit-suffixed,
 // `_total` for counters) and may carry a literal label suffix, e.g.
-// `langcrawl_frontier_shard_depth{shard="3"}` — the renderer splits the
+// `langcrawl_fetch_total{code="200"}` — the renderer splits the
 // base name out for HELP/TYPE lines. Registering a name twice returns
 // the first instrument, so bundles can be built idempotently.
 type Registry struct {
@@ -138,7 +138,7 @@ func (r *Registry) snapshotEntries() []*entry {
 	return out
 }
 
-// baseName strips a literal label suffix: `x{shard="3"}` → `x`.
+// baseName strips a literal label suffix: `x{code="200"}` → `x`.
 func baseName(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		return name[:i]

@@ -343,8 +343,6 @@ func TestInstrumentBundles(t *testing.T) {
 		NewCrawlStats(nil) != nil || NewSimStats(nil) != nil {
 		t.Fatal("nil registry produced a live bundle")
 	}
-	var nilF *FrontierStats
-	nilF.RegisterDepth(4, nil, nil, nil) // must not panic
 	var nilCS *CrawlStats
 	if nilCS.FrontierStats() != nil || nilCS.Registry() != nil {
 		t.Fatal("nil CrawlStats accessors not nil")
@@ -390,47 +388,10 @@ func TestInstrumentBundles(t *testing.T) {
 	names2 := strings.Join(reg2.Names(), "\n")
 	for _, want := range []string{
 		"langcrawl_sim_pages_total", "langcrawl_sim_queue_depth",
-		"langcrawl_sim_classifier_seconds", "langcrawl_frontier_steal_total",
+		"langcrawl_sim_classifier_seconds", "langcrawl_frontier_pop_total",
 	} {
 		if !strings.Contains(names2, want) {
 			t.Errorf("SimStats registry missing %s", want)
-		}
-	}
-}
-
-func TestRegisterDepth(t *testing.T) {
-	reg := NewRegistry()
-	fs := NewFrontierStats(reg)
-	depth := int64(5)
-	fs.RegisterDepth(2,
-		func() int64 { return depth },
-		func() int64 { return 9 },
-		func(i int) int64 { return int64(i + 1) })
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"langcrawl_frontier_depth 5",
-		"langcrawl_frontier_depth_high 9",
-		`langcrawl_frontier_shard_depth{shard="0"} 1`,
-		`langcrawl_frontier_shard_depth{shard="1"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("depth gauges missing %q", want)
-		}
-	}
-
-	// Wide stripes skip per-shard gauges, keeping only the aggregate.
-	reg2 := NewRegistry()
-	fs2 := NewFrontierStats(reg2)
-	fs2.RegisterDepth(maxShardGauges+1,
-		func() int64 { return 0 }, func() int64 { return 0 },
-		func(i int) int64 { return 0 })
-	for _, n := range reg2.Names() {
-		if strings.Contains(n, "shard_depth") {
-			t.Fatalf("per-shard gauge registered for wide stripe: %s", n)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # telemetry_smoke.sh — end-to-end check of the telemetry endpoint.
 #
-# Phase 1 runs a small sharded simulation with -telemetry-addr on an
+# Phase 1 runs a small simulation with -telemetry-addr on an
 # ephemeral port, waits for the endpoint to come up, and asserts that
 # /healthz reports ok and /metrics exposes the key crawl series with
 # non-zero values. Phase 2 boots crawld in self-serve -sim mode, submits
@@ -20,7 +20,7 @@ go build -o "$workdir/simcrawl" ./cmd/simcrawl
 
 # The linger keeps the endpoint alive after the (fast) simulated crawl
 # finishes, so the scrape below races nothing.
-"$workdir/simcrawl" -preset thai -pages 3000 -max 2000 -shards 4 \
+"$workdir/simcrawl" -preset thai -pages 3000 -max 2000 \
     -telemetry-addr 127.0.0.1:0 -telemetry-linger 30s \
     >"$workdir/out.log" 2>&1 &
 simpid=$!
@@ -58,6 +58,10 @@ for series in \
 done
 pages=$(awk '$1 == "langcrawl_sim_pages_total" { print $2 }' "$workdir/metrics.txt")
 [ "${pages%.*}" -ge 2000 ] || { echo "langcrawl_sim_pages_total = $pages, want >= 2000"; exit 1; }
+for series in langcrawl_frontier_push_total langcrawl_frontier_pop_total; do
+    n=$(awk -v s="$series" '$1 == s { print $2 }' "$workdir/metrics.txt")
+    [ "${n%.*}" -gt 0 ] || { echo "$series = $n, want > 0"; exit 1; }
+done
 
 "${CURL:-curl}" -fsS "http://$addr/debug/vars" | grep -q langcrawl_sim_pages_total || {
     echo "/debug/vars missing the pages counter"; exit 1;
