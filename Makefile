@@ -141,7 +141,8 @@ bench-baseline:
 # Short fuzzing passes over the parsers and concurrent structures;
 # extend -fuzztime for real runs.
 fuzz:
-	$(GO) test -fuzz=FuzzDetect -fuzztime=30s ./internal/charset/
+	$(GO) test -fuzz='^FuzzDetect$$' -fuzztime=30s ./internal/charset/
+	$(GO) test -fuzz=FuzzDetectOracle -fuzztime=30s ./internal/charset/
 	$(GO) test -fuzz=FuzzSplitEquivalence -fuzztime=30s ./internal/charset/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/htmlx/
 	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=30s ./internal/parse/
