@@ -209,6 +209,17 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
+// runeToKuten tabulates jisKuten over every BMP rune it accepts.
+var runeToKuten = func() map[rune]kuten {
+	m := make(map[rune]kuten)
+	for r := rune(0); r <= 0xFFFF; r++ {
+		if k, ok := jisKuten(r); ok {
+			m[r] = k
+		}
+	}
+	return m
+}()
+
 func TestKutenTableInjective(t *testing.T) {
 	seen := make(map[rune]kuten)
 	for row := byte(1); row <= 94; row++ {

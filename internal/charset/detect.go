@@ -47,23 +47,19 @@ const (
 // confidence. A Detector is reusable via Reset but not safe for
 // concurrent use; Detect is the convenient one-shot entry point.
 //
-// Feeding is windowed: probers that report notMe are deactivated, a
-// foundIt verdict (escape sequence or byte-order mark) stops the scan
-// immediately, and a confidence-stable leader ends it at the next
-// window boundary. Once Done reports true, further input is ignored.
+// Feeding is windowed: each window is walked once by each live state
+// machine and once by the byte statistics; machines that rule their
+// charset out stop reading, a foundIt verdict (escape sequence or
+// byte-order mark) stops the scan immediately, and a confidence-stable
+// leader ends it at the next window boundary. Once Done reports true,
+// further input is ignored.
 type Detector struct {
-	bom     bomProber
-	esc     escProber
-	utf8    utf8Prober
-	eucjp   eucJPProber
-	sjis    sjisProber
-	tis     *thaiProber
-	win874  *thaiProber
-	iso11   *thaiProber
-	ascii   asciiProber
-	latin1  latin1Prober
-	probers []prober
-	alive   []bool
+	bom   bomProber
+	esc   escProber
+	utf8  utf8Prober
+	eucjp eucJPProber
+	sjis  sjisProber
+	stats byteStats // the Thai, ASCII and Latin-1 evidence
 
 	done      bool    // conclusive verdict reached; input is ignored
 	scanned   int64   // bytes fed to probers since Reset
@@ -79,32 +75,15 @@ type Detector struct {
 
 // NewDetector returns a fresh Detector.
 func NewDetector() *Detector {
-	d := &Detector{
-		tis:    newThaiProber(TIS620),
-		win874: newThaiProber(Windows874),
-		iso11:  newThaiProber(ISO885911),
-	}
-	d.probers = []prober{
-		&d.bom, &d.esc, &d.utf8, &d.eucjp, &d.sjis, d.tis, d.win874, d.iso11,
-		&d.ascii, &d.latin1,
-	}
-	d.alive = make([]bool, len(d.probers))
-	d.resetScan()
+	d := &Detector{}
+	d.Reset()
 	return d
 }
 
 // Reset prepares the detector for a new input stream.
 func (d *Detector) Reset() {
-	for _, p := range d.probers {
-		p.reset()
-	}
-	d.resetScan()
-}
-
-func (d *Detector) resetScan() {
-	for i := range d.alive {
-		d.alive[i] = true
-	}
+	d.bom, d.esc, d.utf8, d.eucjp, d.sjis = bomProber{}, escProber{}, utf8Prober{}, eucJPProber{}, sjisProber{}
+	d.stats = byteStats{}
 	d.done = false
 	d.scanned = 0
 	d.nextCheck = checkWindow
@@ -120,16 +99,16 @@ func (d *Detector) Done() bool { return d.done }
 // Scanned returns the number of bytes fed to the probers since Reset.
 func (d *Detector) Scanned() int64 { return d.scanned }
 
-// Feed passes the next chunk of the stream to every live prober,
-// splitting it at window boundaries so early-exit checks fire at fixed
-// absolute offsets. Feed after a conclusive identification is free.
+// Feed passes the next chunk of the stream to the probers, splitting it
+// at window boundaries so early-exit checks fire at fixed absolute
+// offsets. Feed after a conclusive identification is free.
 func (d *Detector) Feed(b []byte) {
 	for len(b) > 0 && !d.done {
 		n := int64(len(b))
 		if rem := d.nextCheck - d.scanned; rem < n {
 			n = rem
 		}
-		d.feedAll(b[:n])
+		d.feedWindow(b[:n])
 		d.scanned += n
 		b = b[n:]
 		if d.done {
@@ -142,21 +121,19 @@ func (d *Detector) Feed(b []byte) {
 	}
 }
 
-// feedAll feeds one sub-window chunk to the live probers, deactivating
-// any that rule themselves out and stopping on a conclusive hit.
-func (d *Detector) feedAll(b []byte) {
-	for i, p := range d.probers {
-		if !d.alive[i] {
-			continue
-		}
-		switch p.feed(b) {
-		case foundIt:
-			d.done = true
-			return
-		case notMe:
-			d.alive[i] = false
-		}
+// feedWindow walks one sub-window chunk through the probers, stopping on
+// a conclusive hit. The BOM and escape probers go first: a hit from
+// either outranks every other verdict, so the rest need not see the
+// chunk.
+func (d *Detector) feedWindow(b []byte) {
+	if d.bom.feed(b) == foundIt || d.esc.feed(b) == foundIt {
+		d.done = true
+		return
 	}
+	d.utf8.feed(b)
+	d.eucjp.feed(b)
+	d.sjis.feed(b)
+	d.stats.feed(b)
 }
 
 // checkStable implements the confidence-stable exit: if the same
@@ -189,11 +166,24 @@ func (d *Detector) checkStable() {
 // greater-than, so a later prober can never displace an equal earlier
 // one regardless of pooling or early exit.
 func (d *Detector) Best() Result {
-	best := Result{Charset: Unknown, Language: LangUnknown}
-	for _, p := range d.probers {
-		c := p.confidence()
-		if c > best.Confidence {
-			best = Result{Charset: p.charset(), Confidence: c}
+	s := &d.stats
+	other := s.n[statOtherHigh]
+	candidates := [...]Result{
+		{Charset: d.bom.charset(), Confidence: d.bom.confidence()},
+		{Charset: ISO2022JP, Confidence: d.esc.confidence()},
+		{Charset: UTF8, Confidence: d.utf8.confidence()},
+		{Charset: EUCJP, Confidence: d.eucjp.confidence()},
+		{Charset: ShiftJIS, Confidence: d.sjis.confidence()},
+		{Charset: TIS620, Confidence: s.thaiConfidence(other + s.n[statNBSP] + s.n[statPunct874])},
+		{Charset: Windows874, Confidence: s.thaiConfidence(other)},
+		{Charset: ISO885911, Confidence: s.thaiConfidence(other + s.n[statPunct874])},
+		{Charset: ASCII, Confidence: s.asciiConfidence(d.esc.sawESC)},
+		{Charset: Latin1, Confidence: s.latin1Confidence()},
+	}
+	best := Result{Charset: Unknown}
+	for _, c := range candidates {
+		if c.Confidence > best.Confidence {
+			best = c
 		}
 	}
 	best.Language = LanguageOf(best.Charset)

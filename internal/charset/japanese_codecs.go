@@ -24,7 +24,7 @@ func (eucJPCodec) AppendEncode(dst []byte, s string) []byte {
 			dst = append(dst, byte(r))
 			continue
 		}
-		if k, ok := runeToKuten[r]; ok {
+		if k, ok := jisKuten(r); ok {
 			dst = append(dst, 0xA0+k.row, 0xA0+k.cell)
 			continue
 		}
@@ -151,7 +151,7 @@ func (shiftJISCodec) AppendEncode(dst []byte, s string) []byte {
 			dst = append(dst, byte(r))
 			continue
 		}
-		if k, ok := runeToKuten[r]; ok {
+		if k, ok := jisKuten(r); ok {
 			s1, s2 := jisToSjis(0x20+k.row, 0x20+k.cell)
 			dst = append(dst, s1, s2)
 			continue
@@ -226,7 +226,7 @@ func (iso2022JPCodec) AppendEncode(dst []byte, s string) []byte {
 			dst = append(dst, byte(r))
 			continue
 		}
-		k, ok := runeToKuten[r]
+		k, ok := jisKuten(r)
 		if !ok {
 			if inJIS {
 				dst = append(dst, escASCII...)

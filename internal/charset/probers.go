@@ -1,10 +1,20 @@
 package charset
 
+import (
+	"bytes"
+	"encoding/binary"
+)
+
 // Probers in the style of the Mozilla Universal Charset Detector
 // (Li & Momoi, "A composite approach to language/encoding detection").
-// Each prober consumes the byte stream once and reports a probing state
-// plus a confidence in [0,1]. The composite detector (detect.go) feeds
-// all probers and picks the confident winner.
+// Only the probers that depend on byte order are state machines: the
+// escape, BOM (utf16.go), UTF-8, EUC-JP and Shift_JIS probers. Each
+// skips what it cannot act on — the escape and BOM probers jump to the
+// next ESC or NUL, the multibyte probers skip ASCII a word at a time.
+// The Thai, ASCII and Latin-1 probers only count bytes, so their
+// verdicts are all read off one byteStats pass. Every prober reports a
+// confidence in [0,1]; the composite detector (detect.go) picks the
+// confident winner.
 
 type probeState uint8
 
@@ -14,68 +24,52 @@ const (
 	notMe                     // input is invalid for this charset
 )
 
-type prober interface {
-	charset() Charset
-	feed(b []byte) probeState
-	confidence() float64
-	reset()
+// asciiWords returns how many leading bytes of b lie in whole 8-byte
+// words that are pure ASCII: the multibyte probers skip those, since
+// ASCII neither advances nor breaks them between characters.
+func asciiWords(b []byte) int {
+	n := 0
+	for len(b)-n >= 8 && binary.LittleEndian.Uint64(b[n:])&0x8080808080808080 == 0 {
+		n += 8
+	}
+	return n
 }
 
 // --- escape-sequence prober (ISO-2022-JP) ---------------------------------
 
 // escProber looks for the ISO-2022-JP designation escapes. Any ESC $ B,
 // ESC $ @ or ESC ( J is conclusive: no other encoding in scope uses them.
-// The match runs as a per-byte state machine so a designation split
-// across feed boundaries is still caught.
+// The match runs as a per-byte state machine from each ESC, so a
+// designation split across feed boundaries is still caught.
 type escProber struct {
-	state probeState
-	seq   uint8 // 0 = none, 1 = after ESC, 2 = after ESC $, 3 = after ESC (
+	state  probeState
+	seq    uint8 // 0 = none, 1 = after ESC, 2 = after ESC $, 3 = after ESC (
+	sawESC bool  // any ESC seen: the stream is not pure ASCII
 }
 
-func (p *escProber) charset() Charset { return ISO2022JP }
-func (p *escProber) reset()           { p.state, p.seq = probing, 0 }
-
 func (p *escProber) feed(b []byte) probeState {
-	if p.state != probing {
-		return p.state
-	}
-	for _, c := range b {
-		switch p.seq {
-		case 1: // after ESC
-			switch c {
-			case '$':
-				p.seq = 2
-			case '(':
-				p.seq = 3
-			case 0x1B:
-				p.seq = 1
-			default:
-				p.seq = 0
+	for p.state == probing && len(b) > 0 {
+		if p.seq == 0 {
+			i := bytes.IndexByte(b, 0x1B)
+			if i < 0 {
+				break
 			}
-		case 2: // after ESC $
-			if c == 'B' || c == '@' {
-				p.state = foundIt
-				return p.state
-			}
-			if c == 0x1B {
-				p.seq = 1
-			} else {
-				p.seq = 0
-			}
-		case 3: // after ESC (
-			if c == 'J' {
-				p.state = foundIt
-				return p.state
-			}
-			if c == 0x1B {
-				p.seq = 1
-			} else {
-				p.seq = 0
-			}
+			p.seq, p.sawESC, b = 1, true, b[i+1:]
+			continue
+		}
+		c := b[0]
+		b = b[1:]
+		switch {
+		case p.seq == 2 && (c == 'B' || c == '@'), p.seq == 3 && c == 'J':
+			p.state = foundIt
+		case p.seq == 1 && c == '$':
+			p.seq = 2
+		case p.seq == 1 && c == '(':
+			p.seq = 3
+		case c == 0x1B:
+			p.seq = 1
 		default:
-			if c == 0x1B {
-				p.seq = 1
-			}
+			p.seq = 0
 		}
 	}
 	return p.state
@@ -96,30 +90,25 @@ type utf8Prober struct {
 	pending int // continuation bytes still expected
 }
 
-func (p *utf8Prober) charset() Charset { return UTF8 }
-func (p *utf8Prober) reset()           { *p = utf8Prober{} }
-
-func (p *utf8Prober) feed(b []byte) probeState {
-	if p.state != probing {
-		return p.state
-	}
-	for _, c := range b {
+func (p *utf8Prober) feed(b []byte) {
+	for i := 0; i < len(b) && p.state == probing; i++ {
+		c := b[i]
 		switch {
 		case p.pending > 0:
 			if c&0xC0 != 0x80 {
 				p.state = notMe
-				return p.state
+				return
 			}
 			p.pending--
 			if p.pending == 0 {
 				p.multi++
 			}
 		case c < 0x80:
-			// ASCII: neutral.
+			i += asciiWords(b[i+1:])
 		case c&0xE0 == 0xC0:
 			if c == 0xC0 || c == 0xC1 { // overlong lead bytes
 				p.state = notMe
-				return p.state
+				return
 			}
 			p.pending = 1
 		case c&0xF0 == 0xE0:
@@ -128,10 +117,8 @@ func (p *utf8Prober) feed(b []byte) probeState {
 			p.pending = 3
 		default:
 			p.state = notMe
-			return p.state
 		}
 	}
-	return p.state
 }
 
 func (p *utf8Prober) confidence() float64 {
@@ -181,18 +168,13 @@ type eucJPProber struct {
 	lead   byte    // pending lead byte (0 = none)
 }
 
-func (p *eucJPProber) charset() Charset { return EUCJP }
-func (p *eucJPProber) reset()           { *p = eucJPProber{} }
-
-func (p *eucJPProber) feed(b []byte) probeState {
-	if p.state != probing {
-		return p.state
-	}
-	for _, c := range b {
+func (p *eucJPProber) feed(b []byte) {
+	for i := 0; i < len(b) && p.state == probing; i++ {
+		c := b[i]
 		if p.lead != 0 {
 			if c < 0xA1 || c > 0xFE {
 				p.state = notMe
-				return p.state
+				return
 			}
 			p.chars++
 			p.weight += jisRowWeight(p.lead - 0xA0)
@@ -201,17 +183,15 @@ func (p *eucJPProber) feed(b []byte) probeState {
 		}
 		switch {
 		case c < 0x80:
-			// ASCII: neutral.
+			i += asciiWords(b[i+1:])
 		case c == 0x8E: // code set 2 lead: one katakana byte follows
 			p.lead = 0x8E
 		case c >= 0xA1 && c <= 0xFE:
 			p.lead = c
 		default:
 			p.state = notMe
-			return p.state
 		}
 	}
-	return p.state
 }
 
 func (p *eucJPProber) confidence() float64 {
@@ -242,19 +222,14 @@ type sjisProber struct {
 	lead   byte
 }
 
-func (p *sjisProber) charset() Charset { return ShiftJIS }
-func (p *sjisProber) reset()           { *p = sjisProber{} }
-
-func (p *sjisProber) feed(b []byte) probeState {
-	if p.state != probing {
-		return p.state
-	}
-	for _, c := range b {
+func (p *sjisProber) feed(b []byte) {
+	for i := 0; i < len(b) && p.state == probing; i++ {
+		c := b[i]
 		if p.lead != 0 {
 			h, _, ok := sjisToJis(p.lead, c)
 			if !ok {
 				p.state = notMe
-				return p.state
+				return
 			}
 			p.chars++
 			p.dbl++
@@ -264,7 +239,7 @@ func (p *sjisProber) feed(b []byte) probeState {
 		}
 		switch {
 		case c < 0x80:
-			// ASCII: neutral.
+			i += asciiWords(b[i+1:])
 		case c >= 0xA1 && c <= 0xDF:
 			// Half-width katakana: weak Japanese evidence, but also the
 			// core Thai byte range. Count as a low-weight character.
@@ -274,10 +249,8 @@ func (p *sjisProber) feed(b []byte) probeState {
 			p.lead = c
 		default:
 			p.state = notMe
-			return p.state
 		}
 	}
-	return p.state
 }
 
 func (p *sjisProber) confidence() float64 {
@@ -301,7 +274,7 @@ func (p *sjisProber) confidence() float64 {
 	return avg
 }
 
-// --- Thai single-byte prober ----------------------------------------------
+// --- byte statistics: the Thai, ASCII and Latin-1 probers -----------------
 
 // thaiFrequent marks the TIS-620 bytes of the most frequent Thai
 // characters (า น ร อ เ แ ก ง ม ย ว ส ด ท ต ค บ ล and the common vowel /
@@ -333,64 +306,91 @@ var thaiFrequent = [256]bool{
 	0xE9: true, // ้
 }
 
-type thaiProber struct {
-	state    probeState
-	cs       Charset
-	thai     int // bytes in the Thai block
-	frequent int // of those, frequent Thai characters
-	invalid  int // high bytes outside the charset
-	letters  int // ASCII letters (density denominator)
-	total    int
-}
+// The byte classes counted by byteStats. The three Thai charsets differ
+// only in which of NBSP and the windows-874 punctuation they accept, so
+// all three verdicts come from one set of counts.
+const (
+	statLetter      = iota // ASCII letter
+	statThai               // byte in the TIS-620 Thai block
+	statFrequent           // frequent Thai character (also a statThai)
+	statNBSP               // 0xA0: NBSP in ISO-8859-11 and windows-874
+	statPunct874           // windows-874 punctuation in 0x80..0x9F
+	statOtherHigh          // any other byte >= 0x80
+	statLatinLetter        // 0xC0..0xFF: accented letters in Latin-1
+	numStats
 
-func newThaiProber(cs Charset) *thaiProber { return &thaiProber{cs: cs} }
+	// Each byte adds its statInc entry to a packed accumulator of
+	// statBits-wide fields, one per class, which is unpacked once per
+	// block of statBlock bytes — few enough that no field can overflow.
+	statBits  = 9
+	statBlock = 1<<statBits - 1
+)
 
-func (p *thaiProber) charset() Charset { return p.cs }
-
-func (p *thaiProber) reset() {
-	cs := p.cs
-	*p = thaiProber{cs: cs}
-}
-
-func (p *thaiProber) feed(b []byte) probeState {
-	if p.state != probing {
-		return p.state
-	}
-	for _, c := range b {
-		p.total++
+var statInc = func() (t [256]uint64) {
+	for i := range t {
+		c := byte(i)
+		add := func(class int) { t[i] += 1 << (class * statBits) }
 		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z':
+			add(statLetter)
 		case c < 0x80:
-			if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-				p.letters++
-			}
 		case thaiByteToRune(c) != 0:
-			p.thai++
+			add(statThai)
 			if thaiFrequent[c] {
-				p.frequent++
+				add(statFrequent)
 			}
-		case c == 0xA0 && p.cs != TIS620:
-			// NBSP in ISO-8859-11 / windows-874.
-		case p.cs == Windows874 && win874Extra[c] != 0:
-			// windows-874 punctuation.
+		case c == 0xA0:
+			add(statNBSP)
+		case c < 0xA0 && win874Extra[c-0x80] != 0:
+			add(statPunct874)
 		default:
-			p.invalid++
+			add(statOtherHigh)
+		}
+		if c >= 0xC0 {
+			add(statLatinLetter)
 		}
 	}
-	return p.state
+	return t
+}()
+
+// byteStats counts the byte classes of everything fed so far.
+type byteStats struct {
+	n [numStats]int
 }
 
-func (p *thaiProber) confidence() float64 {
-	if p.thai == 0 {
+func (s *byteStats) feed(b []byte) {
+	for len(b) > 0 {
+		blk := b[:min(len(b), statBlock)]
+		b = b[len(blk):]
+		var acc uint64
+		for _, c := range blk {
+			acc += statInc[c]
+		}
+		for class := range s.n {
+			s.n[class] += int(acc >> (class * statBits) & statBlock)
+		}
+	}
+}
+
+func (s *byteStats) high() int {
+	return s.n[statThai] + s.n[statNBSP] + s.n[statPunct874] + s.n[statOtherHigh]
+}
+
+// thaiConfidence scores a Thai single-byte charset for which invalid of
+// the high bytes seen are unassigned.
+func (s *byteStats) thaiConfidence(invalid int) float64 {
+	thai := s.n[statThai]
+	if thai == 0 {
 		return 0
 	}
-	if p.invalid > 0 {
+	if invalid > 0 {
 		// A handful of stray bytes is tolerable in wild data, but any
 		// substantial amount rules the charset out.
-		if float64(p.invalid)/float64(p.thai+p.invalid) > 0.02 {
+		if float64(invalid)/float64(thai+invalid) > 0.02 {
 			return 0
 		}
 	}
-	freqRatio := float64(p.frequent) / float64(p.thai)
+	freqRatio := float64(s.n[statFrequent]) / float64(thai)
 	// Real Thai: freqRatio ≳ 0.5. Japanese EUC bytes landing in the Thai
 	// range hit the frequent set at roughly its density (~22/91 ≈ 0.24).
 	conf := freqRatio * 1.4
@@ -398,7 +398,7 @@ func (p *thaiProber) confidence() float64 {
 	// accented letters (é è à all collide with frequent Thai bytes): real
 	// Thai is mostly Thai bytes, so a low Thai-to-letter density caps the
 	// confidence below the Latin-1 fallback.
-	density := float64(p.thai) / float64(p.thai+p.letters)
+	density := float64(thai) / float64(thai+s.n[statLetter])
 	if f := (density / 0.4) * (density / 0.4); f < 1 {
 		conf *= f
 	}
@@ -408,66 +408,24 @@ func (p *thaiProber) confidence() float64 {
 	return conf
 }
 
-// --- fallbacks --------------------------------------------------------------
-
-// asciiProber claims pure 7-bit ESC-free input.
-type asciiProber struct {
-	state probeState
-}
-
-func (p *asciiProber) charset() Charset { return ASCII }
-func (p *asciiProber) reset()           { p.state = probing }
-
-func (p *asciiProber) feed(b []byte) probeState {
-	if p.state != probing {
-		return p.state
-	}
-	for _, c := range b {
-		if c >= 0x80 || c == 0x1B {
-			p.state = notMe
-			return p.state
-		}
-	}
-	return p.state
-}
-
-func (p *asciiProber) confidence() float64 {
-	if p.state == notMe {
+// asciiConfidence claims pure 7-bit ESC-free input, beaten by anything
+// with positive evidence.
+func (s *byteStats) asciiConfidence(sawESC bool) float64 {
+	if sawESC || s.high() > 0 {
 		return 0
 	}
-	return 0.6 // beaten by anything with positive evidence
+	return 0.6
 }
 
-// latin1Prober is the last-resort fallback for 8-bit western text: it
-// accepts anything and scores by how "letter-like" the high bytes are in
-// Latin-1 (accented letters live in 0xC0..0xFF).
-type latin1Prober struct {
-	high    int
-	letters int
-	seen    bool
-}
-
-func (p *latin1Prober) charset() Charset { return Latin1 }
-func (p *latin1Prober) reset()           { *p = latin1Prober{} }
-
-func (p *latin1Prober) feed(b []byte) probeState {
-	p.seen = true
-	for _, c := range b {
-		if c >= 0x80 {
-			p.high++
-			if c >= 0xC0 || c == 0xE9 {
-				p.letters++
-			}
-		}
-	}
-	return probing
-}
-
-func (p *latin1Prober) confidence() float64 {
-	if !p.seen || p.high == 0 {
+// latin1Confidence is the last-resort fallback for 8-bit western text:
+// it accepts anything and scores by how "letter-like" the high bytes are
+// in Latin-1 (accented letters live in 0xC0..0xFF). It is never
+// confident: Latin-1 only wins when everything else bowed out.
+func (s *byteStats) latin1Confidence() float64 {
+	high := s.high()
+	if high == 0 {
 		return 0
 	}
-	// Never confident: Latin-1 only wins when everything else bowed out.
-	r := float64(p.letters) / float64(p.high)
+	r := float64(s.n[statLatinLetter]) / float64(high)
 	return 0.05 + 0.25*r
 }

@@ -156,11 +156,9 @@ func (t thaiCodec) AppendDecode(dst, b []byte) []byte {
 				dst = utf8.AppendRune(dst, r)
 				continue
 			}
-			if t.cs == Windows874 {
-				if r, ok := win874Extra[c]; ok {
-					dst = utf8.AppendRune(dst, r)
-					continue
-				}
+			if t.cs == Windows874 && c < 0xA0 && win874Extra[c-0x80] != 0 {
+				dst = utf8.AppendRune(dst, win874Extra[c-0x80])
+				continue
 			}
 			dst = utf8.AppendRune(dst, replacement)
 		}

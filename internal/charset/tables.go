@@ -18,66 +18,56 @@ package charset
 
 type kuten struct{ row, cell byte } // 1-based
 
-// jisPunct maps row-1 punctuation cells to runes.
-var jisPunct = map[byte]rune{
-	1:  '　', // ideographic space
-	2:  '、', // U+3001 ideographic comma
-	3:  '。', // U+3002 ideographic full stop
-	6:  '・', // U+30FB katakana middle dot
-	28: 'ー', // U+30FC long vowel mark
-}
-
-// jisKanji maps curated kanji kuten to runes. Each entry's byte values
-// were validated against reference encodings (see package tests).
-var jisKanji = map[kuten]rune{
-	{38, 92}: '日', // JIS 467C, EUC C6FC, SJIS 93FA
-	{43, 60}: '本', // JIS 4B5C, EUC CBDC, SJIS 967B
-	{31, 45}: '人', // JIS 3F4D, EUC BFCD, SJIS 906C
-	{24, 76}: '語', // JIS 386C, EUC B8EC, SJIS 8CEA
+// jisRare lists the curated kuten outside the kana rows: the most
+// common row-1 punctuation and a few everyday kanji. Each kanji's byte
+// values were validated against reference encodings (see package tests).
+var jisRare = [...]struct {
+	k kuten
+	r rune
+}{
+	{kuten{1, 1}, '　'},   // ideographic space
+	{kuten{1, 2}, '、'},   // U+3001 ideographic comma
+	{kuten{1, 3}, '。'},   // U+3002 ideographic full stop
+	{kuten{1, 6}, '・'},   // U+30FB katakana middle dot
+	{kuten{1, 28}, 'ー'},  // U+30FC long vowel mark
+	{kuten{38, 92}, '日'}, // JIS 467C, EUC C6FC, SJIS 93FA
+	{kuten{43, 60}, '本'}, // JIS 4B5C, EUC CBDC, SJIS 967B
+	{kuten{31, 45}, '人'}, // JIS 3F4D, EUC BFCD, SJIS 906C
+	{kuten{24, 76}, '語'}, // JIS 386C, EUC B8EC, SJIS 8CEA
 }
 
 // kutenToRune returns the rune at a kuten coordinate, or 0 if the
 // coordinate is outside the curated subset.
 func kutenToRune(row, cell byte) rune {
-	switch row {
-	case 1:
-		if r, ok := jisPunct[cell]; ok {
-			return r
-		}
-	case 4: // hiragana: cells 1..83 → U+3041..U+3093
-		if cell >= 1 && cell <= 83 {
-			return rune(0x3040 + int(cell))
-		}
-	case 5: // katakana: cells 1..86 → U+30A1..U+30F6
-		if cell >= 1 && cell <= 86 {
-			return rune(0x30A0 + int(cell))
-		}
-	default:
-		if r, ok := jisKanji[kuten{row, cell}]; ok {
-			return r
+	switch {
+	case row == 4 && cell >= 1 && cell <= 83: // hiragana → U+3041..U+3093
+		return rune(0x3040 + int(cell))
+	case row == 5 && cell >= 1 && cell <= 86: // katakana → U+30A1..U+30F6
+		return rune(0x30A0 + int(cell))
+	}
+	for _, e := range jisRare {
+		if e.k == (kuten{row, cell}) {
+			return e.r
 		}
 	}
 	return 0
 }
 
-// runeToKuten is the inverse of kutenToRune, built once at init.
-var runeToKuten = buildRuneToKuten()
-
-func buildRuneToKuten() map[rune]kuten {
-	m := make(map[rune]kuten, 200)
-	for cell, r := range jisPunct {
-		m[r] = kuten{1, cell}
+// jisKuten is the inverse of kutenToRune: the kana blocks by
+// arithmetic, the rest from jisRare. The encoders call it per rune.
+func jisKuten(r rune) (kuten, bool) {
+	switch {
+	case r >= 0x3041 && r <= 0x3093:
+		return kuten{4, byte(r - 0x3040)}, true
+	case r >= 0x30A1 && r <= 0x30F6:
+		return kuten{5, byte(r - 0x30A0)}, true
 	}
-	for cell := byte(1); cell <= 83; cell++ {
-		m[rune(0x3040+int(cell))] = kuten{4, cell}
+	for _, e := range jisRare {
+		if e.r == r {
+			return e.k, true
+		}
 	}
-	for cell := byte(1); cell <= 86; cell++ {
-		m[rune(0x30A0+int(cell))] = kuten{5, cell}
-	}
-	for k, r := range jisKanji {
-		m[r] = k
-	}
-	return m
+	return kuten{}, false
 }
 
 // MappedJapaneseRunes returns every rune in the curated JIS subset, in a
@@ -138,23 +128,26 @@ func thaiRuneToByte(r rune) (byte, bool) {
 	return b, true
 }
 
-// win874Extra maps the Windows-874 extensions in the 0x80..0x9F range.
-var win874Extra = map[byte]rune{
-	0x80: '€',
-	0x85: '…',
-	0x91: '‘', // left single quote
-	0x92: '’',
-	0x93: '“',
-	0x94: '”',
-	0x95: '•',
-	0x96: '–',
-	0x97: '—',
+// win874Extra maps the Windows-874 extensions in the 0x80..0x9F range,
+// indexed by byte-0x80; 0 marks an unassigned byte.
+var win874Extra = [0x20]rune{
+	0x80 - 0x80: '€',
+	0x85 - 0x80: '…',
+	0x91 - 0x80: '‘', // left single quote
+	0x92 - 0x80: '’',
+	0x93 - 0x80: '“',
+	0x94 - 0x80: '”',
+	0x95 - 0x80: '•',
+	0x96 - 0x80: '–',
+	0x97 - 0x80: '—',
 }
 
 var win874ExtraInv = func() map[rune]byte {
-	m := make(map[rune]byte, len(win874Extra))
-	for b, r := range win874Extra {
-		m[r] = b
+	m := make(map[rune]byte)
+	for i, r := range win874Extra {
+		if r != 0 {
+			m[r] = byte(0x80 + i)
+		}
 	}
 	return m
 }()

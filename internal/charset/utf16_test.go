@@ -122,3 +122,19 @@ func TestUTF16ParseNames(t *testing.T) {
 		}
 	}
 }
+
+// TestBOMProberCharsetPure: the byte order is read off the NUL counts,
+// not left behind by confidence, so it is the same whether or not
+// confidence was asked first.
+func TestBOMProberCharsetPure(t *testing.T) {
+	body := CodecFor(UTF16BE).Encode("plain ascii text long enough to measure the null pattern")[2:]
+	var p bomProber
+	p.feed(body)
+	before := p.charset()
+	if c := p.confidence(); c == 0 {
+		t.Fatal("BOM-less UTF-16BE body gave no NUL-pattern confidence")
+	}
+	if after := p.charset(); before != UTF16BE || after != before {
+		t.Errorf("charset() = %v before confidence(), %v after; want UTF-16BE both times", before, after)
+	}
+}
