@@ -19,61 +19,77 @@ var ckSpace = mustGen(webgraph.ThaiLike(1500, 7))
 
 // TestCheckpointKillResumeFaults kills and resumes a fault-injected run
 // until completion: the stitched run's counters — attempts, retries,
-// failures, breaker trips and skips — must equal the uninterrupted
-// run's exactly, proving the sampler fast-forward, the retry budget
-// re-booking, and the breaker restore all land on the same stream.
+// failures, breaker trips and skips — and its visited set must equal the
+// uninterrupted run's exactly, proving the sampler fast-forward, the
+// retry budget re-booking, the breaker restore and the breaker clock all
+// land on the same stream. The dense case checkpoints after every page
+// at a high fault rate, so checkpoint strides fall inside retry chains.
 func TestCheckpointKillResumeFaults(t *testing.T) {
-	fcfg := func() *faults.Config {
-		return &faults.Config{
-			Model:   faults.Model{Rate: 0.05, DeadHostRate: 0.02},
-			Retry:   faults.DefaultRetryPolicy(),
-			Breaker: faults.BreakerConfig{Threshold: 4, Cooldown: 90},
-		}
+	cases := []struct {
+		name             string
+		rate             float64
+		ckEvery, killGap int
+	}{
+		{"sparse", 0.05, 70, 180},
+		{"dense", 0.3, 1, 7},
 	}
-	ref, err := Run(ckSpace, Config{
-		Strategy: core.SoftFocused{}, Classifier: metaThai(), Faults: fcfg(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Faults.Failures == 0 || ref.Faults.Retries == 0 {
-		t.Fatalf("reference run saw no fault activity: %+v", ref.Faults)
-	}
-
-	dir := t.TempDir()
-	var visits []webgraph.PageID
-	kills := 0
-	for stopAt := 180; ; stopAt += 180 {
-		res, err := Run(ckSpace, Config{
-			Strategy:        core.SoftFocused{},
-			Classifier:      metaThai(),
-			Faults:          fcfg(),
-			CheckpointDir:   dir,
-			CheckpointEvery: 70,
-			StopAfter:       stopAt,
-			OnVisit:         func(id webgraph.PageID) { visits = append(visits, id) },
-		})
-		if errors.Is(err, checkpoint.ErrKilled) {
-			kills++
-			if kills > 1000 {
-				t.Fatal("kill-resume loop is not making progress")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fcfg := func() *faults.Config {
+				return &faults.Config{
+					Model:   faults.Model{Rate: c.rate, DeadHostRate: 0.02},
+					Retry:   faults.DefaultRetryPolicy(),
+					Breaker: faults.BreakerConfig{Threshold: 4, Cooldown: 90},
+				}
 			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kills == 0 {
-			t.Fatal("crawl finished before the first kill")
-		}
-		if res.Crawled != ref.Crawled || res.RelevantCrawled != ref.RelevantCrawled {
-			t.Fatalf("stitched run crawled %d/%d, reference %d/%d",
-				res.Crawled, res.RelevantCrawled, ref.Crawled, ref.RelevantCrawled)
-		}
-		if !reflect.DeepEqual(res.Faults, ref.Faults) {
-			t.Fatalf("stitched fault counters diverged:\nresumed %+v\nref     %+v", res.Faults, ref.Faults)
-		}
-		return
+			ref, err := Run(ckSpace, Config{
+				Strategy: core.SoftFocused{}, Classifier: metaThai(), Faults: fcfg(), KeepVisited: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Faults.Failures == 0 || ref.Faults.Retries == 0 {
+				t.Fatalf("reference run saw no fault activity: %+v", ref.Faults)
+			}
+
+			dir := t.TempDir()
+			kills := 0
+			for stopAt := c.killGap; ; stopAt += c.killGap {
+				res, err := Run(ckSpace, Config{
+					Strategy:        core.SoftFocused{},
+					Classifier:      metaThai(),
+					Faults:          fcfg(),
+					KeepVisited:     true,
+					CheckpointDir:   dir,
+					CheckpointEvery: c.ckEvery,
+					StopAfter:       stopAt,
+				})
+				if errors.Is(err, checkpoint.ErrKilled) {
+					kills++
+					if kills > 1000 {
+						t.Fatal("kill-resume loop is not making progress")
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kills == 0 {
+					t.Fatal("crawl finished before the first kill")
+				}
+				if res.Crawled != ref.Crawled || res.RelevantCrawled != ref.RelevantCrawled {
+					t.Fatalf("stitched run crawled %d/%d, reference %d/%d",
+						res.Crawled, res.RelevantCrawled, ref.Crawled, ref.RelevantCrawled)
+				}
+				if !reflect.DeepEqual(res.Faults, ref.Faults) {
+					t.Fatalf("stitched fault counters diverged:\nresumed %+v\nref     %+v", res.Faults, ref.Faults)
+				}
+				if !reflect.DeepEqual(res.Visited, ref.Visited) {
+					t.Fatal("stitched visited set differs from the reference run's")
+				}
+				return
+			}
+		})
 	}
 }
 
