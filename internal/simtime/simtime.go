@@ -8,8 +8,7 @@
 package simtime
 
 import (
-	"container/heap"
-
+	"langcrawl/internal/frontier"
 	"langcrawl/internal/rng"
 )
 
@@ -17,33 +16,14 @@ import (
 type Event[T any] struct {
 	At      float64 // virtual seconds
 	Payload T
-	seq     uint64
-}
-
-type eventHeap[T any] []Event[T]
-
-func (h eventHeap[T]) Len() int { return len(h) }
-func (h eventHeap[T]) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap[T]) Push(x any)   { *h = append(*h, x.(Event[T])) }
-func (h *eventHeap[T]) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
 // EventQueue is a time-ordered queue of events; ties dispatch in
-// scheduling order, keeping runs deterministic.
+// scheduling order, keeping runs deterministic. It is a frontier.Heap
+// keyed by -At: the earliest event has the highest priority, and the
+// heap's FIFO tie-break is the scheduling order.
 type EventQueue[T any] struct {
-	h   eventHeap[T]
-	seq uint64
+	h frontier.Heap[Event[T]]
 }
 
 // NewEventQueue returns an empty queue.
@@ -51,28 +31,17 @@ func NewEventQueue[T any]() *EventQueue[T] { return &EventQueue[T]{} }
 
 // Schedule enqueues payload to occur at virtual time at.
 func (q *EventQueue[T]) Schedule(at float64, payload T) {
-	q.seq++
-	heap.Push(&q.h, Event[T]{At: at, Payload: payload, seq: q.seq})
+	q.h.Push(Event[T]{At: at, Payload: payload}, -at)
 }
 
 // Next removes and returns the earliest event.
-func (q *EventQueue[T]) Next() (Event[T], bool) {
-	if len(q.h) == 0 {
-		return Event[T]{}, false
-	}
-	return heap.Pop(&q.h).(Event[T]), true
-}
+func (q *EventQueue[T]) Next() (Event[T], bool) { return q.h.Pop() }
 
 // Peek returns the earliest event without removing it.
-func (q *EventQueue[T]) Peek() (Event[T], bool) {
-	if len(q.h) == 0 {
-		return Event[T]{}, false
-	}
-	return q.h[0], true
-}
+func (q *EventQueue[T]) Peek() (Event[T], bool) { return q.h.Peek() }
 
 // Len returns the number of pending events.
-func (q *EventQueue[T]) Len() int { return len(q.h) }
+func (q *EventQueue[T]) Len() int { return q.h.Len() }
 
 // DelayModel computes synthetic transfer times. Per-host base latency is
 // drawn once per host (hash-seeded, so the same host always has the same

@@ -51,6 +51,25 @@ func TestEventQueuePeek(t *testing.T) {
 	}
 }
 
+// TestEventQueueZeroAlloc: once the queue has grown, scheduling and
+// dispatching an event allocates nothing — the discrete-event driver
+// schedules one event per fetch.
+func TestEventQueueZeroAlloc(t *testing.T) {
+	q := NewEventQueue[int]()
+	for i := 0; i < 64; i++ {
+		q.Schedule(float64(i%7), i)
+	}
+	at := 0.0
+	allocs := testing.AllocsPerRun(1000, func() {
+		at += 0.5
+		q.Schedule(at, 1)
+		q.Next()
+	})
+	if allocs != 0 {
+		t.Errorf("Schedule+Next allocates %.1f times, want 0", allocs)
+	}
+}
+
 // Property: events always dispatch in non-decreasing time order.
 func TestEventQueueMonotoneQuick(t *testing.T) {
 	f := func(times []float64) bool {
