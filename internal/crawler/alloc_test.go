@@ -20,6 +20,9 @@ import (
 type cannedWeb struct {
 	pages  map[string][]byte // URL path → body
 	header http.Header       // shared, read-only
+	// declared, when positive, is the Content-Length every response
+	// claims instead of its real body length.
+	declared int64
 }
 
 func (w *cannedWeb) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -30,9 +33,13 @@ func (w *cannedWeb) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	rb := &cannedBody{}
 	rb.Reset(body)
+	length := int64(len(body))
+	if w.declared > 0 {
+		length = w.declared
+	}
 	return &http.Response{
 		StatusCode: status, ProtoMajor: 1, ProtoMinor: 1,
-		Header: w.header, ContentLength: int64(len(body)), Body: rb, Request: req,
+		Header: w.header, ContentLength: length, Body: rb, Request: req,
 	}, nil
 }
 
@@ -86,7 +93,14 @@ func chainCrawl(t *testing.T, w *cannedWeb) int {
 // minus a crawl of n, divided by n, so per-crawl set-up (including the
 // first body buffer) cancels out.
 func perPage(t *testing.T, n, size int, measure func(func()) float64) float64 {
+	return perPageDeclared(t, n, size, 0, measure)
+}
+
+// perPageDeclared is perPage over responses that claim a Content-Length
+// of declared bytes (0: the true length).
+func perPageDeclared(t *testing.T, n, size int, declared int64, measure func(func()) float64) float64 {
 	small, large := chainWeb(n, size), chainWeb(2*n, size)
+	small.declared, large.declared = declared, declared
 	if got := chainCrawl(t, large); got != 2*n {
 		t.Fatalf("chain crawl fetched %d pages, want %d", got, 2*n)
 	}
@@ -133,8 +147,13 @@ func TestFetchBytesFlat(t *testing.T) {
 	}
 	small := perPage(t, 128, 1<<10, totalAlloc)
 	large := perPage(t, 128, 48<<10, totalAlloc)
-	t.Logf("per page: %.0f B at 1 KiB bodies, %.0f B at 48 KiB", small, large)
+	lying := perPageDeclared(t, 128, 1<<10, 1<<30, totalAlloc)
+	t.Logf("per page: %.0f B at 1 KiB bodies, %.0f B at 48 KiB, %.0f B at 1 KiB declaring 1 GiB", small, large, lying)
 	if d := large - small; d > 512 || d < -512 {
 		t.Errorf("per-page allocation moves %.0f B between 1 KiB and 48 KiB bodies, want within 512 B", d)
+	}
+	// A Content-Length far above what arrives must not size the buffer.
+	if d := lying - small; d > 512 || d < -512 {
+		t.Errorf("per-page allocation moves %.0f B when 1 KiB bodies declare 1 GiB, want within 512 B", d)
 	}
 }

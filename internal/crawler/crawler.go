@@ -519,11 +519,13 @@ func (c *Crawler) fetch(ctx context.Context, pageURL string, val *validators) (*
 	// Read one byte past the cap so truncation is detectable: a body of
 	// exactly MaxBodyBytes is complete, one more byte means it was cut.
 	// The buffer comes from the crawl's pool, sized from Content-Length
-	// when the server sent one; the engine returns it after the page.
+	// when the server sent one but never past bodyRetainCap: a lying
+	// header must not buy a large buffer, so readBody grows it as bytes
+	// actually arrive. The engine returns it after the page.
 	limit := c.cfg.MaxBodyBytes + 1
 	size := int64(0)
 	if resp.ContentLength >= 0 {
-		size = min(resp.ContentLength+1, limit)
+		size = min(resp.ContentLength+1, limit, bodyRetainCap)
 	}
 	var r io.Reader = resp.Body
 	if watch != nil {
