@@ -6,11 +6,10 @@ import (
 	"langcrawl/internal/rng"
 )
 
-// faultState is the per-run fault-injection machinery the engines share:
+// faultState is the per-run fault-injection machinery of the fetch loop:
 // the sampler drawing outcomes, the retry policy, the per-host breakers,
-// and the counters they feed. The engines differ only in the clock they
-// pass in — the untimed engine ticks one virtual second per attempt, the
-// timed engine passes its event time.
+// and the counters they feed. Breakers read the loop's virtual clock,
+// which the untimed engine ticks one second per attempt.
 type faultState struct {
 	sampler  *faults.Sampler
 	retry    faults.RetryPolicy
@@ -22,7 +21,7 @@ type faultState struct {
 }
 
 // newFaultState assembles the state for cfg, or returns nil when cfg is
-// nil (fault injection off — the engines then take their original paths).
+// nil (fault injection off — the loop then skips the fault layer).
 // A zero Model.Seed falls back to spaceSeed so a bare `Faults:
 // &faults.Config{Model: ..., Retry: ...}` is reproducible per space.
 func newFaultState(cfg *faults.Config, spaceSeed uint64, counters *metrics.FaultCounters) *faultState {
@@ -107,8 +106,8 @@ func (fs *faultState) failed(host string, attempt int, now float64, budgetLeft b
 	return true
 }
 
-// backoff returns the jittered delay after the attempt-th failure (used
-// by the timed engine; the untimed engine has no clock to wait on).
+// backoff returns the jittered delay after the attempt-th failure: the
+// timed engine's retry wait (the untimed engine retries at once).
 func (fs *faultState) backoff(attempt int) float64 {
 	return fs.retry.Backoff(attempt, fs.backoffR)
 }

@@ -9,6 +9,7 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/metrics"
+	"langcrawl/internal/simtime"
 	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 )
@@ -20,9 +21,8 @@ var noStats telemetry.SimStats
 // loop is the simulator's one crawl loop, the paper's Fig. 2: the virtual
 // web answers each fetch, the classifier scores the page, and the
 // strategy orders the frontier. Each step is one method (newLoop, start,
-// halt, checkpoint, sample, visitPage, finish); the engines differ only
-// in the driver that picks the next fetch: Run pops the frontier,
-// RunIncremental adds revisits on a virtual clock, RunTimed an event queue.
+// halt, checkpoint, sample, visitPage, finish), and drive runs them on a
+// virtual clock; the engines differ only in the pace they hand drive.
 type loop struct {
 	space    *webgraph.Space
 	cfg      Config
@@ -35,8 +35,11 @@ type loop struct {
 	observer core.QueueObserver
 	fs       *faultState
 	// ev is the evolving view the incremental and timed engines fetch
-	// from; nil for Run, since an Evolver costs memory per page.
+	// from; nil for a static space, since an Evolver costs memory per page.
 	ev *webgraph.Evolver
+	// now is the virtual clock, in seconds: drive advances it to each
+	// fetch's completion, and a checkpoint carries it.
+	now float64
 
 	ckp             *checkpoint.Checkpointer
 	ckEvery, nextCk int
@@ -50,8 +53,8 @@ type loop struct {
 	body []byte
 
 	// Engine hooks, nil for Run: restore and save carry the incremental
-	// engine's clock, revisit ledger and freshness curve through a
-	// checkpoint; onSample adds an engine's own series to each sample.
+	// engine's revisit ledger and freshness curve through a checkpoint;
+	// onSample adds an engine's own series to each sample.
 	restore  func(*checkpoint.State)
 	save     func() checkpoint.State
 	onSample func()
@@ -59,7 +62,7 @@ type loop struct {
 
 // newLoop validates cfg and sets up a run over space: sample stride,
 // relevance denominator, res and its series, frontier, fault layer and
-// telemetry. The caller must close l.fr.
+// telemetry. drive closes l.fr.
 func newLoop(space *webgraph.Space, cfg Config, res *Result) (*loop, error) {
 	if cfg.Strategy == nil {
 		return nil, fmt.Errorf("sim: Config.Strategy is required")
@@ -190,6 +193,12 @@ func (l *loop) resume(st *checkpoint.State) error {
 	for _, e := range st.Frontier {
 		l.fr.push(e.ID, e.Dist, e.Prio)
 	}
+	// Re-advancing a fresh evolver to the persisted clock restores the
+	// exact evolving view the killed run saw.
+	l.now = st.VTime
+	if l.ev != nil {
+		l.ev.AdvanceTo(l.now)
+	}
 	if l.restore != nil {
 		l.restore(st)
 	}
@@ -197,28 +206,165 @@ func (l *loop) resume(st *checkpoint.State) error {
 	return nil
 }
 
-// halt makes the checks due before every fetch: the checkpoint stride,
-// the emulated kill, a graceful stop, and the page budget. It reports
-// whether the crawl should stop; the error is a failed checkpoint write
-// or checkpoint.ErrKilled.
-func (l *loop) halt() (bool, error) {
-	if l.ckp != nil && l.res.Crawled >= l.nextCk {
-		if err := l.checkpoint(); err != nil {
-			return true, err
+// halt makes the checks due before the next fetch: the page budget,
+// and — unless a retry is pending, which a frontier snapshot cannot
+// hold — the checkpoint stride, the emulated kill and a graceful stop.
+// It reports whether the crawl should stop; the error is a failed
+// checkpoint write or checkpoint.ErrKilled.
+func (l *loop) halt(retrying bool) (bool, error) {
+	if !retrying {
+		if l.ckp != nil && l.res.Crawled >= l.nextCk {
+			if err := l.checkpoint(); err != nil {
+				return true, err
+			}
+			l.nextCk = (l.res.Crawled/l.ckEvery + 1) * l.ckEvery
 		}
-		l.nextCk = (l.res.Crawled/l.ckEvery + 1) * l.ckEvery
-	}
-	if l.cfg.StopAfter > 0 && l.res.Crawled >= l.cfg.StopAfter {
-		return true, checkpoint.ErrKilled // emulated SIGKILL: no final checkpoint
-	}
-	if l.cfg.Stop != nil {
-		select {
-		case <-l.cfg.Stop:
-			return true, nil // graceful: finish writes the final checkpoint
-		default:
+		if l.cfg.StopAfter > 0 && l.res.Crawled >= l.cfg.StopAfter {
+			return true, checkpoint.ErrKilled // emulated SIGKILL: no final checkpoint
+		}
+		if l.cfg.Stop != nil {
+			select {
+			case <-l.cfg.Stop:
+				return true, nil // graceful: finish writes the final checkpoint
+			default:
+			}
 		}
 	}
 	return !l.budgetLeft(), nil
+}
+
+// pace is how an engine's clock runs drive: how many fetches are in
+// flight, and when each one completes.
+type pace struct {
+	// conns is the number of fetches in flight at once.
+	conns int
+	// done books a fetch of id that may start at at and returns the
+	// instant it completes.
+	done func(id webgraph.PageID, at float64) float64
+	// backoff is the wait before the retry that follows the attempt-th
+	// failure; nil retries at once.
+	backoff func(attempt int) float64
+	// horizon, when positive, ends the crawl once the clock has reached
+	// it: no fetch starts from then on.
+	horizon float64
+	// discovered, when set, is told of each discovery fetch as it
+	// completes at now, before the page is visited.
+	discovered func(id webgraph.PageID, dist int32, now float64)
+	// drained, when set, is called once the frontier is empty and no
+	// fetch is in flight: it makes one revisit no earlier than now and
+	// returns the clock after it, or false when there is none to make.
+	drained func(now float64) (float64, bool)
+}
+
+// job is one fetch in flight: the frontier entry and which attempt at
+// it this is. It holds no pointer, so queued events cost the collector
+// nothing; the host is looked up again from the id where it is needed.
+type job struct {
+	entry
+	attempt int32
+}
+
+// drive is the engines' one fetch loop. It resumes or seeds the crawl,
+// then keeps p.conns fetches in flight on an event queue: each pop of an
+// unvisited page that its host's breaker admits is booked through
+// p.done, and each completion advances the clock to it, goes through the
+// fault layer — a failed attempt may be retried after p.backoff, on the
+// same connection — and visits the page. A URL's whole retry chain is
+// one step of the sampling stride. drive ends when nothing is left to
+// fetch or halt says stop, and closes the run with finish.
+func (l *loop) drive(p pace) error {
+	defer l.fr.close()
+	resumed, err := l.start()
+	if err != nil {
+		return err
+	}
+	// A resumed incremental run restored its curves from the checkpoint;
+	// sampling here would insert a point the uninterrupted run never took.
+	if !resumed || l.restore == nil {
+		l.sample()
+	}
+
+	fs := l.fs
+	events := simtime.NewEventQueue[job]()
+	retrying := 0
+	for {
+		if stop, err := l.halt(retrying > 0); err != nil {
+			return err
+		} else if stop || p.horizon > 0 && l.now >= p.horizon {
+			break
+		}
+		for events.Len() < p.conns {
+			it, ok := l.fr.pop()
+			if !ok {
+				break
+			}
+			if l.visited[it.id] {
+				continue
+			}
+			if fs != nil && !fs.allow(l.space.Site(it.id).Host, l.now) {
+				// Open breaker: drop the pop unvisited; a later duplicate
+				// entry can still reach the page once the host recovers.
+				continue
+			}
+			l.visited[it.id] = true
+			events.Schedule(p.done(it.id, l.now), job{entry: it, attempt: 1})
+		}
+		e, ok := events.Next()
+		if !ok {
+			if p.drained == nil {
+				break
+			}
+			t, more := p.drained(l.now)
+			if !more {
+				break
+			}
+			l.now = t
+			l.fetched()
+			l.sampleDue()
+			continue
+		}
+		l.now = e.At
+		if l.ev != nil {
+			// The page served is whatever the evolving space holds at the
+			// instant the fetch completes.
+			l.ev.AdvanceTo(l.now)
+		}
+		j := e.Payload
+		if j.attempt > 1 {
+			retrying--
+		}
+
+		// "Fetch" from the virtual web space, through the fault layer when
+		// one is configured. Every attempt consumes page budget.
+		var host string
+		var class faults.FailureClass
+		if fs != nil {
+			host = l.space.Site(j.id).Host
+			class = fs.attempt(host)
+		}
+		l.fetched()
+		if class.Failed() {
+			if fs.failed(host, int(j.attempt), l.now, l.budgetLeft()) {
+				at := l.now
+				if p.backoff != nil {
+					at += p.backoff(int(j.attempt))
+				}
+				j.attempt++
+				events.Schedule(p.done(j.id, at), j)
+				retrying++
+			} else {
+				l.sampleDue()
+			}
+			continue
+		}
+		truncated := fs != nil && fs.succeeded(host, class, l.now)
+		if p.discovered != nil {
+			p.discovered(j.id, j.dist, l.now)
+		}
+		l.visitPage(j.id, j.dist, truncated, true)
+		l.sampleDue()
+	}
+	return l.finish()
 }
 
 // result is what an engine returns: res on success or beside
@@ -264,7 +410,7 @@ func (l *loop) checkpoint() error {
 		VisitedN:    len(l.visited),
 		Breakers:    faults.SnapshotsToCheckpoint(l.fs.snapshotBreakers()),
 		Faults:      r.Faults,
-		VTime:       inc.VTime,
+		VTime:       l.now,
 		Fresh:       inc.Fresh,
 		Revisit:     inc.Revisit,
 		FreshCurve:  inc.FreshCurve,

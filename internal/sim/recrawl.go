@@ -60,7 +60,7 @@ type RecrawlResult struct {
 // one would — freshness curve included.
 func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*RecrawlResult, error) {
 	if cfg.Faults != nil {
-		return nil, fmt.Errorf("sim: RunIncremental does not support fault injection (the fault clock counts attempts, the evolver counts virtual seconds)")
+		return nil, fmt.Errorf("sim: RunIncremental does not support fault injection (a revisit has no failure or retry path)")
 	}
 	if rc.Horizon <= 0 && cfg.MaxPages <= 0 {
 		return nil, fmt.Errorf("sim: incremental crawl needs RecrawlConfig.Horizon or Config.MaxPages — it never drains on its own")
@@ -82,11 +82,9 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 	if err != nil {
 		return nil, err
 	}
-	defer l.fr.close()
 	res.Freshness = &metrics.Series{Name: res.Strategy}
 	ev := webgraph.NewEvolver(space, rc.Evolve)
 	l.ev = ev
-	vtime := 0.0
 
 	// The revisit ledger: which pages the crawl tracks, whether it holds
 	// a live copy, and at which version. The scheduler orders revisits by
@@ -101,10 +99,6 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 
 	l.restore = func(st *checkpoint.State) {
 		res.Fresh = st.Fresh
-		vtime = st.VTime
-		// Re-advancing a fresh evolver to the persisted clock restores the
-		// exact evolving view the killed run saw.
-		ev.AdvanceTo(vtime)
 		for _, r := range st.Revisit {
 			id := webgraph.PageID(r.ID)
 			tracked[id] = true
@@ -118,7 +112,7 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 		}
 	}
 	l.save = func() checkpoint.State {
-		st := checkpoint.State{VTime: vtime, Fresh: res.Fresh}
+		st := checkpoint.State{Fresh: res.Fresh}
 		for id := 0; id < n; id++ {
 			if !tracked[id] {
 				continue
@@ -154,99 +148,74 @@ func RunIncremental(space *webgraph.Space, cfg Config, rc RecrawlConfig) (*Recra
 				freshN++
 			}
 		}
-		res.Freshness.Add(vtime, 100*safeDiv(freshN, heldN))
+		res.Freshness.Add(l.now, 100*safeDiv(freshN, heldN))
 	}
 
-	resumed, err := l.start()
-	if err != nil {
-		return nil, err
+	p := pace{
+		conns:   1,
+		horizon: rc.Horizon,
+		done:    func(_ webgraph.PageID, at float64) float64 { return at + fetchCost },
 	}
-	// A resumed run restored its curve from the checkpoint; sampling here
-	// would insert a point the uninterrupted run never took.
-	if !resumed {
-		l.sample()
-	}
-
-	for {
-		stop, err := l.halt()
-		if err != nil {
-			res.VTime = vtime
-			return result(res, err)
+	// Discovery is Run's fetch plus ledger enrollment. Every OK page joins
+	// the revisit ledger — latent ones included, which is how births get
+	// found later; a page not alive (non-OK, latent or deleted) visits as
+	// a 404.
+	p.discovered = func(id webgraph.PageID, dist int32, now float64) {
+		if !space.IsOK(id) {
+			return
 		}
-		if stop || rc.Horizon > 0 && vtime >= rc.Horizon {
-			break
+		tracked[id] = true
+		distOf[id] = dist
+		rv.Track(id, now)
+		if ev.Alive(id) {
+			held[id] = true
+			storedVer[id] = ev.Version(id)
 		}
+	}
+	// Frontier drained: revalidate the earliest-due page, fast-forwarding
+	// the idle clock to it.
+	p.drained = func(now float64) (float64, bool) {
+		id, due, ok := rv.Next()
+		if !ok || rc.Horizon > 0 && due >= rc.Horizon {
+			return now, false // nothing tracked, or the next revisit lies beyond the horizon
+		}
+		rv.Pop()
+		now = max(now, due) + fetchCost
+		ev.AdvanceTo(now)
+		res.Fresh.Revisits++
 
-		if item, ok := l.fr.pop(); ok {
-			// Discovery: Run's loop, plus ledger enrollment.
-			id := item.id
-			if l.visited[id] {
-				continue
-			}
-			l.visited[id] = true
-			vtime += fetchCost
-			ev.AdvanceTo(vtime)
-			l.fetched()
-			if space.IsOK(id) {
-				// Every OK page joins the revisit ledger — latent ones
-				// included, which is how births get found later.
-				tracked[id] = true
-				distOf[id] = item.dist
-				rv.Track(id, vtime)
-				if ev.Alive(id) {
-					held[id] = true
-					storedVer[id] = ev.Version(id)
-				}
-			}
-			// A page not alive (non-OK, latent or deleted) visits as a 404.
-			l.visitPage(id, item.dist, false, true)
-		} else {
-			// Frontier drained: revalidate the earliest-due page.
-			id, due, ok := rv.Next()
-			if !ok {
-				break // nothing discovered tracks — space has no OK pages
-			}
-			if rc.Horizon > 0 && due >= rc.Horizon {
-				break // next revisit lies beyond the horizon
-			}
-			rv.Pop()
-			vtime = max(vtime, due) + fetchCost // fast-forward the idle clock
-			ev.AdvanceTo(vtime)
-			l.fetched()
-			res.Fresh.Revisits++
-
-			alive := ev.Alive(id)
-			switch {
-			case alive && !held[id]:
-				// A formerly-404 page now answers 200: a birth. Process it
-				// as the discovery fetch it never got.
-				res.Fresh.Born++
-				held[id] = true
-				storedVer[id] = ev.Version(id)
-				rv.Observe(id, true, vtime)
-				l.visitPage(id, distOf[id], false, false)
-			case alive && held[id]:
-				if v := ev.Version(id); v != storedVer[id] {
-					res.Fresh.Changed++
-					storedVer[id] = v
-					rv.Observe(id, true, vtime)
-				} else {
-					// The conditional GET answers 304: nothing transfers.
-					res.Fresh.Unchanged++
-					res.Fresh.CondHits++
-					rv.Observe(id, false, vtime)
-				}
-			case !alive && held[id]:
-				res.Fresh.Deleted++
-				held[id] = false
-				rv.Kill(id)
-			default: // !alive && !held: a latent page, still unborn
+		alive := ev.Alive(id)
+		switch {
+		case alive && !held[id]:
+			// A formerly-404 page now answers 200: a birth. Process it
+			// as the discovery fetch it never got.
+			res.Fresh.Born++
+			held[id] = true
+			storedVer[id] = ev.Version(id)
+			rv.Observe(id, true, now)
+			l.visitPage(id, distOf[id], false, false)
+		case alive && held[id]:
+			if v := ev.Version(id); v != storedVer[id] {
+				res.Fresh.Changed++
+				storedVer[id] = v
+				rv.Observe(id, true, now)
+			} else {
+				// The conditional GET answers 304: nothing transfers.
 				res.Fresh.Unchanged++
-				rv.Observe(id, false, vtime)
+				res.Fresh.CondHits++
+				rv.Observe(id, false, now)
 			}
+		case !alive && held[id]:
+			res.Fresh.Deleted++
+			held[id] = false
+			rv.Kill(id)
+		default: // !alive && !held: a latent page, still unborn
+			res.Fresh.Unchanged++
+			rv.Observe(id, false, now)
 		}
-		l.sampleDue()
+		return now, true
 	}
-	res.VTime = vtime
-	return result(res, l.finish())
+	err = l.drive(p)
+	res.VTime = l.now
+	return result(res, err)
 }

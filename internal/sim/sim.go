@@ -7,10 +7,13 @@
 // coverage and queue size as the crawl progresses, producing the curves
 // of Figures 3–7.
 //
-// Like the paper's first simulator, the default engine "omits details
-// such as elapsed time and per-server queue"; the timed engine in
-// timed.go adds the paper's stated future work (transfer delays and
-// per-host access intervals).
+// Every engine runs one fetch loop (drive, in loop.go) on a virtual
+// clock, and differs only in the pace it hands that loop. Like the
+// paper's first simulator, Run "omits details such as elapsed time and
+// per-server queue": one fetch at a time, each taking one virtual
+// second. RunTimed adds the paper's stated future work — concurrent
+// fetches, transfer delays and per-host access intervals — and
+// RunIncremental adds revisits of an evolving space (recrawl.go).
 package sim
 
 import (
@@ -186,63 +189,11 @@ func Run(space *webgraph.Space, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer l.fr.close()
-	if _, err := l.start(); err != nil {
-		return nil, err
-	}
-	l.sample()
-
-	// The untimed engine has no clock, so the fault layer measures breaker
-	// cooldowns in attempts: one fetch attempt = one virtual second.
-	fs := l.fs
-	clock := func() float64 { return float64(res.Faults.Attempts) }
-	for {
-		if stop, err := l.halt(); err != nil {
-			return result(res, err)
-		} else if stop {
-			break
-		}
-		item, ok := l.fr.pop()
-		if !ok {
-			break
-		}
-		id := item.id
-		if l.visited[id] {
-			continue
-		}
-		var host string
-		if fs != nil {
-			host = space.Site(id).Host
-			if !fs.allow(host, clock()) {
-				// Open breaker: drop the pop unvisited; a later duplicate
-				// entry can still reach the page once the host recovers.
-				continue
-			}
-		}
-		l.visited[id] = true
-
-		// "Fetch" from the virtual web space, through the fault layer when
-		// one is configured. Failed attempts consume page budget without
-		// yielding a page; a retried URL costs one budget unit per attempt.
-		var class faults.FailureClass
-		for attempt := 1; ; attempt++ {
-			if fs != nil {
-				class = fs.attempt(host)
-			}
-			l.fetched()
-			if !class.Failed() || !fs.failed(host, attempt, clock(), l.budgetLeft()) {
-				break
-			}
-		}
-		if class.Failed() {
-			l.sampleDue()
-			continue
-		}
-		truncated := fs != nil && fs.succeeded(host, class, clock())
-		l.visitPage(id, item.dist, truncated, true)
-		l.sampleDue()
-	}
-	return result(res, l.finish())
+	// The untimed engine is the one-connection, unit-delay case of the
+	// timed one: one fetch attempt is one virtual second, the clock the
+	// fault layer's breakers cool down on.
+	unit := func(_ webgraph.PageID, at float64) float64 { return at + 1 }
+	return result(res, l.drive(pace{conns: 1, done: unit}))
 }
 
 // entry is one frontier element: a page plus the crawl-path distance
