@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"langcrawl/internal/core"
+	"langcrawl/internal/metrics"
 	"langcrawl/internal/simtime"
 )
 
@@ -95,13 +97,30 @@ func TestTimedBandwidthMatters(t *testing.T) {
 	}
 }
 
+// TestTimedMaxVirtualTime pins the horizon rule the engines share: the
+// crawl stops once the clock has reached the horizon, and no fetch
+// starts from then on. Up to that instant the run is the unbounded one,
+// so every sampled point but the final one matches the unbounded run's.
 func TestTimedMaxVirtualTime(t *testing.T) {
-	res := runTimed(t, TimedConfig{
-		Config:         Config{Strategy: core.BreadthFirst{}, Classifier: metaThai()},
-		MaxVirtualTime: 30,
-	})
-	if res.Crawled >= thaiSpace.N() {
-		t.Error("time budget should cut the crawl short")
+	const horizon = 30
+	cfg := TimedConfig{Config: Config{Strategy: core.BreadthFirst{}, Classifier: metaThai()}}
+	full := runTimed(t, cfg)
+	cfg.MaxVirtualTime = horizon
+	res := runTimed(t, cfg)
+	if res.Crawled >= full.Crawled {
+		t.Fatal("time budget should cut the crawl short")
+	}
+	if res.Duration < horizon {
+		t.Errorf("horizon run ended at %.2fs, before the %ds horizon", res.Duration, horizon)
+	}
+	for _, s := range []struct{ got, want *metrics.Series }{
+		{res.Harvest, full.Harvest}, {res.Coverage, full.Coverage},
+		{res.QueueSize, full.QueueSize}, {res.Throughput, full.Throughput},
+	} {
+		pts := s.got.Points[:len(s.got.Points)-1]
+		if len(pts) == 0 || !reflect.DeepEqual(pts, s.want.Points[:len(pts)]) {
+			t.Errorf("horizon run's %d sampled points are not a prefix of the unbounded run's", len(pts))
+		}
 	}
 }
 
