@@ -102,7 +102,7 @@ func main() {
 			fatal(err)
 		}
 		if *recrawl <= 0 && !*timed {
-			fatal(fmt.Errorf("-evolve needs -recrawl or -timed: the one-shot untimed engine has no clock for the space to evolve against"))
+			fatal(fmt.Errorf("-evolve needs -recrawl or -timed: the one-shot untimed engine crawls a static space"))
 		}
 	}
 	if *recrawl > 0 && (*timed || *compare != "" || *coord != "") {
