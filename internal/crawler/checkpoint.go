@@ -5,7 +5,6 @@ import (
 
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/crawlog"
-	"langcrawl/internal/faults"
 	"langcrawl/internal/linkdb"
 )
 
@@ -76,7 +75,7 @@ func (ck *ckState) resume(res *Result, seen *checkpoint.Seen, flt *faultCtl, gua
 	res.RobotsBlocked = st.RobotsBlocked
 	res.MaxQueueLen = st.MaxQueue
 	seen.Restore(st.VisitedURLs, st.Bloom)
-	flt.restore(st.Faults, faults.SnapshotsFromCheckpoint(st.Breakers))
+	flt.restore(st.Faults, st.Breakers)
 	guard.restoreUsage(st.HostUsage)
 	for _, e := range st.Frontier {
 		push(e)
@@ -105,7 +104,7 @@ func (ck *ckState) write(c *Crawler, res *Result, seen *checkpoint.Seen, entries
 		Frontier:      entries,
 		VisitedURLs:   seen.URLs(),
 		Bloom:         seen.BloomBytes(),
-		Breakers:      faults.SnapshotsToCheckpoint(c.flt.breakerSnapshot()),
+		Breakers:      c.flt.breakerSnapshot(),
 		HostUsage:     c.guard.snapshotUsage(),
 		Faults:        c.flt.snapshot(),
 		LogPos:        logPos,

@@ -103,8 +103,8 @@ type Config struct {
 	// retries, leaving single-attempt behavior.
 	Retry faults.RetryPolicy
 	// Breaker trips a per-host circuit breaker after consecutive failures
-	// (cooldown in wall seconds); while open, the host's queued URLs are
-	// demoted rather than fetched. The zero value disables breakers.
+	// (cooldown in seconds on Now); while open, the host's queued URLs
+	// are demoted rather than fetched. The zero value disables breakers.
 	Breaker faults.BreakerConfig
 	// MaxRedirects caps the redirect chain followed per request: 0 means
 	// the net/http default of 10, negative refuses all redirects. The
@@ -166,9 +166,10 @@ type Config struct {
 	// Now is the engine's clock (default time.Now). Every politeness
 	// booking — host intervals, cross-host redirect touches, and
 	// Retry-After holds, including HTTP-date values, which are resolved
-	// against this clock — goes through it, so a test or replay harness
-	// that injects a fixed clock gets reproducible hold arithmetic
-	// instead of wall-clock-dependent behavior.
+	// against this clock — goes through it, and so do the breakers'
+	// cooldowns, so a test or replay harness that injects a fixed clock
+	// gets reproducible hold and breaker arithmetic instead of
+	// wall-clock-dependent behavior.
 	Now func() time.Time
 	// Recrawl enables the incremental crawl mode: after the discovery
 	// frontier drains, the workers run Recrawl.Passes extra revisit
@@ -251,7 +252,7 @@ func New(cfg Config) (*Crawler, error) {
 		client: cfg.Client,
 		robots: make(map[string]*Robots),
 		polite: newPoliteness(cfg.Now),
-		flt:    newFaultCtl(cfg.Retry, cfg.Breaker, tel),
+		flt:    newFaultCtl(cfg.Retry, cfg.Breaker, cfg.Now, tel),
 		tel:    tel,
 		get: &http.Request{
 			Method: http.MethodGet, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,

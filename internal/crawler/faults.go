@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
@@ -18,123 +19,83 @@ import (
 // dropped as a permanent failure.
 const maxDemotions = 3
 
-// faultCtl is the crawler's fault-tolerance state: retry policy, per-host
-// circuit breakers (on the wall clock), and the fault counters. It has
-// its own mutex so workers call it outside the crawl loop's lock — from
-// fetchWithRetry, mid-fetch.
+// faultCtl runs the shared faults.Policy for the crawler's workers: a
+// mutex, since workers call it outside the crawl loop's lock (from
+// fetchWithRetry, mid-fetch), and the breaker clock, which is seconds on
+// Config.Now since the crawl started.
 type faultCtl struct {
 	mu       sync.Mutex
-	retry    faults.RetryPolicy
-	retryOn  bool
-	breakers *faults.BreakerSet
-	budget   int // remaining crawl-wide retries; -1 = unlimited
-	jitter   *rng.RNG
-	epoch    time.Time
+	p        *faults.Policy
 	counters metrics.FaultCounters
+	now      func() time.Time
+	epoch    time.Time
 	tel      *telemetry.CrawlStats // never nil (zero value when off)
 }
 
-func newFaultCtl(retry faults.RetryPolicy, breaker faults.BreakerConfig, tel *telemetry.CrawlStats) *faultCtl {
+func newFaultCtl(retry faults.RetryPolicy, breaker faults.BreakerConfig, now func() time.Time, tel *telemetry.CrawlStats) *faultCtl {
 	if tel == nil {
 		tel = &telemetry.CrawlStats{}
 	}
-	f := &faultCtl{
-		retryOn: retry.Enabled(),
-		budget:  -1,
-		jitter:  rng.New(0x10C4),
-		epoch:   time.Now(),
-		tel:     tel,
-	}
-	if f.retryOn {
-		f.retry = retry.WithDefaults()
-		if f.retry.Budget > 0 {
-			f.budget = f.retry.Budget
-		}
-	}
-	if breaker.Enabled() {
-		f.breakers = faults.NewBreakerSet(breaker)
-	}
+	f := &faultCtl{now: now, epoch: now(), tel: tel}
+	f.p = faults.NewPolicy(retry, breaker, rng.New(0x10C4), &f.counters, f.noteTransition)
 	return f
 }
 
-// now is the breaker clock: wall seconds since the crawl started.
-func (f *faultCtl) now() float64 { return time.Since(f.epoch).Seconds() }
-
-// allow gates a fetch on host's breaker; a refusal counts a breaker skip.
-func (f *faultCtl) allow(host string) bool {
-	if f.breakers == nil {
-		return true
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	br := f.breakers.Get(host)
-	prev := br.State()
-	ok := br.Allow(f.now())
-	f.noteTransition(host, prev, br.State())
-	if ok {
-		return true
-	}
-	f.counters.BreakerSkips++
-	f.tel.BreakerSkips.Inc()
-	return false
-}
+// clock is the breaker clock reading. Called under f.mu.
+func (f *faultCtl) clock() float64 { return f.now().Sub(f.epoch).Seconds() }
 
 // noteTransition records a breaker state change in telemetry. Called
 // under f.mu; transitions are rare (per trip/recovery, not per fetch),
 // so the tracer's string concat and the Open() scan stay off the hot
 // path.
 func (f *faultCtl) noteTransition(host string, prev, cur faults.BreakerState) {
-	if prev == cur {
-		return
-	}
 	f.tel.BreakerTransitions.Inc()
-	f.tel.BreakerOpen.Set(int64(f.breakers.Open()))
+	f.tel.BreakerOpen.Set(int64(f.p.Open()))
 	f.tel.Trace.Event("breaker", host+": "+prev.String()+" -> "+cur.String())
 }
 
-// countAttempt books one fetch attempt (a retry when refetch is true).
-func (f *faultCtl) countAttempt(refetch bool) {
+// allow gates a fetch on host's breaker; a refusal counts a breaker skip.
+func (f *faultCtl) allow(host string) bool {
 	f.mu.Lock()
-	f.counters.Attempts++
-	if refetch {
-		f.counters.Retries++
-		f.tel.Retries.Inc()
-		if f.budget > 0 {
-			f.budget--
-		}
+	defer f.mu.Unlock()
+	if f.p.Allow(host, f.clock()) {
+		return true
 	}
+	f.tel.BreakerSkips.Inc()
+	return false
+}
+
+// succeeded/failed book an attempt's outcome against host.
+func (f *faultCtl) succeeded(host string, truncated bool) {
+	f.mu.Lock()
+	f.p.Succeeded(host, truncated, f.clock())
 	f.mu.Unlock()
 }
 
-func (f *faultCtl) countTruncated() {
+func (f *faultCtl) failed(host string) {
 	f.mu.Lock()
-	f.counters.Truncated++
+	f.p.Failed(host, f.clock())
 	f.mu.Unlock()
 }
 
-// success/failure report an attempt outcome to host's breaker.
-func (f *faultCtl) success(host string) {
-	if f.breakers == nil {
-		return
-	}
+// retry reports whether the attempt-th failure against host may be
+// refetched, booking the retry it grants.
+func (f *faultCtl) retry(host string, attempt int) bool {
 	f.mu.Lock()
-	br := f.breakers.Get(host)
-	prev := br.State()
-	br.RecordSuccess(f.now())
-	f.noteTransition(host, prev, br.State())
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if !f.p.Retry(host, attempt, f.clock()) {
+		return false
+	}
+	f.tel.Retries.Inc()
+	return true
 }
 
-func (f *faultCtl) failure(host string) {
+// backoff returns the jittered post-failure delay.
+func (f *faultCtl) backoff(attempt int) time.Duration {
 	f.mu.Lock()
-	f.counters.WastedFetches++
-	if f.breakers != nil {
-		br := f.breakers.Get(host)
-		prev := br.State()
-		br.RecordFailure(f.now())
-		f.noteTransition(host, prev, br.State())
-	}
+	d := f.p.Backoff(attempt)
 	f.mu.Unlock()
+	return time.Duration(d * float64(time.Second))
 }
 
 // quarantine pins host's breaker open for the rest of the crawl (the
@@ -142,15 +103,9 @@ func (f *faultCtl) failure(host string) {
 // this is a no-op — the guard's own quarantine set still refuses the
 // host, it just does not survive a checkpoint resume.
 func (f *faultCtl) quarantine(host string) {
-	if f.breakers == nil {
-		return
-	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	br := f.breakers.Get(host)
-	prev := br.State()
-	br.Quarantine(f.now())
-	f.noteTransition(host, prev, br.State())
+	f.p.Quarantine(host, f.clock())
+	f.mu.Unlock()
 }
 
 // gaveUp books one permanently failed URL.
@@ -160,71 +115,33 @@ func (f *faultCtl) gaveUp() {
 	f.mu.Unlock()
 }
 
-// canRetry reports whether the attempt-th failure against host may be
-// refetched: retries on, the per-URL cap and crawl-wide budget not
-// exhausted, and the breaker still admitting requests.
-func (f *faultCtl) canRetry(host string, attempt int) bool {
-	if !f.retryOn {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if attempt >= f.retry.MaxAttempts || f.budget == 0 {
-		return false
-	}
-	return f.breakers == nil || f.breakers.Get(host).Allow(f.now())
-}
-
-// backoff returns the jittered post-failure delay.
-func (f *faultCtl) backoff(attempt int) time.Duration {
-	f.mu.Lock()
-	d := f.retry.Backoff(attempt, f.jitter)
-	f.mu.Unlock()
-	return time.Duration(d * float64(time.Second))
-}
-
 // restore rewinds the fault machinery to a checkpointed position: the
-// counters resume where the dead run left them, the spent retries are
-// re-booked against the crawl-wide budget, and the per-host breaker
-// state machines are reinstated. Breaker clocks are relative to the
-// crawl epoch, which restarts at resume — a breaker opened late in the
-// dead run therefore stays open at least its full cooldown again, which
-// errs on the side of politeness.
-func (f *faultCtl) restore(counters metrics.FaultCounters, snaps []faults.BreakerSnapshot) {
+// counters resume where the dead run left them, and the policy re-books
+// the spent retries and reinstates the breakers. Breaker clocks are
+// relative to the crawl epoch, which restarts at resume — a breaker
+// opened late in the dead run therefore stays open at least its full
+// cooldown again, which errs on the side of politeness.
+func (f *faultCtl) restore(counters metrics.FaultCounters, brs []checkpoint.Breaker) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.counters = counters
-	if f.budget > 0 {
-		f.budget -= counters.Retries
-		if f.budget < 0 {
-			f.budget = 0
-		}
-	}
-	if f.breakers != nil {
-		f.breakers.Restore(snaps)
-	}
+	f.p.Restore(brs)
 }
 
 // breakerSnapshot exports the breaker states for a checkpoint (nil when
 // breakers are off).
-func (f *faultCtl) breakerSnapshot() []faults.BreakerSnapshot {
+func (f *faultCtl) breakerSnapshot() []checkpoint.Breaker {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.breakers == nil {
-		return nil
-	}
-	return f.breakers.Snapshot()
+	return f.p.Snapshot()
 }
 
 // snapshot returns the counters with end-of-run breaker statistics.
 func (f *faultCtl) snapshot() metrics.FaultCounters {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c := f.counters
-	if f.breakers != nil {
-		c.BreakerTrips = f.breakers.Trips()
-	}
-	return c
+	f.p.Finish()
+	return f.counters
 }
 
 // sleepBackoff waits d, returning false if ctx was canceled first.
@@ -273,7 +190,6 @@ func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string, cond
 		val = &out.val
 	}
 	for attempt := 1; ; attempt++ {
-		c.flt.countAttempt(attempt > 1)
 		c.tel.Inflight.Add(1)
 		var t0 time.Time
 		if telemetry.Timed(c.tel.FetchLatency) {
@@ -294,16 +210,13 @@ func (c *Crawler) fetchWithRetry(ctx context.Context, pageURL, host string, cond
 			c.tel.FetchErrors.Inc()
 		}
 		if !class.Failed() {
-			c.flt.success(host)
-			if visit.Truncated {
-				c.flt.countTruncated()
-			}
+			c.flt.succeeded(host, visit.Truncated)
 			c.tel.FetchBytes.Observe(float64(len(visit.Body)))
 			out.visit, out.links, out.rec = visit, links, rec
 			return out
 		}
-		c.flt.failure(host)
-		if ctx.Err() != nil || !c.flt.canRetry(host, attempt) {
+		c.flt.failed(host)
+		if ctx.Err() != nil || !c.flt.retry(host, attempt) {
 			if err != nil {
 				// Transport-level give-up: no page, but the log still
 				// learns the attempt happened and why it failed.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,8 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
+	"langcrawl/internal/webgraph"
+	"langcrawl/internal/webserve"
 )
 
 // fastRetry is a retry schedule with real-time delays small enough for
@@ -85,21 +88,84 @@ func TestNoRetriesLeaveFlakyPagesAs5xx(t *testing.T) {
 	}
 }
 
-func TestBreakerCutsOffDeadHost(t *testing.T) {
-	space, srv, client := testWeb(t, 300, 73)
-	// Pick a non-seed host to kill, so the crawl itself stays alive.
+// TestRetryBudgetParallel holds eight workers to the crawl-wide retry
+// budget: checking the budget and booking a retry are one step, so no
+// two workers can both spend its last unit.
+func TestRetryBudgetParallel(t *testing.T) {
+	space, srv, client := testWeb(t, 200, 67)
+	srv.FailFirst = 2
+	retry := fastRetry()
+	retry.Budget = 7
+	c, err := New(Config{
+		Seeds:        seedsOf(space),
+		Strategy:     core.SoftFocused{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		IgnoreRobots: true,
+		Parallelism:  8,
+		Retry:        retry,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Retries != retry.Budget {
+		t.Errorf("retries = %d, want the budget %d", res.Faults.Retries, retry.Budget)
+	}
+}
+
+// killHost makes a non-seed host of space with at least three pages
+// fail every request, so the crawl itself stays alive.
+func killHost(t *testing.T, space *webgraph.Space, srv *webserve.Server) {
+	t.Helper()
 	seedHost := space.Site(space.Seeds[0]).Host
-	dead := ""
 	for i := range space.Sites {
 		if space.Sites[i].Host != seedHost && space.Sites[i].Count >= 3 {
-			dead = space.Sites[i].Host
-			break
+			srv.FailHost = space.Sites[i].Host
+			return
 		}
 	}
-	if dead == "" {
-		t.Skip("no suitable victim host in the space")
+	t.Skip("no suitable victim host in the space")
+}
+
+// TestBreakerEngineClock runs the breakers on Config.Now: a clock that
+// moves 1000 s per reading outruns every 300 s cooldown, so an open
+// breaker always admits the next probe and no queued URL is skipped.
+func TestBreakerEngineClock(t *testing.T) {
+	space, srv, client := testWeb(t, 300, 73)
+	killHost(t, space, srv)
+	var ticks atomic.Int64
+	epoch := time.Unix(0, 0)
+	c, err := New(Config{
+		Seeds:        seedsOf(space),
+		Strategy:     core.SoftFocused{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		IgnoreRobots: true,
+		Breaker:      faults.BreakerConfig{Threshold: 2, Cooldown: 300},
+		Now:          func() time.Time { return epoch.Add(time.Duration(ticks.Add(1000)) * time.Second) },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv.FailHost = dead
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.BreakerTrips == 0 {
+		t.Errorf("dead host never tripped its breaker: %+v", res.Faults)
+	}
+	if res.Faults.BreakerSkips != 0 {
+		t.Errorf("breaker skipped %d URLs though every cooldown had elapsed on Config.Now", res.Faults.BreakerSkips)
+	}
+}
+
+func TestBreakerCutsOffDeadHost(t *testing.T) {
+	space, srv, client := testWeb(t, 300, 73)
+	killHost(t, space, srv)
 	c, err := New(Config{
 		Seeds:        seedsOf(space),
 		Strategy:     core.SoftFocused{},

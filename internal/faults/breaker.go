@@ -1,12 +1,17 @@
 package faults
 
-import "sort"
+import (
+	"sort"
+
+	"langcrawl/internal/checkpoint"
+)
 
 // BreakerConfig parameterizes the per-host circuit breakers. The zero
 // value means "breakers disabled"; a non-zero config is normalized by
 // WithDefaults before use. Cooldown is in seconds on whatever clock the
 // engine supplies — virtual seconds in the simulator (the untimed engine
-// ticks one second per fetch attempt), wall seconds in the live crawler.
+// ticks one second per fetch attempt), seconds on Config.Now in the live
+// crawler.
 type BreakerConfig struct {
 	// Threshold is the number of consecutive failures that trips the
 	// breaker open (default 5).
@@ -211,32 +216,19 @@ func (s *BreakerSet) Open() int {
 	return n
 }
 
-// BreakerSnapshot is one host's breaker position in exportable form,
-// mirroring CircuitBreaker's private fields so a checkpoint can carry
-// the whole state machine across a crash.
-type BreakerSnapshot struct {
-	Host      string
-	State     BreakerState
-	Failures  int
-	Successes int
-	Probing   bool
-	OpenedAt  float64
-	Trips     int
-}
-
-// Snapshot exports every host's breaker, sorted by host so checkpoints
-// are deterministic.
-func (s *BreakerSet) Snapshot() []BreakerSnapshot {
-	out := make([]BreakerSnapshot, 0, len(s.m))
+// Snapshot exports every host's breaker in checkpoint form, sorted by
+// host so checkpoints are deterministic.
+func (s *BreakerSet) Snapshot() []checkpoint.Breaker {
+	out := make([]checkpoint.Breaker, 0, len(s.m))
 	for host, b := range s.m {
-		out = append(out, BreakerSnapshot{
+		out = append(out, checkpoint.Breaker{
 			Host:      host,
-			State:     b.state,
-			Failures:  b.failures,
-			Successes: b.successes,
+			State:     uint8(b.state),
+			Failures:  int32(b.failures),
+			Successes: int32(b.successes),
 			Probing:   b.probing,
 			OpenedAt:  b.openedAt,
-			Trips:     b.trips,
+			Trips:     int32(b.trips),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
@@ -247,15 +239,15 @@ func (s *BreakerSet) Snapshot() []BreakerSnapshot {
 // state for the listed hosts. A restored breaker continues exactly
 // where the snapshot left it — open breakers stay open until their
 // original cooldown expires on the resumed clock.
-func (s *BreakerSet) Restore(snaps []BreakerSnapshot) {
-	for _, sn := range snaps {
+func (s *BreakerSet) Restore(brs []checkpoint.Breaker) {
+	for _, sn := range brs {
 		b := NewBreaker(s.cfg)
-		b.state = sn.State
-		b.failures = sn.Failures
-		b.successes = sn.Successes
+		b.state = BreakerState(sn.State)
+		b.failures = int(sn.Failures)
+		b.successes = int(sn.Successes)
 		b.probing = sn.Probing
 		b.openedAt = sn.OpenedAt
-		b.trips = sn.Trips
+		b.trips = int(sn.Trips)
 		s.m[sn.Host] = b
 	}
 }

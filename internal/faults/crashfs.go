@@ -341,42 +341,6 @@ func (c *CrashFS) Exists(name string) bool {
 	return ok
 }
 
-// SnapshotsToCheckpoint converts breaker snapshots to the checkpoint
-// wire form. The conversion lives here (not in checkpoint) because
-// checkpoint cannot import faults without a cycle.
-func SnapshotsToCheckpoint(snaps []BreakerSnapshot) []checkpoint.Breaker {
-	out := make([]checkpoint.Breaker, len(snaps))
-	for i, s := range snaps {
-		out[i] = checkpoint.Breaker{
-			Host:      s.Host,
-			State:     uint8(s.State),
-			Failures:  int32(s.Failures),
-			Successes: int32(s.Successes),
-			Probing:   s.Probing,
-			OpenedAt:  s.OpenedAt,
-			Trips:     int32(s.Trips),
-		}
-	}
-	return out
-}
-
-// SnapshotsFromCheckpoint is the inverse of SnapshotsToCheckpoint.
-func SnapshotsFromCheckpoint(brs []checkpoint.Breaker) []BreakerSnapshot {
-	out := make([]BreakerSnapshot, len(brs))
-	for i, b := range brs {
-		out[i] = BreakerSnapshot{
-			Host:      b.Host,
-			State:     BreakerState(b.State),
-			Failures:  int(b.Failures),
-			Successes: int(b.Successes),
-			Probing:   b.Probing,
-			OpenedAt:  b.OpenedAt,
-			Trips:     int(b.Trips),
-		}
-	}
-	return out
-}
-
 // crashFile is the write handle; contents become durable on Sync.
 type crashFile struct {
 	fs     *CrashFS

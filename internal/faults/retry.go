@@ -3,9 +3,10 @@ package faults
 import "langcrawl/internal/rng"
 
 // RetryPolicy is an exponential-backoff retry schedule. Delays are
-// expressed in seconds — virtual seconds in the simulator, wall seconds
-// in the live crawler. The zero value means "retries disabled"; a
-// non-zero policy is normalized by WithDefaults before use.
+// expressed in seconds — virtual seconds in the simulator, real seconds
+// slept in the live crawler, whose breakers read Config.Now. The zero
+// value means "retries disabled"; a non-zero policy is normalized by
+// WithDefaults before use.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per URL, including
 	// the first (default 3; 1 disables retries).

@@ -11,8 +11,9 @@ import "fmt"
 type FaultCounters struct {
 	// Attempts is the total number of fetch attempts, including retries.
 	Attempts int
-	// Retries is the number of attempts that were refetches of an
-	// earlier failed attempt.
+	// Retries is the number of retries granted after a failed attempt,
+	// booked when granted: a live retry cancelled during its backoff is
+	// counted here and as a failure.
 	Retries int
 	// Failures is the number of URLs given up on permanently (retries
 	// exhausted, retry budget spent, or dropped by an open breaker).

@@ -9,6 +9,7 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/metrics"
+	"langcrawl/internal/rng"
 	"langcrawl/internal/simtime"
 	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
@@ -33,7 +34,11 @@ type loop struct {
 	every    int // sample stride, in crawled pages
 	needBody bool
 	observer core.QueueObserver
-	fs       *faultState
+	// sampler draws each attempt's injected fault and flt books it; both
+	// are nil when fault injection is off. Breakers read the virtual
+	// clock, which the untimed engine ticks one second per attempt.
+	sampler *faults.Sampler
+	flt     *faults.Policy
 	// ev is the evolving view the incremental and timed engines fetch
 	// from; nil for a static space, since an Evolver costs memory per page.
 	ev *webgraph.Evolver
@@ -102,7 +107,16 @@ func newLoop(space *webgraph.Space, cfg Config, res *Result) (*loop, error) {
 		tel:      cfg.Telemetry,
 		every:    cfg.SampleEvery,
 		needBody: cfg.Classifier.NeedsBody(),
-		fs:       newFaultState(cfg.Faults, space.Seed, &res.Faults),
+	}
+	if f := cfg.Faults; f != nil {
+		// A zero Model.Seed falls back to the space's seed, so a bare
+		// Faults config is reproducible per space.
+		m := f.Model
+		if m.Seed == 0 {
+			m.Seed = space.Seed
+		}
+		l.sampler = faults.NewSampler(m)
+		l.flt = faults.NewPolicy(f.Retry, f.Breaker, rng.New2(m.Seed, 0xBAC0FF), &res.Faults, nil)
 	}
 	if l.every <= 0 {
 		l.every = max(n/256, 1)
@@ -187,8 +201,11 @@ func (l *loop) resume(st *checkpoint.State) error {
 	r.Crawled, r.RelevantCrawled, r.DroppedPages = st.Crawled, st.Relevant, st.Dropped
 	r.MaxQueueLen = st.MaxQueue
 	r.Faults = st.Faults
-	if l.fs != nil {
-		l.fs.restore(faults.SnapshotsFromCheckpoint(st.Breakers))
+	if l.flt != nil {
+		// Skipping the draws the killed run consumed makes the resumed
+		// run observe exactly the faults the uninterrupted run would.
+		l.sampler.Skip(r.Faults.Attempts)
+		l.flt.Restore(st.Breakers)
 	}
 	for _, e := range st.Frontier {
 		l.fr.push(e.ID, e.Dist, e.Prio)
@@ -284,7 +301,7 @@ func (l *loop) drive(p pace) error {
 		l.sample()
 	}
 
-	fs := l.fs
+	flt := l.flt
 	events := simtime.NewEventQueue[job]()
 	retrying := 0
 	for {
@@ -301,7 +318,7 @@ func (l *loop) drive(p pace) error {
 			if l.visited[it.id] {
 				continue
 			}
-			if fs != nil && !fs.allow(l.space.Site(it.id).Host, l.now) {
+			if flt != nil && !flt.Allow(l.space.Site(it.id).Host, l.now) {
 				// Open breaker: drop the pop unvisited; a later duplicate
 				// entry can still reach the page once the host recovers.
 				continue
@@ -338,13 +355,14 @@ func (l *loop) drive(p pace) error {
 		// one is configured. Every attempt consumes page budget.
 		var host string
 		var class faults.FailureClass
-		if fs != nil {
+		if flt != nil {
 			host = l.space.Site(j.id).Host
-			class = fs.attempt(host)
+			class = l.sampler.Attempt(host)
 		}
 		l.fetched()
 		if class.Failed() {
-			if fs.failed(host, int(j.attempt), l.now, l.budgetLeft()) {
+			flt.Failed(host, l.now)
+			if l.budgetLeft() && flt.Retry(host, int(j.attempt), l.now) {
 				at := l.now
 				if p.backoff != nil {
 					at += p.backoff(int(j.attempt))
@@ -353,11 +371,15 @@ func (l *loop) drive(p pace) error {
 				events.Schedule(p.done(j.id, at), j)
 				retrying++
 			} else {
+				l.res.Faults.Failures++
 				l.sampleDue()
 			}
 			continue
 		}
-		truncated := fs != nil && fs.succeeded(host, class, l.now)
+		truncated := class == faults.TruncatedBody
+		if flt != nil {
+			flt.Succeeded(host, truncated, l.now)
+		}
 		if p.discovered != nil {
 			p.discovered(j.id, j.dist, l.now)
 		}
@@ -408,7 +430,7 @@ func (l *loop) checkpoint() error {
 		Frontier:    entries,
 		VisitedBits: checkpoint.PackBits(l.visited),
 		VisitedN:    len(l.visited),
-		Breakers:    faults.SnapshotsToCheckpoint(l.fs.snapshotBreakers()),
+		Breakers:    l.flt.Snapshot(),
 		Faults:      r.Faults,
 		VTime:       l.now,
 		Fresh:       inc.Fresh,
@@ -548,7 +570,7 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 func (l *loop) finish() error {
 	l.sample()
 	l.res.MaxQueueLen = max(l.res.MaxQueueLen, l.fr.max())
-	l.fs.finish()
+	l.flt.Finish()
 	if l.ckp != nil {
 		if err := l.checkpoint(); err != nil {
 			return err

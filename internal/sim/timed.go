@@ -85,7 +85,6 @@ func RunTimed(space *webgraph.Space, cfg TimedConfig) (*TimedResult, error) {
 
 	// A fetch books its host's next politeness slot, then takes a
 	// transfer delay, stretched on the fault model's slow hosts.
-	fs := l.fs
 	limiter := simtime.NewHostLimiter(cfg.HostInterval)
 	jitter := rng.New2(space.Seed, 0x71BED)
 	p := pace{conns: cfg.Concurrency, horizon: cfg.MaxVirtualTime}
@@ -93,13 +92,13 @@ func RunTimed(space *webgraph.Space, cfg TimedConfig) (*TimedResult, error) {
 		host := space.Site(id).Host
 		start := limiter.Reserve(host, at)
 		delay := cfg.Delays.Delay(host, space.Size[id], jitter)
-		if fs != nil && fs.sampler.HostSlow(host) {
-			delay *= fs.sampler.SlowFactor()
+		if l.sampler != nil && l.sampler.HostSlow(host) {
+			delay *= l.sampler.SlowFactor()
 		}
 		return start + delay
 	}
-	if fs != nil {
-		p.backoff = fs.backoff
+	if l.flt != nil {
+		p.backoff = l.flt.Backoff
 	}
 	err = l.drive(p)
 	res.Duration = l.now
