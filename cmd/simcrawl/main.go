@@ -47,8 +47,6 @@ func main() {
 		timed     = flag.Bool("timed", false, "use the timed engine (delays + politeness)")
 		interval  = flag.Float64("interval", 1.0, "per-host access interval seconds (timed mode)")
 		conns     = flag.Int("conns", 16, "concurrent connections (timed mode)")
-		spillDir  = flag.String("spill", "", "spill the frontier to disk segments under this directory")
-		spillMem  = flag.Int("spill-mem", 1<<16, "in-memory frontier items per queue before spilling")
 		compare   = flag.String("compare", "", "comma-separated strategies to compare in one table (overrides -strategy)")
 		faultRate = flag.Float64("fault-rate", 0, "per-attempt transient fault probability (0 disables fault injection)")
 		faultDead = flag.Float64("fault-dead", 0, "fraction of hosts that are permanently dead")
@@ -135,7 +133,6 @@ func main() {
 
 	cfg := sim.Config{
 		Strategy: strategy, Classifier: classifier, MaxPages: *maxPages,
-		SpillDir: *spillDir, SpillMemLimit: *spillMem,
 		CheckpointDir: *ckDir, CheckpointEvery: *ckEvery,
 	}
 

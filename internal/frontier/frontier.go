@@ -19,11 +19,8 @@ type Queue[T any] interface {
 	Pop() (item T, ok bool)
 	// Len returns the number of queued items.
 	Len() int
-	// MaxLen returns the high-water mark of Len since creation (or the
-	// last Reset).
+	// MaxLen returns the high-water mark of Len since creation.
 	MaxLen() int
-	// Reset empties the queue and clears the high-water mark.
-	Reset()
 }
 
 // --- FIFO -------------------------------------------------------------------
@@ -74,9 +71,6 @@ func (q *FIFO[T]) Len() int { return q.n }
 
 // MaxLen returns the high-water mark.
 func (q *FIFO[T]) MaxLen() int { return q.maxN }
-
-// Reset empties the queue and clears the high-water mark.
-func (q *FIFO[T]) Reset() { *q = FIFO[T]{} }
 
 func (q *FIFO[T]) grow() {
 	next := make([]T, maxInt(4, len(q.buf)*2))
@@ -204,9 +198,6 @@ func (q *Heap[T]) Len() int { return len(q.inner) }
 // MaxLen returns the high-water mark.
 func (q *Heap[T]) MaxLen() int { return q.maxN }
 
-// Reset empties the queue and clears the high-water mark.
-func (q *Heap[T]) Reset() { *q = Heap[T]{} }
-
 // --- Bucket -----------------------------------------------------------------
 
 // Bucket is a small-alphabet priority queue: priorities are truncated to
@@ -218,22 +209,14 @@ func (q *Heap[T]) Reset() { *q = Heap[T]{} }
 // class count.
 type Bucket[T any] struct {
 	classes []int // sorted descending
-	queues  map[int]Queue[T]
-	factory func() Queue[T]
+	queues  map[int]*FIFO[T]
 	n       int
 	maxN    int
 }
 
-// NewBucket returns an empty bucket queue with in-memory FIFO classes.
+// NewBucket returns an empty bucket queue.
 func NewBucket[T any]() *Bucket[T] {
-	return NewBucketWith[T](func() Queue[T] { return NewFIFO[T]() })
-}
-
-// NewBucketWith returns a bucket queue whose per-class queues come from
-// factory — e.g. disk-spilling FIFOs for memory-bounded crawls. The
-// factory's queues must behave as FIFOs.
-func NewBucketWith[T any](factory func() Queue[T]) *Bucket[T] {
-	return &Bucket[T]{queues: make(map[int]Queue[T]), factory: factory}
+	return &Bucket[T]{queues: make(map[int]*FIFO[T])}
 }
 
 // Push enqueues item in the class floor(priority).
@@ -244,7 +227,7 @@ func (q *Bucket[T]) Push(item T, priority float64) {
 	}
 	fifo, ok := q.queues[class]
 	if !ok {
-		fifo = q.factory()
+		fifo = NewFIFO[T]()
 		q.queues[class] = fifo
 		q.insertClass(class)
 	}
@@ -277,12 +260,8 @@ func (q *Bucket[T]) Pop() (T, bool) {
 			q.n--
 			return item, true
 		}
-		// Class drained: drop it (closing any resources it holds); it is
-		// re-created on demand.
+		// Class drained: drop it; it is re-created on demand.
 		q.classes = q.classes[1:]
-		if c, ok := fifo.(interface{ Close() error }); ok {
-			_ = c.Close()
-		}
 		delete(q.queues, class)
 	}
 	return zero, false
@@ -293,28 +272,6 @@ func (q *Bucket[T]) Len() int { return q.n }
 
 // MaxLen returns the high-water mark.
 func (q *Bucket[T]) MaxLen() int { return q.maxN }
-
-// Reset empties the queue and clears the high-water mark.
-func (q *Bucket[T]) Reset() {
-	q.classes = nil
-	q.Close()
-	q.queues = make(map[int]Queue[T])
-	q.n, q.maxN = 0, 0
-}
-
-// Close releases resources held by the per-class queues (a no-op for
-// in-memory classes).
-func (q *Bucket[T]) Close() error {
-	var first error
-	for _, sub := range q.queues {
-		if c, ok := sub.(interface{ Close() error }); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
 
 // Kind names a queue implementation; strategies declare which one they
 // need.

@@ -125,23 +125,6 @@ func TestMaxLenHighWaterMark(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	for name, mk := range testQueues() {
-		q := mk()
-		for i := 0; i < 5; i++ {
-			q.Push(i, float64(i))
-		}
-		q.Reset()
-		if q.Len() != 0 || q.MaxLen() != 0 {
-			t.Errorf("%s: Reset did not clear state", name)
-		}
-		q.Push(42, 1)
-		if v, ok := q.Pop(); !ok || v != 42 {
-			t.Errorf("%s: queue unusable after Reset", name)
-		}
-	}
-}
-
 func TestFIFORingWrapAround(t *testing.T) {
 	q := NewFIFO[int]()
 	// Force many wrap-arounds at small capacity.

@@ -1,5 +1,10 @@
 package frontier
 
+import (
+	"cmp"
+	"slices"
+)
+
 // IndexedHeap is a priority queue with at most one entry per key and
 // O(log n) in-place priority updates — the classic crawler frontier
 // design that avoids duplicate URL entries entirely. It exists as the
@@ -87,13 +92,14 @@ func (h *IndexedHeap[K]) Pop() (K, bool) {
 	return top, true
 }
 
-// Reset empties the heap and clears the high-water mark.
-func (h *IndexedHeap[K]) Reset() {
-	h.keys = nil
-	h.pos = make(map[K]int)
-	h.prio = make(map[K]float64)
-	h.seq = make(map[K]uint64)
-	h.maxN = 0
+// Keys returns the queued keys in first-insertion order. Pushing them in
+// that order, each at its Priority, into an empty IndexedHeap builds one
+// that pops the same sequence, before and after any later Push: a
+// snapshot that needs no drain.
+func (h *IndexedHeap[K]) Keys() []K {
+	keys := slices.Clone(h.keys)
+	slices.SortFunc(keys, func(a, b K) int { return cmp.Compare(h.seq[a], h.seq[b]) })
+	return keys
 }
 
 func (h *IndexedHeap[K]) less(i, j int) bool {

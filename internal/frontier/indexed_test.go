@@ -67,7 +67,7 @@ func TestIndexedHeapFIFOTies(t *testing.T) {
 	}
 }
 
-func TestIndexedHeapContainsAndReset(t *testing.T) {
+func TestIndexedHeapContains(t *testing.T) {
 	h := NewIndexedHeap[string]()
 	h.Push("k", 1)
 	if !h.Contains("k") || h.Contains("nope") {
@@ -76,11 +76,6 @@ func TestIndexedHeapContainsAndReset(t *testing.T) {
 	h.Pop()
 	if h.Contains("k") {
 		t.Error("popped key still contained")
-	}
-	h.Push("a", 1)
-	h.Reset()
-	if h.Len() != 0 || h.MaxLen() != 0 || h.Contains("a") {
-		t.Error("Reset incomplete")
 	}
 }
 
@@ -158,6 +153,41 @@ func TestIndexedHeapInterleavedQuick(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: a heap rebuilt from Keys, each key at its Priority, pops the
+// same sequence as the original under any further pushes, upgrades and
+// pops — whereas one rebuilt in pop order can break a later upgrade's tie.
+func TestIndexedHeapKeysRebuildQuick(t *testing.T) {
+	f := func(before, after []int16) bool {
+		h := NewIndexedHeap[int16]()
+		apply := func(h *IndexedHeap[int16], op int16) (int16, bool) {
+			if op%4 == 0 {
+				return h.Pop()
+			}
+			h.Push(op%64, float64(op%5))
+			return 0, true
+		}
+		for _, op := range before {
+			apply(h, op)
+		}
+		re := NewIndexedHeap[int16]()
+		for _, k := range h.Keys() {
+			p, _ := h.Priority(k)
+			re.Push(k, p)
+		}
+		for _, op := range append(after, make([]int16, 64)...) { // zeros pop
+			a, aok := apply(h, op)
+			b, bok := apply(re, op)
+			if a != b || aok != bok || h.Len() != re.Len() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

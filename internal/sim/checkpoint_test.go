@@ -93,6 +93,76 @@ func TestCheckpointKillResumeFaults(t *testing.T) {
 	}
 }
 
+// TestCheckpointUpgradeModeTransparent: in upgrade mode, checkpoints and
+// kill-resume from them leave the visit order exactly as a
+// checkpoint-free run's. The snapshot must keep the indexed heap's
+// first-insertion tie-break: re-pushed in pop order, two entries tied
+// after a later upgrade would pop the other way round.
+func TestCheckpointUpgradeModeTransparent(t *testing.T) {
+	for _, strat := range []core.Strategy{
+		core.SoftFocused{},
+		core.LimitedDistance{N: 2, Prioritized: true},
+		core.LimitedDistance{N: 3, Prioritized: true},
+	} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			cfg := func(visits *[]webgraph.PageID) Config {
+				return Config{
+					Strategy: strat, Classifier: metaThai(), QueueMode: QueueUpgrade,
+					OnVisit: func(id webgraph.PageID) { *visits = append(*visits, id) },
+				}
+			}
+			same := func(what string, got, want []webgraph.PageID) {
+				t.Helper()
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Errorf("%s: visit %d is page %d, checkpoint-free run's is %d", what, i+1, got[i], want[i])
+						return
+					}
+				}
+				if len(got) != len(want) {
+					t.Errorf("%s: %d visits, checkpoint-free run %d", what, len(got), len(want))
+				}
+			}
+
+			var ref, ck, killed []webgraph.PageID
+			if _, err := Run(ckSpace, cfg(&ref)); err != nil {
+				t.Fatal(err)
+			}
+			c := cfg(&ck)
+			c.CheckpointDir, c.CheckpointEvery = t.TempDir(), 50
+			if _, err := Run(ckSpace, c); err != nil {
+				t.Fatal(err)
+			}
+			same("checkpoint every 50", ck, ref)
+
+			c = cfg(&killed)
+			c.CheckpointDir, c.CheckpointEvery = t.TempDir(), 50
+			for kills := 0; ; kills++ {
+				c.StopAfter += 37
+				_, err := Run(ckSpace, c)
+				if errors.Is(err, checkpoint.ErrKilled) && kills < 1000 {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			// Pages crawled between the last checkpoint and a kill are
+			// crawled again on resume; the first occurrences are the crawl.
+			seen := make([]bool, ckSpace.N())
+			deduped := killed[:0:0]
+			for _, id := range killed {
+				if !seen[id] {
+					seen[id] = true
+					deduped = append(deduped, id)
+				}
+			}
+			same("kill every 37", deduped, ref)
+		})
+	}
+}
+
 // TestCheckpointGracefulStop: a closed Stop channel ends the run at the
 // next boundary with a final checkpoint; resuming without Stop finishes
 // the crawl identically to an uninterrupted run.

@@ -82,32 +82,35 @@ func TestUpgradeModePreservesPrioritizedBehavior(t *testing.T) {
 	}
 }
 
-func TestUpgradeModeRejectsSpill(t *testing.T) {
-	_, err := Run(thaiSpace, Config{
-		Strategy: core.SoftFocused{}, Classifier: metaThai(),
-		QueueMode: QueueUpgrade, SpillDir: t.TempDir(),
-	})
-	if err == nil {
-		t.Error("QueueUpgrade + SpillDir should be rejected")
-	}
-}
-
 func TestFrontierTelemetryCounts(t *testing.T) {
 	// The frontier counters must move in every queue mode: each crawled
-	// page was popped, and the crawl pushed links.
+	// page was popped, and the crawl pushed links. Pushes count only the
+	// entries they add, so pushes minus pops is the queue's final depth,
+	// also when a page cap leaves the queue full (where upgrade mode has
+	// ignored downgrades and raised entries in place).
 	for _, mode := range []QueueMode{QueueDuplicates, QueueUpgrade} {
-		stats := telemetry.NewSimStats(telemetry.NewRegistry())
-		res, err := Run(thaiSpace, Config{
-			Strategy: core.SoftFocused{}, Classifier: metaThai(),
-			QueueMode: mode, Telemetry: stats,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pushes, pops := stats.Frontier.Pushes.Value(), stats.Frontier.Pops.Value()
-		if pops < int64(res.Crawled) || pushes <= 0 {
-			t.Errorf("mode %d: push_total %d, pop_total %d for %d crawled pages",
-				mode, pushes, pops, res.Crawled)
+		for _, maxPages := range []int{0, 400} {
+			stats := telemetry.NewSimStats(telemetry.NewRegistry())
+			res, err := Run(thaiSpace, Config{
+				Strategy: core.SoftFocused{}, Classifier: metaThai(),
+				QueueMode: mode, MaxPages: maxPages, Telemetry: stats,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushes, pops := stats.Frontier.Pushes.Value(), stats.Frontier.Pops.Value()
+			if pops < int64(res.Crawled) || pushes <= 0 {
+				t.Errorf("mode %d, cap %d: push_total %d, pop_total %d for %d crawled pages",
+					mode, maxPages, pushes, pops, res.Crawled)
+			}
+			pts := res.QueueSize.Points
+			if depth := pts[len(pts)-1].Y; float64(pushes-pops) != depth {
+				t.Errorf("mode %d, cap %d: push_total %d - pop_total %d != final queue size %.0f",
+					mode, maxPages, pushes, pops, depth)
+			}
+			if maxPages > 0 && pushes == pops {
+				t.Errorf("mode %d, cap %d: the capped crawl left the queue empty", mode, maxPages)
+			}
 		}
 	}
 }

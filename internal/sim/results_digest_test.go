@@ -101,7 +101,6 @@ func resultDigests(t *testing.T) []byte {
 			{"plain", func(*Config) {}},
 			{"faults", func(c *Config) { c.Faults = faultsOn() }},
 			{"upgrade", func(c *Config) { c.QueueMode = QueueUpgrade }},
-			{"spill", func(c *Config) { c.SpillDir, c.SpillMemLimit = t.TempDir(), 64 }},
 		}
 		for _, v := range variants {
 			cfg := base

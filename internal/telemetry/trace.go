@@ -16,7 +16,7 @@ type Event struct {
 }
 
 // Tracer keeps the most recent events in a fixed ring buffer — breaker
-// transitions, batch flushes, frontier spills: the rare, interesting
+// transitions, batch flushes: the rare, interesting
 // moments of a crawl, visible in /debug/vars without grepping logs.
 // Unlike counters it takes a mutex per record, so it belongs on rare
 // paths, not per-page ones. A nil Tracer is a no-op.
