@@ -71,7 +71,8 @@ profile:
 	done
 	@echo "profiles written; read one with: $(GO) tool pprof -top bench/out/cpu-sim.jp-detect.pprof"
 
-# Append-path benchmarks (crawl log, link DB) gated against BENCH_frontier.json
+# Append-path benchmarks — the crawl-log Writer and the link DB's Put,
+# with and without a per-record fsync — gated against BENCH_frontier.json
 # (what CI runs); bench-baseline re-records the baseline on this machine.
 # The telemetry *Disabled benchmarks are skipped from the ratio gate: the
 # nil no-op path compiles to an empty loop, so their timing is dominated

@@ -62,7 +62,7 @@ func (b *Baseline) Save(path string) error {
 
 // benchLine matches `go test -bench` result lines, e.g.
 //
-//	BenchmarkCrawlogAppendBatched64-8   1  64042 ns/op  35 B/op  12 allocs/op
+//	BenchmarkLinkDBPutNoSync-8   1  64042 ns/op  664 B/op  8 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so baselines survive core-count
 // changes in the runner name (the metadata still records the real one).

@@ -58,8 +58,6 @@ func main() {
 		retryBase    = flag.Float64("retry-base", 0.5, "base retry backoff seconds (doubles per attempt, jittered)")
 		brkThreshold = flag.Int("breaker-threshold", 0, "consecutive failures to open a host's circuit breaker (0 = no breakers)")
 		brkCooldown  = flag.Float64("breaker-cooldown", 30, "seconds an open breaker waits before probing the host again")
-		appendBatch  = flag.Int("append-batch", 0, "group-commit size for crawl-log and link-DB appends (0/1 = synchronous)")
-		appendEvery  = flag.Duration("append-interval", 0, "flush staged appends at least this often (0 = only on full batches)")
 		telAddr      = flag.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this addr (e.g. :9090)")
 		progress     = flag.Duration("progress", 0, "print a progress line to stderr this often (0 = off)")
 		coord        = flag.String("coord", "", "coordinator URL: run as a distributed worker against cmd/crawlcoord instead of crawling standalone")
@@ -173,8 +171,6 @@ func main() {
 	}
 	cfg.FrontierPath = *frontier
 	cfg.Parallelism = *parallel
-	cfg.AppendBatch = *appendBatch
-	cfg.AppendInterval = *appendEvery
 	if *retries > 0 {
 		cfg.Retry = faults.DefaultRetryPolicy()
 		cfg.Retry.MaxAttempts = *retries

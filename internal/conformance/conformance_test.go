@@ -369,15 +369,13 @@ func TestGoldenLiveTelemetry(t *testing.T) {
 }
 
 // TestGoldenLiveWorkers runs the live crawler at full width — 8
-// workers sharing one frontier, with batched appends — and checks set
-// equality against the golden: order may differ, coverage may not.
+// workers sharing one frontier — and checks set equality against the
+// golden: order may differ, coverage may not.
 func TestGoldenLiveWorkers(t *testing.T) {
 	sp := space(t)
 	client := liveWeb(t, sp)
 	tr, _ := liveTrace(t, sp, client, core.SoftFocused{}, func(cfg *crawler.Config) {
 		cfg.Parallelism = 8
-		cfg.AppendBatch = 32
-		cfg.AppendInterval = 5 * time.Millisecond
 	})
 	if d := golden(t, "soft").DiffSet(tr); d != "" {
 		t.Errorf("8-worker live crawl diverged from golden set: %s", d)

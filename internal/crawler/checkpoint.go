@@ -91,7 +91,7 @@ func (ck *ckState) advance(crawled int) { ck.nextCk = (crawled/ck.every + 1) * c
 
 // write captures the run's state. The caller guarantees a quiescent
 // point: no fetch in flight, every frontier entry in entries, and the
-// sinks flushed so logPos/dbPos are the durable file positions.
+// sinks synced so logPos/dbPos are the durable file positions.
 func (ck *ckState) write(c *Crawler, res *Result, seen *checkpoint.Seen, entries []checkpoint.Entry, logPos, dbPos int64) error {
 	st := &checkpoint.State{
 		Kind:          checkpoint.KindLive,
@@ -121,24 +121,19 @@ func (ck *ckState) write(c *Crawler, res *Result, seen *checkpoint.Seen, entries
 	return nil
 }
 
-// sync flushes both group-commit writers all the way to durable storage
-// and returns the resulting crawl-log / link-DB byte offsets — the
-// positions a checkpoint may safely record, and that recovery will
-// truncate the files back to after a crash.
-func (s sinks) sync(log *crawlog.Writer, db *linkdb.DB) (logPos, dbPos int64, err error) {
-	if s.log != nil {
-		if err := s.log.Flush(); err != nil {
-			return 0, 0, err
-		}
+// syncSinks makes the crawl log and link DB durable and returns their
+// byte offsets — the positions a checkpoint may safely record, and that
+// recovery truncates the files back to after a crash. A nil sink
+// reports position 0.
+func syncSinks(log *crawlog.Writer, db *linkdb.DB) (logPos, dbPos int64, err error) {
+	if log != nil {
 		if err := log.Sync(); err != nil {
 			return 0, 0, err
 		}
 		logPos = log.Offset()
 	}
-	if s.db != nil {
-		// Batcher.Flush ends in the store's fsync, so the offset read
-		// after it is durable.
-		if err := s.db.Flush(); err != nil {
+	if db != nil {
+		if err := db.Sync(); err != nil {
 			return 0, 0, err
 		}
 		dbPos = db.Offset()

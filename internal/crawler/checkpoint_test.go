@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"langcrawl/internal/faults"
 	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
+	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 )
 
@@ -185,7 +187,6 @@ func TestCheckpointKillResumeParallel(t *testing.T) {
 			Client:          client,
 			IgnoreRobots:    true,
 			Parallelism:     4,
-			AppendBatch:     8,
 			CheckpointEvery: 50,
 		}
 	}
@@ -359,5 +360,114 @@ func TestCheckpointGracefulStop(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("stop+resume log differs from the uninterrupted log (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestCheckpointPositionsDurable kills a crawl after a checkpoint and,
+// before anything flushes or closes the sinks, checks that the log and
+// link DB on disk reach the positions the checkpoint promised — the
+// state a real SIGKILL leaves — and that recovery accepts them.
+func TestCheckpointPositionsDurable(t *testing.T) {
+	space, _, client := testWeb(t, 300, 13)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			ckDir := filepath.Join(dir, "ck")
+			logPath := filepath.Join(dir, "crawl.log")
+			dbPath := filepath.Join(dir, "links.db")
+			f, err := os.Create(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			w, err := crawlog.NewWriter(f, crawlog.Header{Seeds: seedsOf(space)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := linkdb.Open(dbPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			c, err := New(Config{
+				Seeds:           seedsOf(space),
+				Strategy:        core.SoftFocused{},
+				Classifier:      core.MetaClassifier{Target: charset.LangThai},
+				Client:          client,
+				IgnoreRobots:    true,
+				Parallelism:     workers,
+				Log:             w,
+				DB:              db,
+				CheckpointDir:   ckDir,
+				CheckpointEvery: 40,
+				StopAfter:       50,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(context.Background()); !errors.Is(err, checkpoint.ErrKilled) {
+				t.Fatalf("want an emulated kill, got %v", err)
+			}
+			_, man, err := checkpoint.Load(ckDir, nil)
+			if err != nil || man == nil {
+				t.Fatalf("no checkpoint before the kill: %v", err)
+			}
+			for _, tf := range []struct {
+				path string
+				pos  int64
+			}{{logPath, man.LogPos}, {dbPath, man.DBPos}} {
+				info, err := os.Stat(tf.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Size() < tf.pos {
+					t.Errorf("%s holds %d bytes on disk, checkpoint promised %d",
+						filepath.Base(tf.path), info.Size(), tf.pos)
+				}
+			}
+			if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
+				checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
+				checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail},
+			); err != nil {
+				t.Fatalf("recovery refused the killed crawl: %v", err)
+			}
+		})
+	}
+}
+
+// TestCheckpointFrontierCounters: a checkpoint drains and refills the
+// frontier to snapshot it, but moves no URL, so the frontier's push and
+// pop counters must read the same with checkpoints as without.
+func TestCheckpointFrontierCounters(t *testing.T) {
+	space, _, client := testWeb(t, 300, 13)
+	counts := func(every int) (pushes, pops int64) {
+		stats := telemetry.NewCrawlStats(telemetry.NewRegistry())
+		cfg := Config{
+			Seeds:        seedsOf(space),
+			Strategy:     core.SoftFocused{},
+			Classifier:   core.MetaClassifier{Target: charset.LangThai},
+			Client:       client,
+			IgnoreRobots: true,
+			MaxPages:     200,
+			Telemetry:    stats,
+		}
+		if every > 0 {
+			cfg.CheckpointDir = t.TempDir()
+			cfg.CheckpointEvery = every
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Frontier.Pushes.Value(), stats.Frontier.Pops.Value()
+	}
+	wantPush, wantPop := counts(0)
+	gotPush, gotPop := counts(10)
+	if gotPush != wantPush || gotPop != wantPop {
+		t.Errorf("with checkpoints every 10 pages: %d pushes / %d pops, without: %d / %d",
+			gotPush, gotPop, wantPush, wantPop)
 	}
 }

@@ -71,10 +71,14 @@ type Config struct {
 	HostInterval time.Duration
 	// IgnoreRobots skips robots.txt handling (simulated webs only).
 	IgnoreRobots bool
-	// Log, if non-nil, receives one record per fetched page.
+	// Log, if non-nil, receives one record per fetched page (and per
+	// failed attempt), written in place under the engine lock. Each
+	// checkpoint syncs it to disk, and Run flushes it once at the end.
 	Log *crawlog.Writer
 	// DB, if non-nil, receives one record per fetched page and also
 	// serves as the resume set: URLs already in the DB are not refetched.
+	// Appends are written in place under the engine lock; each
+	// checkpoint syncs the DB to disk, and the caller closes it.
 	DB *linkdb.DB
 	// FrontierPath, if non-empty, persists the pending frontier: on
 	// startup any saved frontier at this path is loaded ahead of the
@@ -90,14 +94,6 @@ type Config struct {
 	Parallelism int
 	// Deprecated: there is one engine; ignored. Delete once bench/ stops setting it.
 	UseParallelEngine bool
-	// AppendBatch group-commits Log and DB appends in batches of this
-	// size (default 1: today's synchronous path). Batched DB commits end
-	// in one fsync each, so batching buys durability the synchronous
-	// path never had — at a fraction of the per-record sync cost.
-	AppendBatch int
-	// AppendInterval bounds how long a partial append batch may sit
-	// staged (0: flush only on size and at crawl end).
-	AppendInterval time.Duration
 	// Retry refetches failed URLs (5xx, timeouts, connection errors) with
 	// exponential backoff; see faults.RetryPolicy. The zero value disables
 	// retries, leaving single-attempt behavior.
@@ -137,7 +133,7 @@ type Config struct {
 	// all instrumentation at the cost of one branch per event.
 	Telemetry *telemetry.CrawlStats
 	// CheckpointDir, when non-empty, enables crash-safe checkpointing:
-	// every CheckpointEvery crawled pages the engine flushes the sinks
+	// every CheckpointEvery crawled pages the engine syncs Log and DB
 	// and atomically writes a snapshot of the full crawl state (frontier,
 	// seen set, counters, breaker states, durable log/DB positions) under
 	// this directory, and on startup it resumes from the newest snapshot
@@ -155,9 +151,9 @@ type Config struct {
 	// StopAfter, when positive, emulates a SIGKILL once that many pages
 	// have been crawled: the engine returns checkpoint.ErrKilled with no
 	// final checkpoint and no frontier save, exactly as if the process
-	// had died at that point. (The deferred sink close still flushes;
-	// recovery truncates whatever landed past the checkpointed
-	// positions.) Crash-harness only.
+	// had died at that point. Log is not flushed either; recovery
+	// truncates whatever reached disk past the checkpointed positions.
+	// Crash-harness only.
 	StopAfter int
 	// Stop, when non-nil, requests a graceful stop once closed: the
 	// engine finishes the fetch in hand, writes a final checkpoint, and

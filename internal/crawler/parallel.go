@@ -19,13 +19,13 @@ import (
 // runParallel is the crawl loop: Config.Parallelism workers share one
 // frontier and one set of books. The frontier is a single queue of the
 // strategy's kind, and mu guards it together with the rest of the crawl
-// bookkeeping — visited set, budget slots, result counters and the
-// recrawl ledger — so a page costs two engine-lock acquisitions: one to
-// pop and claim, one to record and push its links. Fetching, parsing
-// and classifying run outside mu. Workers claim page-budget slots
-// before fetching (so MaxPages is exact) and respect the per-host
-// access interval by booking start times the way the timed simulator's
-// limiter does.
+// bookkeeping — visited set, budget slots, result counters, the recrawl
+// ledger and the crawl-log and link-DB appends — so a page costs two
+// engine-lock acquisitions: one to pop and claim, one to record and push
+// its links. Fetching, parsing and classifying run outside mu. Workers
+// claim page-budget slots before fetching (so MaxPages is exact) and
+// respect the per-host access interval by booking start times the way
+// the timed simulator's limiter does.
 //
 // With one worker the loop is deterministic: every run over the same
 // web writes the same crawl log, link DB, frontier file and Result
@@ -46,8 +46,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 	}
 	seen := checkpoint.NewSeen(0)
 	observer, _ := c.cfg.Strategy.(core.QueueObserver)
-	sinks := c.newSinks()
-	defer sinks.close()
+	log, db := c.cfg.Log, c.cfg.DB
 	rc := c.rc
 
 	var (
@@ -116,11 +115,12 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 	// writeCk snapshots the crawl. The caller holds mu with no page in
 	// flight, so draining and re-pushing the frontier (each item at its
 	// effective priority, so the running crawl's order is unchanged)
-	// races with nobody.
+	// races with nobody. The round trip bypasses the frontier counters:
+	// a checkpoint moves no URL.
 	writeCk := func() error {
-		logPos, dbPos, err := sinks.sync(c.cfg.Log, c.cfg.DB)
+		logPos, dbPos, err := syncSinks(log, db)
 		if err != nil {
-			return fmt.Errorf("crawler: flushing appends for checkpoint: %w", err)
+			return fmt.Errorf("crawler: syncing log and link DB for checkpoint: %w", err)
 		}
 		var items []qitem
 		for {
@@ -128,14 +128,13 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			if !ok {
 				break
 			}
-			fs.Popped()
 			items = append(items, it)
 		}
 		entries := make([]checkpoint.Entry, len(items))
 		for i, it := range items {
 			prio := it.effPrio()
 			entries[i] = checkpoint.Entry{URL: it.url, Dist: it.dist, Prio: prio, Revisit: it.revisit}
-			push(it, prio)
+			fr.Push(it, prio)
 		}
 		if rc != nil {
 			entries = append(entries, rc.pendingEntries()...)
@@ -241,7 +240,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				continue
 			}
 			seen.Add(item.url)
-			if !item.revisit && sinks.db != nil && sinks.db.Has(item.url) {
+			if !item.revisit && db != nil && db.Has(item.url) {
 				mu.Unlock()
 				continue // already crawled in a previous run
 			}
@@ -314,9 +313,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			}
 			mu.Lock()
 			res.Errors += out.transportErrs
-			if sinks.log != nil {
+			if log != nil {
 				for _, frec := range out.failed {
-					if werr := sinks.log.Write(frec); werr != nil && runErr == nil {
+					if werr := log.Write(frec); werr != nil && runErr == nil {
 						runErr = fmt.Errorf("crawler: writing log: %w", werr)
 					}
 				}
@@ -328,8 +327,8 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			res.Crawled++
 			c.tel.Pages.Inc()
 			c.guard.recordPage(host, bodyLen)
-			if sinks.log != nil {
-				if werr := sinks.log.Write(out.rec); werr != nil && runErr == nil {
+			if log != nil {
+				if werr := log.Write(out.rec); werr != nil && runErr == nil {
 					runErr = fmt.Errorf("crawler: writing log: %w", werr)
 				}
 			}
@@ -351,8 +350,8 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				c.tel.Relevant.Inc()
 			}
 			res.Harvest.Add(float64(res.Crawled), 100*float64(res.Relevant)/float64(res.Crawled))
-			if sinks.db != nil {
-				if werr := sinks.db.Put(out.rec); werr != nil && runErr == nil {
+			if db != nil {
+				if werr := db.Put(out.rec); werr != nil && runErr == nil {
 					runErr = fmt.Errorf("crawler: writing linkdb: %w", werr)
 				}
 			}
@@ -414,9 +413,9 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 		res.Passes = rc.pass
 	}
 	if killed {
-		// Emulated SIGKILL: no final checkpoint, no frontier save. (The
-		// deferred sink close still flushes; recovery truncates anything
-		// past the checkpointed positions, as it would after a real kill.)
+		// Emulated SIGKILL: no final checkpoint, no frontier save, no log
+		// flush. Recovery truncates anything past the checkpointed
+		// positions, as it would after a real kill.
 		return res, checkpoint.ErrKilled
 	}
 	if ck != nil && runErr == nil {
@@ -427,8 +426,10 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 			runErr = err
 		}
 	}
-	if err := sinks.close(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("crawler: flushing appends: %w", err)
+	if log != nil {
+		if err := log.Flush(); err != nil && runErr == nil {
+			runErr = fmt.Errorf("crawler: flushing log: %w", err)
+		}
 	}
 	if c.cfg.FrontierPath != "" {
 		if err := saveFrontier(c.cfg.FrontierPath, fr); err != nil && runErr == nil {

@@ -3,6 +3,7 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +19,8 @@ import (
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/frontier"
+	"langcrawl/internal/kvstore"
+	"langcrawl/internal/linkdb"
 )
 
 func TestParallelFullCoverage(t *testing.T) {
@@ -136,8 +139,8 @@ func TestParallelFullCoverageExactRequests(t *testing.T) {
 	}
 }
 
-func TestParallelBatchedAppends(t *testing.T) {
-	// Group-committed log/DB appends must record exactly the crawled set.
+func TestParallelAppends(t *testing.T) {
+	// Log appends from four workers must record exactly the crawled set.
 	space, _, client := testWeb(t, 300, 73)
 	var buf bytes.Buffer
 	w, err := crawlog.NewWriter(&buf, crawlog.Header{Seeds: seedsOf(space)})
@@ -145,15 +148,13 @@ func TestParallelBatchedAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := New(Config{
-		Seeds:          seedsOf(space),
-		Strategy:       core.BreadthFirst{},
-		Classifier:     core.MetaClassifier{Target: charset.LangThai},
-		Client:         client,
-		Log:            w,
-		Parallelism:    4,
-		AppendBatch:    32,
-		AppendInterval: 5 * time.Millisecond,
-		IgnoreRobots:   true,
+		Seeds:        seedsOf(space),
+		Strategy:     core.BreadthFirst{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		Log:          w,
+		Parallelism:  4,
+		IgnoreRobots: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +184,62 @@ func TestParallelBatchedAppends(t *testing.T) {
 			t.Errorf("URL %q logged twice", rec.URL)
 		}
 		seen[rec.URL] = true
+	}
+}
+
+// failWriter is an io.Writer whose every write fails with err.
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestSinkWriteErrors: a crawl-log or link-DB write failure ends the
+// crawl with an error that wraps the sink's own, at one worker and at
+// four.
+func TestSinkWriteErrors(t *testing.T) {
+	space, _, client := testWeb(t, 300, 73)
+	for _, workers := range []int{1, 4} {
+		cfg := Config{
+			Seeds:        seedsOf(space),
+			Strategy:     core.BreadthFirst{},
+			Classifier:   core.MetaClassifier{Target: charset.LangThai},
+			Client:       client,
+			Parallelism:  workers,
+			IgnoreRobots: true,
+		}
+		t.Run(fmt.Sprintf("log/W=%d", workers), func(t *testing.T) {
+			injected := errors.New("disk full")
+			w, err := crawlog.NewWriter(failWriter{injected}, crawlog.Header{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := cfg
+			cfg.Log = w
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(context.Background()); !errors.Is(err, injected) {
+				t.Fatalf("Run returned %v, want the log's write error", err)
+			}
+		})
+		t.Run(fmt.Sprintf("db/W=%d", workers), func(t *testing.T) {
+			db, err := linkdb.Open(filepath.Join(t.TempDir(), "links.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cfg := cfg
+			cfg.DB = db
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(context.Background()); !errors.Is(err, kvstore.ErrClosed) {
+				t.Fatalf("Run returned %v, want kvstore.ErrClosed", err)
+			}
+		})
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"testing"
 )
 
-// Append benchmarks for the crawl log: the bare Writer versus the
-// group-commit BatchWriter at the crawler's default flush size. The
-// batched number includes the staging lock, so the delta is the real
-// cost (or saving) the live crawler sees. cmd/benchcheck gates CI runs
-// against BENCH_frontier.json.
+// Append benchmark for the crawl log: one record through the Writer, the
+// path the live crawler takes for every page. cmd/benchcheck gates CI
+// runs against BENCH_frontier.json.
 
 func benchRecord() *Record {
 	return &Record{
@@ -39,25 +37,5 @@ func BenchmarkCrawlogAppendUnbatched(b *testing.B) {
 		if err := w.Write(rec); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkCrawlogAppendBatched64(b *testing.B) {
-	w, err := NewWriter(io.Discard, Header{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bw := NewBatchWriter(w, 64, 0)
-	rec := benchRecord()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bw.Write(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := bw.Close(); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -29,7 +29,7 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // FuzzCrawlogRoundTrip builds a record from fuzz primitives — including
 // the fault extension byte — and checks it survives both the bare codec
-// and a full Writer→BatchWriter→Reader append/replay cycle.
+// and a full Writer→Reader append/replay cycle.
 func FuzzCrawlogRoundTrip(f *testing.F) {
 	f.Add("http://site00001.co.th/p3.html", uint16(200), byte(1), byte(2),
 		uint32(4096), "http://a.co.th/\nhttp://b.co.th/p1.html", byte(0), false)
@@ -73,13 +73,12 @@ func FuzzCrawlogRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw := NewBatchWriter(w, 3, 0)
 		for i := 0; i < 5; i++ {
-			if err := bw.Write(rec); err != nil {
-				t.Fatalf("batched write %d: %v", i, err)
+			if err := w.Write(rec); err != nil {
+				t.Fatalf("write %d: %v", i, err)
 			}
 		}
-		if err := bw.Close(); err != nil {
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		r, err := NewReader(bytes.NewReader(buf.Bytes()))

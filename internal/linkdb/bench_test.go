@@ -8,10 +8,10 @@ import (
 	"langcrawl/internal/crawlog"
 )
 
-// Link-database append benchmarks. The comparison that matters for the
-// group-commit design is sync-per-record versus one fsync per batch:
-// batching buys near-Put-cost durability. cmd/benchcheck gates CI runs
-// against BENCH_frontier.json.
+// Link-database append benchmarks: the crawler's Put with no
+// per-record fsync (it syncs at each checkpoint) against the fully
+// durable sync-per-record path. cmd/benchcheck gates CI runs against
+// BENCH_frontier.json.
 
 func benchDB(b *testing.B) *DB {
 	b.Helper()
@@ -32,7 +32,7 @@ func benchRec(i int) *crawlog.Record {
 	}
 }
 
-// BenchmarkLinkDBPutNoSync is today's crawler path: Put with no
+// BenchmarkLinkDBPutNoSync is the crawler's path: Put with no
 // per-record durability.
 func BenchmarkLinkDBPutNoSync(b *testing.B) {
 	db := benchDB(b)
@@ -58,23 +58,5 @@ func BenchmarkLinkDBPutSyncEach(b *testing.B) {
 		if err := db.Sync(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkLinkDBPutBatched64 is the group-commit path: one fsync per
-// 64-record batch.
-func BenchmarkLinkDBPutBatched64(b *testing.B) {
-	db := benchDB(b)
-	bt := NewBatcher(db, 64, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bt.Put(benchRec(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := bt.Close(); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -46,36 +46,6 @@ func (f *FrontierStats) Popped() {
 	f.Pops.Inc()
 }
 
-// BatchStats instruments a group-commit writer (crawl log or link DB).
-type BatchStats struct {
-	Commits      *Counter   // non-empty batch commits
-	CommitSize   *Histogram // records per committed batch
-	FlushLatency *Histogram // seconds per commit, fsync included
-	StickyErrors *Counter   // first-failure events that poisoned the writer
-}
-
-// NewBatchStats builds the bundle for the named sink ("crawlog",
-// "linkdb").
-func NewBatchStats(reg *Registry, sink string) *BatchStats {
-	if reg == nil {
-		return nil
-	}
-	return &BatchStats{
-		Commits: reg.Counter(
-			fmt.Sprintf("langcrawl_%s_commit_total", sink),
-			"Group commits written to the "+sink+"."),
-		CommitSize: reg.Histogram(
-			fmt.Sprintf("langcrawl_%s_commit_records", sink),
-			"Records per group commit.", SizeBuckets),
-		FlushLatency: reg.Histogram(
-			fmt.Sprintf("langcrawl_%s_commit_seconds", sink),
-			"Commit latency in seconds, sync included.", nil),
-		StickyErrors: reg.Counter(
-			fmt.Sprintf("langcrawl_%s_sticky_error_total", sink),
-			"Write failures that poisoned the "+sink+" writer."),
-	}
-}
-
 // DetectStats instruments the detect-once classification pipeline:
 // how many one-shot charset detection passes ran, how many concluded
 // before exhausting their input, how many reused a pooled detector,
@@ -329,9 +299,9 @@ func (h *HostileStats) RobotsOversize() {
 	h.OversizeRobots.Inc()
 }
 
-// CrawlStats instruments the live crawler (both engines): fetch
-// pipeline, worker idling, retry/breaker activity, and the append
-// sinks, plus a tracer for the rare interesting transitions.
+// CrawlStats instruments the live crawler: fetch pipeline, worker
+// idling, retry/breaker activity, checkpoints and hostile-input guards,
+// plus a tracer for the rare interesting transitions.
 type CrawlStats struct {
 	reg *Registry
 
@@ -356,8 +326,6 @@ type CrawlStats struct {
 	Detect   *DetectStats
 	Parse    *ParseStats
 	Frontier *FrontierStats
-	Log      *BatchStats
-	DB       *BatchStats
 	Ckpt     *CheckpointStats
 	Hostile  *HostileStats
 	Trace    *Tracer
@@ -391,8 +359,6 @@ func NewCrawlStats(reg *Registry) *CrawlStats {
 		Detect:   NewDetectStats(reg, "crawl"),
 		Parse:    NewParseStats(reg, "crawl"),
 		Frontier: NewFrontierStats(reg),
-		Log:      NewBatchStats(reg, "crawlog"),
-		DB:       NewBatchStats(reg, "linkdb"),
 		Ckpt:     NewCheckpointStats(reg),
 		Hostile:  NewHostileStats(reg),
 		Trace:    reg.Tracer("langcrawl_crawl_events", 0),

@@ -339,8 +339,8 @@ func TestBaseNameHelpers(t *testing.T) {
 }
 
 func TestInstrumentBundles(t *testing.T) {
-	if NewFrontierStats(nil) != nil || NewBatchStats(nil, "x") != nil ||
-		NewCrawlStats(nil) != nil || NewSimStats(nil) != nil {
+	if NewFrontierStats(nil) != nil || NewCrawlStats(nil) != nil ||
+		NewSimStats(nil) != nil {
 		t.Fatal("nil registry produced a live bundle")
 	}
 	var nilCS *CrawlStats
@@ -366,13 +366,10 @@ func TestInstrumentBundles(t *testing.T) {
 		t.Fatal("CrawlStats accessors broken")
 	}
 	cs.Pages.Inc()
-	cs.Log.Commits.Inc()
-	cs.DB.StickyErrors.Inc()
 	names := strings.Join(reg.Names(), "\n")
 	for _, want := range []string{
 		"langcrawl_crawl_pages_total", "langcrawl_fetch_seconds",
-		"langcrawl_frontier_push_total", "langcrawl_crawlog_commit_total",
-		"langcrawl_linkdb_sticky_error_total", "langcrawl_breaker_open",
+		"langcrawl_frontier_push_total", "langcrawl_breaker_open",
 		"langcrawl_worker_idle_seconds",
 	} {
 		if !strings.Contains(names, want) {
