@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -414,5 +415,46 @@ func TestSnapshotTelemetry(t *testing.T) {
 	c.Forward("w1", []Link{{URL: "http://new.example/a", Dist: 1, Prio: 1}})
 	if stats.LinksForwarded.Value() == 0 {
 		t.Error("LinksForwarded instrument did not tick")
+	}
+}
+
+// TestRestoreBloomEraSnapshot restores a coordinator snapshot written
+// while the seen set still serialized a Bloom filter into the
+// snapshot's bloom slot (testdata/coord-with-bloom.ck: the
+// newTestCoord crawl after one 4-link pull and one forwarded link).
+// The slot must not stop the restore, and the restored seen set must
+// dedupe exactly as the snapshotting coordinator did.
+func TestRestoreBloomEraSnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/coord-with-bloom.ck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "coord.ck")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoord(t, newFakeClock(), func(o *Options) { o.CheckpointPath = path })
+	seen := append(seedsN(12), "http://fresh.example/x")
+	st := c.Status()
+	// 11 pending and 2 in flight at the snapshot: the inflight batch
+	// folds back into pending.
+	if st.Seen != len(seen) || st.Pending != 13 || st.Inflight != 0 || st.Acked != 0 {
+		t.Fatalf("restored status %+v, want 13 seen, 13 pending", st)
+	}
+	for _, u := range seen {
+		if !c.seen.Has(u) {
+			t.Errorf("restored seen set lost %s", u)
+		}
+	}
+	if c.seen.Has("http://never.example/") {
+		t.Error("restored seen set claims an unseen URL")
+	}
+	fwd := c.Forward("w1", []Link{
+		{URL: "http://fresh.example/x", Dist: 1, Prio: 0.5},
+		{URL: "http://host3.example/", Dist: 1, Prio: 0.5},
+		{URL: "http://new.example/", Dist: 1, Prio: 0.5},
+	})
+	if fwd.Duplicates != 2 || fwd.Accepted != 1 {
+		t.Errorf("forward after restore: %+v, want 2 duplicates and 1 accepted", fwd)
 	}
 }
