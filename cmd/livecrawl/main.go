@@ -6,6 +6,8 @@
 //
 //	livecrawl -pages 20000 -strategy prior-limited:2 -max 5000
 //	livecrawl -pages 5000 -log out.crawlog     # journal, then replay with simcrawl
+//	livecrawl -max 1000 -log out.crawlog -checkpoint-dir ck    # stop after 1000 pages
+//	livecrawl -log out.crawlog -checkpoint-dir ck              # resume, crawl to the end
 //	livecrawl -seeds http://localhost:8080/ -target thai -max 100
 package main
 
@@ -44,10 +46,9 @@ func main() {
 		target       = flag.String("target", "", "target language (default from preset)")
 		strat        = flag.String("strategy", "soft", "strategy: "+cliutil.StrategyNames())
 		cls          = flag.String("classifier", "meta", "classifier: "+cliutil.ClassifierNames())
-		maxPages     = flag.Int("max", 0, "page budget (0 = until the frontier drains)")
+		maxPages     = flag.Int("max", 0, "page budget for the whole crawl, resumes included (0 = until the frontier drains)")
 		logPath      = flag.String("log", "", "write a crawl log for later replay")
 		dbPath       = flag.String("db", "", "link database path (also the cross-run resume set)")
-		frontier     = flag.String("frontier", "", "persist/resume the pending frontier at this path")
 		ckDir        = flag.String("checkpoint-dir", "", "write crash-safe checkpoints under this directory and resume from them")
 		ckEvery      = flag.Int("checkpoint-every", 0, "pages between checkpoints (default 1024)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "max time to drain and checkpoint after SIGINT/SIGTERM (0 = wait forever)")
@@ -169,7 +170,6 @@ func main() {
 	if *hostBudget > 0 {
 		cfg.HostBudget = crawler.HostBudget{MaxPages: *hostBudget}
 	}
-	cfg.FrontierPath = *frontier
 	cfg.Parallelism = *parallel
 	if *retries > 0 {
 		cfg.Retry = faults.DefaultRetryPolicy()
@@ -215,8 +215,8 @@ func main() {
 	// worker directory, work arrives in coordinator-leased batches, and
 	// discovered links are forwarded back instead of queued locally.
 	if *coord != "" {
-		if *logPath != "" || *dbPath != "" || *ckDir != "" || *frontier != "" {
-			fatal(fmt.Errorf("-worker mode keeps its log, DB and checkpoints under -worker-dir; drop -log/-db/-frontier/-checkpoint-dir"))
+		if *logPath != "" || *dbPath != "" || *ckDir != "" {
+			fatal(fmt.Errorf("-worker mode keeps its log, DB and checkpoints under -worker-dir; drop -log/-db/-checkpoint-dir"))
 		}
 		id := *workerID
 		if id == "" {
@@ -335,9 +335,9 @@ func main() {
 	}
 
 	// First SIGINT/SIGTERM drains gracefully: the engine finishes the
-	// fetches in hand, writes a final checkpoint, and flushes the batch
-	// writers. A second signal force-exits immediately; the drain
-	// deadline does too. (See the Signals section of -h.)
+	// fetches in hand, writes a final checkpoint, and flushes the crawl
+	// log. A second signal force-exits immediately; the drain deadline
+	// does too. (See the Signals section of -h.)
 	cfg.Stop = cliutil.DrainSignals{Prog: "livecrawl", DrainWait: *drainWait}.Install()
 
 	c, err := crawler.New(cfg)

@@ -1,5 +1,5 @@
 // Package checkpoint gives a crawl one durable, atomic unit of state:
-// the frontier contents, the visited/seen set (bloom + exact), the page
+// the frontier contents, the visited/seen set, the page
 // budget already spent, the per-host circuit-breaker states, and the
 // committed crawl-log / link-DB byte positions. A checkpoint is written
 // fsync-then-rename — state file first, then a manifest naming the

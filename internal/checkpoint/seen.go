@@ -1,48 +1,24 @@
 package checkpoint
 
-import (
-	"sort"
+import "sort"
 
-	"langcrawl/internal/bloom"
-)
-
-// Seen is the live crawler's two-tier visited set: a Bloom filter
-// answers most "have I seen this URL?" probes without touching the
-// exact map, and the exact map keeps the answer authoritative (so a
-// Bloom false positive never drops a URL). Both tiers checkpoint: the
-// URLs exactly, the filter as its serialized bit array so a resumed
-// crawl keeps the same filter density it died with.
+// Seen is the live crawler's visited set: the exact set of URLs the
+// crawl has claimed. A checkpoint stores it as its sorted URL list
+// (State.VisitedURLs), and Restore rebuilds it from that list.
 type Seen struct {
-	filter *bloom.Filter
-	exact  map[string]bool
+	exact map[string]bool
 }
 
-// NewSeen creates a seen set sized for roughly expect URLs.
-func NewSeen(expect int) *Seen {
-	if expect < 1024 {
-		expect = 1024
-	}
-	return &Seen{
-		filter: bloom.NewWithEstimates(uint64(expect), 0.01),
-		exact:  make(map[string]bool, expect),
-	}
+// NewSeen creates an empty seen set.
+func NewSeen() *Seen {
+	return &Seen{exact: make(map[string]bool)}
 }
 
 // Has reports whether url was Added before.
-func (s *Seen) Has(url string) bool {
-	// The filter's "definitely not" answer short-circuits the map probe;
-	// its "probably" answer must be confirmed exactly.
-	if !s.filter.Contains(url) {
-		return false
-	}
-	return s.exact[url]
-}
+func (s *Seen) Has(url string) bool { return s.exact[url] }
 
 // Add marks url seen.
-func (s *Seen) Add(url string) {
-	s.filter.Add(url)
-	s.exact[url] = true
-}
+func (s *Seen) Add(url string) { s.exact[url] = true }
 
 // Len returns the number of distinct URLs added.
 func (s *Seen) Len() int { return len(s.exact) }
@@ -58,24 +34,8 @@ func (s *Seen) URLs() []string {
 	return out
 }
 
-// BloomBytes returns the serialized first-tier filter.
-func (s *Seen) BloomBytes() []byte {
-	b, _ := s.filter.MarshalBinary()
-	return b
-}
-
-// Restore rebuilds the set from a checkpoint: the exact URLs always,
-// and the filter from its serialized form when present and valid.
-// Unusable filter bytes (old format, corruption caught by length
-// checks) degrade gracefully — the filter is rebuilt by re-adding the
-// URLs, which loses nothing but the original sizing.
-func (s *Seen) Restore(urls []string, bloomBytes []byte) {
-	if len(bloomBytes) > 0 && s.filter.UnmarshalBinary(bloomBytes) == nil {
-		for _, u := range urls {
-			s.exact[u] = true
-		}
-		return
-	}
+// Restore adds a checkpoint's URLs to the set.
+func (s *Seen) Restore(urls []string) {
 	for _, u := range urls {
 		s.Add(u)
 	}

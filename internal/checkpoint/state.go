@@ -119,9 +119,6 @@ type State struct {
 	// bit i = page i fetched), packed LSB-first.
 	VisitedBits []byte
 	VisitedN    int
-	// Bloom is the serialized first-tier filter of the live seen set
-	// (empty when the run had none; Restore rebuilds it from the URLs).
-	Bloom []byte
 
 	Breakers []Breaker
 	// HostUsage carries the live crawler's per-host budget meters,
@@ -188,7 +185,9 @@ func (s *State) Encode() []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(s.VisitedN))
 	b = appendBytes(b, s.VisitedBits)
-	b = appendBytes(b, s.Bloom)
+	// The slot a Bloom filter's bytes once filled stays in the format,
+	// written empty, so older state files still decode.
+	b = appendBytes(b, nil)
 
 	b = binary.AppendUvarint(b, uint64(len(s.Breakers)))
 	for _, br := range s.Breakers {
@@ -295,7 +294,7 @@ func Decode(b []byte) (*State, error) {
 	}
 	s.VisitedN = d.int()
 	s.VisitedBits = d.bytes()
-	s.Bloom = d.bytes()
+	d.bytes() // the retired Bloom slot
 
 	nb := d.count(1 << 26)
 	s.Breakers = make([]Breaker, 0, min(nb, 1<<20))

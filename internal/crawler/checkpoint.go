@@ -74,7 +74,7 @@ func (ck *ckState) resume(res *Result, seen *checkpoint.Seen, flt *faultCtl, gua
 	res.Errors = st.Errors
 	res.RobotsBlocked = st.RobotsBlocked
 	res.MaxQueueLen = st.MaxQueue
-	seen.Restore(st.VisitedURLs, st.Bloom)
+	seen.Restore(st.VisitedURLs)
 	flt.restore(st.Faults, st.Breakers)
 	guard.restoreUsage(st.HostUsage)
 	for _, e := range st.Frontier {
@@ -103,7 +103,6 @@ func (ck *ckState) write(c *Crawler, res *Result, seen *checkpoint.Seen, entries
 		MaxQueue:      res.MaxQueueLen,
 		Frontier:      entries,
 		VisitedURLs:   seen.URLs(),
-		Bloom:         seen.BloomBytes(),
 		Breakers:      c.flt.breakerSnapshot(),
 		HostUsage:     c.guard.snapshotUsage(),
 		Faults:        c.flt.snapshot(),

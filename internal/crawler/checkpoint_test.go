@@ -5,9 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"langcrawl/internal/charset"
@@ -209,19 +214,94 @@ func TestCheckpointKillResumeParallel(t *testing.T) {
 // logURLs returns the distinct record URLs of a crawl log.
 func logURLs(t *testing.T, data []byte) map[string]bool {
 	t.Helper()
+	urls := map[string]bool{}
+	for _, u := range logSeq(t, data) {
+		urls[u] = true
+	}
+	return urls
+}
+
+// logSeq returns a crawl log's record URLs in log order.
+func logSeq(t *testing.T, data []byte) []string {
+	t.Helper()
 	r, err := crawlog.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := map[string]bool{}
+	var urls []string
 	for {
 		rec, err := r.Next()
 		if err != nil {
-			break
+			return urls
 		}
-		urls[rec.URL] = true
+		urls = append(urls, rec.URL)
 	}
-	return urls
+}
+
+// TestCheckpointBudgetResume: a crawl stopped by its page budget
+// resumes from its final checkpoint. Leg 1 crawls 150 pages of a
+// 400-page space; leg 2, with no budget, resumes and drains it. Robots
+// are off, so every request is a page: the server sees each page once.
+// With one worker the two legs' crawl log lists the URLs in exactly the
+// order one uninterrupted crawl does; with four, they cover the space.
+func TestCheckpointBudgetResume(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			space, srv, client := testWeb(t, 400, 31)
+			mkCfg := func() Config {
+				return Config{
+					Seeds:        seedsOf(space),
+					Strategy:     core.SoftFocused{},
+					Classifier:   core.MetaClassifier{Target: charset.LangThai},
+					Client:       client,
+					IgnoreRobots: true,
+					Parallelism:  workers,
+				}
+			}
+			dir := t.TempDir()
+			cfg := mkCfg()
+			cfg.CheckpointDir = filepath.Join(dir, "ck")
+			leg1 := cfg
+			leg1.MaxPages = 150
+			res, err := digestRun(t, dir, leg1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Crawled != 150 {
+				t.Fatalf("leg 1 crawled %d pages, want its budget of 150", res.Crawled)
+			}
+			recoverTails(t, dir)
+			if res, err = digestRun(t, dir, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if res.Crawled != space.N() {
+				t.Errorf("legs crawled %d pages in all, want %d", res.Crawled, space.N())
+			}
+			if got := srv.Requests(); got != int64(space.N()) {
+				t.Errorf("server saw %d requests for %d pages", got, space.N())
+			}
+			db, err := linkdb.Open(filepath.Join(dir, "links.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if db.Len() != space.N() {
+				t.Errorf("link DB holds %d of %d pages", db.Len(), space.N())
+			}
+			if workers > 1 {
+				return
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "crawl.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := logSeq(t, data), logSeq(t, refLog(t, space, mkCfg))
+			if !slices.Equal(got, want) {
+				t.Errorf("two legs logged %d URLs in another order than the %d of one uninterrupted crawl",
+					len(got), len(want))
+			}
+		})
+	}
 }
 
 // TestCheckpointMismatchRejected: a checkpoint from the wrong engine or
@@ -469,5 +549,86 @@ func TestCheckpointFrontierCounters(t *testing.T) {
 	if gotPush != wantPush || gotPop != wantPop {
 		t.Errorf("with checkpoints every 10 pages: %d pushes / %d pops, without: %d / %d",
 			gotPush, gotPop, wantPush, wantPop)
+	}
+}
+
+// TestCheckpointKeepsDemotion: a checkpoint keeps breaker demotion. The
+// crawl below opens a.test's breaker, which demotes a.test/x from class
+// 2 into class 1 behind c.test/early, seeded there; fetching
+// b.test/stop then cancels the crawl, which writes its final
+// checkpoint. Recorded at its demoted priority, a.test/x stays behind
+// c.test/early; recorded at its assigned priority it would come back
+// in class 2 and jump ahead. A run resumed from the checkpoint, with
+// breakers off so nothing is demoted again, must fetch the two in the
+// recorded order.
+func TestCheckpointKeepsDemotion(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		mu      sync.Mutex
+		fetched []string
+	)
+	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		status, body := http.StatusOK, ""
+		switch req.URL.String() {
+		case "http://a.test/down":
+			status = http.StatusInternalServerError
+		case "http://b.test/stop":
+			cancel() // a.test/x is demoted by now: end the crawl
+		}
+		mu.Lock()
+		fetched = append(fetched, req.URL.String())
+		mu.Unlock()
+		return &http.Response{
+			StatusCode: status, Header: http.Header{"Content-Type": {"text/html"}},
+			Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)), Request: req,
+		}, nil
+	})}
+	cfg := Config{
+		SeedItems: []checkpoint.Entry{
+			{URL: "http://a.test/down", Prio: 2},
+			{URL: "http://a.test/x", Prio: 2},
+			{URL: "http://b.test/stop", Prio: 2},
+			{URL: "http://c.test/early", Prio: 1},
+		},
+		Strategy:      prioOne{},
+		Classifier:    core.MetaClassifier{Target: charset.LangThai},
+		Client:        client,
+		IgnoreRobots:  true,
+		Breaker:       faults.BreakerConfig{Threshold: 1, Cooldown: 3600},
+		CheckpointDir: filepath.Join(t.TempDir(), "ck"),
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := checkpoint.Load(cfg.CheckpointDir, nil)
+	if err != nil || st == nil {
+		t.Fatalf("no final checkpoint after the canceled crawl (err %v)", err)
+	}
+	want := []checkpoint.Entry{
+		{URL: "http://c.test/early", Prio: 1},
+		{URL: "http://a.test/x", Prio: 1}, // 2, less one demotion
+	}
+	if !reflect.DeepEqual(st.Frontier, want) {
+		t.Fatalf("checkpointed frontier %+v, want %+v", st.Frontier, want)
+	}
+
+	// Resume. Seeds only satisfy New: a resumed run does not push them,
+	// and this one was fetched already.
+	cfg.SeedItems, cfg.Seeds = nil, []string{"http://a.test/down"}
+	cfg.Breaker = faults.BreakerConfig{}
+	fetched = nil
+	if c, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{want[0].URL, want[1].URL}; !slices.Equal(fetched, got) {
+		t.Errorf("run resumed from the checkpoint fetched %q, want the recorded order %q", fetched, got)
 	}
 }

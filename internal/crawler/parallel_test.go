@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
-	"langcrawl/internal/faults"
 	"langcrawl/internal/frontier"
 	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
@@ -331,74 +329,6 @@ func (prioOne) Name() string             { return "prio-one" }
 func (prioOne) QueueKind() frontier.Kind { return frontier.KindBucket }
 func (prioOne) Decide(float64, int) core.Decision {
 	return core.Decision{Follow: true, Priority: 1}
-}
-
-// TestParallelRequeueKeepsDemotion: a saved frontier keeps breaker
-// demotion. The crawl below opens a.test's breaker, which demotes
-// a.test/x from class 2 into class 1 behind c.test/early, seeded there;
-// fetching b.test/stop then ends the crawl. Saved at its demoted
-// priority, a.test/x reloads behind c.test/early; saved at its undemoted
-// priority it would reload into class 2 and jump ahead, so a run
-// resumed from the file must pop the entries in the order they were
-// saved.
-func TestParallelRequeueKeepsDemotion(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		status, body := http.StatusOK, ""
-		switch req.URL.String() {
-		case "http://a.test/down":
-			status = http.StatusInternalServerError
-		case "http://b.test/stop":
-			cancel() // a.test/x is demoted by now: end the crawl
-		}
-		return &http.Response{
-			StatusCode: status, Header: http.Header{"Content-Type": {"text/html"}},
-			Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body)), Request: req,
-		}, nil
-	})}
-	path := filepath.Join(t.TempDir(), "frontier")
-	c, err := New(Config{
-		SeedItems: []checkpoint.Entry{
-			{URL: "http://a.test/down", Prio: 2},
-			{URL: "http://a.test/x", Prio: 2},
-			{URL: "http://b.test/stop", Prio: 2},
-			{URL: "http://c.test/early", Prio: 1},
-		},
-		Strategy:     prioOne{},
-		Classifier:   core.MetaClassifier{Target: charset.LangThai},
-		Client:       client,
-		IgnoreRobots: true,
-		Breaker:      faults.BreakerConfig{Threshold: 1, Cooldown: 3600},
-		FrontierPath: path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	items, _, err := loadFrontier(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	resumed := frontier.New[qitem](prioOne{}.QueueKind())
-	for _, it := range items {
-		got = append(got, it.url)
-		resumed.Push(it, it.prio) // as a run loading the file does
-	}
-	want := []string{"http://c.test/early", "http://a.test/x"}
-	if !slices.Equal(got, want) {
-		t.Errorf("saved frontier %q, want %q", got, want)
-	}
-	var popped []string
-	for it, ok := resumed.Pop(); ok; it, ok = resumed.Pop() {
-		popped = append(popped, it.url)
-	}
-	if !slices.Equal(popped, want) {
-		t.Errorf("frontier resumed from the file pops %q, want the saved order %q", popped, want)
-	}
 }
 
 // TestParallelRobotsBlockedBooksNoSlot: the robots check comes before the

@@ -143,7 +143,7 @@ func New(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
 		opt:  opts,
-		seen: checkpoint.NewSeen(0),
+		seen: checkpoint.NewSeen(),
 		wkr:  make(map[string]time.Time),
 		smp:  faults.NewDistSampler(opts.Faults),
 	}

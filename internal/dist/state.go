@@ -68,9 +68,7 @@ func (c *Coordinator) encodeState() []byte {
 	for _, u := range urls {
 		w.str(u)
 	}
-	bloom := c.seen.BloomBytes()
-	w.u64(uint64(len(bloom)))
-	w.raw(bloom)
+	w.u64(0) // the retired Bloom slot, kept empty so older snapshots still restore
 	sum := crc32.ChecksumIEEE(w.b)
 	w.b = binary.LittleEndian.AppendUint32(w.b, sum)
 	return w.b
@@ -127,12 +125,7 @@ func (c *Coordinator) restore() error {
 	for i := range urls {
 		urls[i] = r.str()
 	}
-	nbloom := r.count(r.u64(), 1)
-	var bloom []byte
-	if r.err == nil && nbloom > 0 {
-		bloom = r.b[r.off : r.off+nbloom]
-		r.off += nbloom
-	}
+	r.off += r.count(r.u64(), 1) // skip the retired Bloom slot
 	if r.err != nil {
 		return fmt.Errorf("dist: snapshot %s: %v", c.opt.CheckpointPath, r.err)
 	}
@@ -145,7 +138,7 @@ func (c *Coordinator) restore() error {
 	c.pts = pts
 	c.next = next + restartBatchJump
 	c.ack = int(acked)
-	c.seen.Restore(urls, bloom)
+	c.seen.Restore(urls)
 	return nil
 }
 
