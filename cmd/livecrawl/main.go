@@ -23,15 +23,12 @@ import (
 	"time"
 
 	"langcrawl/internal/charset"
-	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/cliutil"
 	"langcrawl/internal/crawler"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/dist"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/hostile"
-	"langcrawl/internal/kvstore"
-	"langcrawl/internal/linkdb"
 	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 	"langcrawl/internal/webserve"
@@ -48,7 +45,7 @@ func main() {
 		cls          = flag.String("classifier", "meta", "classifier: "+cliutil.ClassifierNames())
 		maxPages     = flag.Int("max", 0, "page budget for the whole crawl, resumes included (0 = until the frontier drains)")
 		logPath      = flag.String("log", "", "write a crawl log for later replay")
-		dbPath       = flag.String("db", "", "link database path (also the cross-run resume set)")
+		dbPath       = flag.String("db", "", "link database path")
 		ckDir        = flag.String("checkpoint-dir", "", "write crash-safe checkpoints under this directory and resume from them")
 		ckEvery      = flag.Int("checkpoint-every", 0, "pages between checkpoints (default 1024)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "max time to drain and checkpoint after SIGINT/SIGTERM (0 = wait forever)")
@@ -257,74 +254,23 @@ func main() {
 	cfg.CheckpointDir = *ckDir
 	cfg.CheckpointEvery = *ckEvery
 
-	// Recovery runs before the log and DB are opened: any bytes they
-	// gained after the newest checkpoint (possibly torn mid-record by the
-	// crash) are truncated back to the checkpointed durable positions, so
-	// the writers resume from a consistent cut.
-	var man *checkpoint.Manifest
-	if *ckDir != "" {
-		var st *checkpoint.State
-		var err error
-		if st, man, err = checkpoint.Load(*ckDir, nil); err != nil {
-			fatal(err)
-		}
-		if st != nil {
-			var tails []checkpoint.TailFile
-			if *logPath != "" {
-				tails = append(tails, checkpoint.TailFile{Path: *logPath, Pos: man.LogPos, Scan: crawlog.CountTail})
-			}
-			if *dbPath != "" {
-				tails = append(tails, checkpoint.TailFile{Path: *dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail})
-			}
-			rec, err := checkpoint.RecoverCrawl(*ckDir, nil, stats.Checkpoint(), tails...)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("resuming from checkpoint %d: %d pages crawled, %d frontier entries", man.Seq, st.Crawled, len(st.Frontier))
-			if rec.TruncatedBytes > 0 {
-				fmt.Printf(" (truncated %d post-crash bytes / %d records)", rec.TruncatedBytes, rec.TruncatedRecords)
-			}
-			fmt.Println()
-		} else {
-			man = nil
-		}
+	// The log and DB are reused only from the checkpoint that vouches for
+	// them: their post-crash tails are truncated back to its positions,
+	// and without one a sink that already holds records is refused.
+	rec, closeSinks, err := crawler.OpenSinks(&cfg, *logPath, *dbPath,
+		crawlog.Header{Target: lang, Seeds: cfg.Seeds, Comment: "livecrawl"})
+	if err != nil {
+		fatal(err)
 	}
-
-	if *logPath != "" {
-		if man != nil && man.LogPos > 0 {
-			// The recovered log already has its header and LogPos bytes of
-			// records; append after them without rewriting the header.
-			f, err := os.OpenFile(*logPath, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			info, err := f.Stat()
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Log = crawlog.NewWriterAt(f, info.Size())
-		} else {
-			f, err := os.Create(*logPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			hdr := crawlog.Header{Target: lang, Seeds: cfg.Seeds, Comment: "livecrawl"}
-			var err2 error
-			if cfg.Log, err2 = crawlog.NewWriter(f, hdr); err2 != nil {
-				fatal(err2)
-			}
+	defer closeSinks()
+	before := 0 // pages crawled by the runs this one resumes
+	if st := rec.State; st != nil {
+		before = st.Crawled
+		fmt.Printf("resuming from checkpoint %d: %d pages crawled, %d frontier entries", rec.Manifest.Seq, st.Crawled, len(st.Frontier))
+		if rec.TruncatedBytes > 0 {
+			fmt.Printf(" (truncated %d post-crash bytes / %d records)", rec.TruncatedBytes, rec.TruncatedRecords)
 		}
-		defer cfg.Log.Flush()
-	}
-	if *dbPath != "" {
-		db, err := linkdb.Open(*dbPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer db.Close()
-		cfg.DB = db
+		fmt.Println()
 	}
 
 	ctx := context.Background()
@@ -351,8 +297,12 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("crawled %d pages in %v (%.0f pages/s)\n",
-		res.Crawled, elapsed.Round(time.Millisecond), float64(res.Crawled)/elapsed.Seconds())
+	ran := res.Crawled - before // this run's pages
+	fmt.Printf("crawled %d pages in %v (%.0f pages/s)", ran, elapsed.Round(time.Millisecond), float64(ran)/elapsed.Seconds())
+	if before > 0 {
+		fmt.Printf(", %d in the whole crawl", res.Crawled)
+	}
+	fmt.Println()
 	fmt.Printf("classifier-relevant: %d (%.1f%% harvest)\n",
 		res.Relevant, 100*float64(res.Relevant)/float64(maxi(res.Crawled, 1)))
 	fmt.Printf("errors: %d, robots-blocked: %d, max queue: %d\n",

@@ -48,8 +48,8 @@ type Recovery struct {
 // making them durable, so a short file means the file was swapped or
 // damaged, and resuming would lie.
 //
-// The caller builds the tails from the loaded manifest; RecoverLive in
-// the cmds does the plumbing. When no checkpoint exists the returned
+// The caller builds the tails from the loaded manifest (the live
+// crawler's OpenSinks does). When no checkpoint exists the returned
 // Recovery has a nil State, the tails are ignored, and the caller
 // starts fresh.
 func RecoverCrawl(dir string, fsys FS, st *telemetry.CheckpointStats, tails ...TailFile) (*Recovery, error) {

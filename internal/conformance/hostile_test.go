@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"context"
-	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,14 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawler"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
 	"langcrawl/internal/hostile"
-	"langcrawl/internal/kvstore"
-	"langcrawl/internal/linkdb"
 	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 	"langcrawl/internal/webserve"
@@ -262,90 +258,24 @@ func TestHostileKillResume(t *testing.T) {
 	seeds := append(liveSeeds(sp), m.EntryURLs()...)
 
 	dir := t.TempDir()
-	ckDir := filepath.Join(dir, "ck")
-	logPath := filepath.Join(dir, "crawl.log")
-	dbPath := filepath.Join(dir, "links.db")
-	kills := 0
-	start := time.Now()
-	for stopAt := 120; ; stopAt += 120 {
-		st, man, err := checkpoint.Load(ckDir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != nil {
-			if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
-				checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
-				checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail},
-			); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var f *os.File
-		var w *crawlog.Writer
-		if st != nil && man.LogPos > 0 {
-			if f, err = os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			info, err := f.Stat()
-			if err != nil {
-				t.Fatal(err)
-			}
-			w = crawlog.NewWriterAt(f, info.Size())
-		} else {
-			if f, err = os.Create(logPath); err != nil {
-				t.Fatal(err)
-			}
-			if w, err = crawlog.NewWriter(f, crawlog.Header{Seeds: seeds}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db, err := linkdb.Open(dbPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := crawler.Config{
-			Seeds:           seeds,
-			Strategy:        core.BreadthFirst{},
-			Classifier:      Classifier(),
-			Client:          client,
-			Log:             w,
-			DB:              db,
-			IgnoreRobots:    true,
-			CheckpointDir:   ckDir,
-			CheckpointEvery: 40,
-			StopAfter:       stopAt,
-		}
-		chaosDefend(&cfg)
-		c, err := crawler.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = c.Run(context.Background())
-		werr := w.Flush()
-		f.Close()
-		db.Close()
-		if errors.Is(err, checkpoint.ErrKilled) {
-			kills++
-			if kills > 100 {
-				t.Fatal("hostile kill-resume loop is not making progress")
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		break
+	cfg := crawler.Config{
+		Seeds:           seeds,
+		Strategy:        core.BreadthFirst{},
+		Classifier:      Classifier(),
+		Client:          client,
+		IgnoreRobots:    true,
+		CheckpointDir:   filepath.Join(dir, "ck"),
+		CheckpointEvery: 40,
 	}
-	if kills == 0 {
+	chaosDefend(&cfg)
+	start := time.Now()
+	if killLoop(t, dir, cfg, 120, 100) == 0 {
 		t.Fatal("chaos crawl finished before the first kill; shrink the kill step")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Minute {
 		t.Errorf("hostile kill-resume took %v", elapsed)
 	}
-	data, err := os.ReadFile(logPath)
+	data, err := os.ReadFile(filepath.Join(dir, "crawl.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

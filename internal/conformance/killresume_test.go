@@ -13,7 +13,6 @@ import (
 	"langcrawl/internal/crawler"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 	"langcrawl/internal/sim"
 	"langcrawl/internal/telemetry"
@@ -238,100 +237,66 @@ func TestKillResumeTelemetry(t *testing.T) {
 // --- live engines ----------------------------------------------------------
 
 // liveKillResume runs the live crawler against the served conformance
-// space, killing it after every killStep pages and resuming via
-// checkpoint.RecoverCrawl (truncating the log and DB tails exactly as
-// cmd/livecrawl does), until a run completes. Returns the final crawl
-// log bytes and the link DB path.
+// space, killing it after every killStep pages and resuming, until a
+// run completes. Returns the final crawl log bytes and the link DB
+// path.
 func liveKillResume(t *testing.T, sp *webgraph.Space, strat core.Strategy,
 	every, killStep int, mut func(*crawler.Config)) ([]byte, string) {
 	t.Helper()
-	client := liveWeb(t, sp)
 	dir := t.TempDir()
-	ckDir := filepath.Join(dir, "ck")
-	logPath := filepath.Join(dir, "crawl.log")
-	dbPath := filepath.Join(dir, "links.db")
-	kills := 0
-	for stopAt := killStep; ; stopAt += killStep {
-		// Recovery before opening the sinks, exactly like the cmd.
-		st, man, err := checkpoint.Load(ckDir, nil)
+	cfg := crawler.Config{
+		Seeds:           liveSeeds(sp),
+		Strategy:        strat,
+		Classifier:      Classifier(),
+		Client:          liveWeb(t, sp),
+		IgnoreRobots:    true,
+		CheckpointDir:   filepath.Join(dir, "ck"),
+		CheckpointEvery: every,
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	if killLoop(t, dir, cfg, killStep, 1000) == 0 {
+		t.Fatal("live crawl finished before the first kill; shrink killStep")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "crawl.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, filepath.Join(dir, "links.db")
+}
+
+// killLoop runs cfg into dir's crawl.log and links.db, killed
+// (Config.StopAfter) after every killStep pages and reopened with
+// crawler.OpenSinks — which truncates the tails back to the checkpoint,
+// exactly as the cmds resume — until a run completes. It returns the
+// number of kills, failing past maxKills.
+func killLoop(t *testing.T, dir string, cfg crawler.Config, killStep, maxKills int) int {
+	t.Helper()
+	for kills, stopAt := 0, killStep; ; stopAt += killStep {
+		run := cfg
+		run.StopAfter = stopAt
+		_, closeSinks, err := crawler.OpenSinks(&run, filepath.Join(dir, "crawl.log"), filepath.Join(dir, "links.db"),
+			crawlog.Header{Seeds: cfg.Seeds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != nil {
-			if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
-				checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
-				checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail},
-			); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var f *os.File
-		var w *crawlog.Writer
-		if st != nil && man.LogPos > 0 {
-			if f, err = os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			info, err := f.Stat()
-			if err != nil {
-				t.Fatal(err)
-			}
-			w = crawlog.NewWriterAt(f, info.Size())
-		} else {
-			if f, err = os.Create(logPath); err != nil {
-				t.Fatal(err)
-			}
-			if w, err = crawlog.NewWriter(f, crawlog.Header{Seeds: liveSeeds(sp)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db, err := linkdb.Open(dbPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := crawler.Config{
-			Seeds:           liveSeeds(sp),
-			Strategy:        strat,
-			Classifier:      Classifier(),
-			Client:          client,
-			Log:             w,
-			DB:              db,
-			IgnoreRobots:    true,
-			CheckpointDir:   ckDir,
-			CheckpointEvery: every,
-			StopAfter:       stopAt,
-		}
-		if mut != nil {
-			mut(&cfg)
-		}
-		c, err := crawler.New(cfg)
+		c, err := crawler.New(run)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = c.Run(context.Background())
-		werr := w.Flush()
-		f.Close()
-		db.Close()
-		if errors.Is(err, checkpoint.ErrKilled) {
-			kills++
-			if kills > 1000 {
-				t.Fatal("live kill-resume loop is not making progress")
+		closeSinks()
+		switch {
+		case errors.Is(err, checkpoint.ErrKilled):
+			if kills++; kills > maxKills {
+				t.Fatal("kill-resume loop is not making progress")
 			}
-			continue
-		}
-		if err != nil {
+		case err != nil:
 			t.Fatal(err)
+		default:
+			return kills
 		}
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		if kills == 0 {
-			t.Fatal("live crawl finished before the first kill; shrink killStep")
-		}
-		data, err := os.ReadFile(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data, dbPath
 	}
 }
 

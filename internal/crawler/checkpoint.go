@@ -1,12 +1,125 @@
 package crawler
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"os"
 
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/crawlog"
+	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 )
+
+// OpenSinks opens the crawl log at logPath and the link DB at dbPath
+// into cfg.Log and cfg.DB (nil for an empty path) under the one rule
+// for reusing them: a sink's records are reused only when a checkpoint
+// in cfg.CheckpointDir vouches for its position. Then
+// checkpoint.RecoverCrawl cuts the sink back to that position and the
+// writer appends after it. A sink no checkpoint vouches for that holds
+// a record is refused with an error naming it, before anything is
+// written; an absent or empty one is created, the log with header hdr.
+// The log goes through cfg.CheckpointFS, the link DB through the OS.
+// The Recovery reports the checkpoint resumed from (nil State on a
+// fresh start); the returned function closes both sinks.
+func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkpoint.Recovery, func() error, error) {
+	fsys := cfg.CheckpointFS
+	if fsys == nil {
+		fsys = checkpoint.OSFS{}
+	}
+	var man checkpoint.Manifest // the zero manifest vouches for nothing
+	rec := &checkpoint.Recovery{}
+	if cfg.CheckpointDir != "" {
+		_, m, err := checkpoint.Load(cfg.CheckpointDir, fsys)
+		if err != nil {
+			return nil, nil, fmt.Errorf("crawler: %w", err)
+		}
+		if m != nil {
+			man = *m
+		}
+	}
+	unvouched := func(path string) error {
+		return fmt.Errorf("crawler: %s already holds crawl records and no checkpoint vouches for them: resume from the crawl's checkpoint directory or move the file aside", path)
+	}
+	if man.LogPos == 0 && logHoldsRecord(fsys, logPath) {
+		return nil, nil, unvouched(logPath)
+	}
+	if man.DBPos == 0 && dbHoldsRecord(dbPath) {
+		return nil, nil, unvouched(dbPath)
+	}
+	if man.StateFile != "" { // a checkpoint exists
+		var err error
+		if rec, err = checkpoint.RecoverCrawl(cfg.CheckpointDir, fsys, cfg.Telemetry.Checkpoint(),
+			checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
+			checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail}); err != nil {
+			return nil, nil, fmt.Errorf("crawler: %w", err)
+		}
+	}
+
+	var (
+		logF checkpoint.File
+		w    *crawlog.Writer
+		db   *linkdb.DB
+		err  error
+	)
+	closeSinks := func() error {
+		var errs []error
+		if logF != nil {
+			errs = append(errs, logF.Close())
+		}
+		if db != nil {
+			errs = append(errs, db.Close())
+		}
+		return errors.Join(errs...)
+	}
+	switch {
+	case logPath == "":
+	case man.LogPos > 0:
+		if logF, err = checkpoint.OpenAppend(fsys, logPath); err == nil {
+			w = crawlog.NewWriterAt(logF, man.LogPos)
+		}
+	default:
+		if logF, err = fsys.Create(logPath); err == nil {
+			if w, err = crawlog.NewWriter(logF, hdr); err == nil {
+				err = w.Flush() // a created log is a valid, empty crawl log
+			}
+		}
+	}
+	if err == nil && dbPath != "" {
+		db, err = linkdb.Open(dbPath)
+	}
+	if err != nil {
+		closeSinks()
+		return nil, nil, fmt.Errorf("crawler: opening sinks: %w", err)
+	}
+	cfg.Log, cfg.DB = w, db
+	return rec, closeSinks, nil
+}
+
+// logHoldsRecord reports whether the crawl log at path holds anything
+// but a complete header: a record, a torn one, or bytes that are not a
+// crawl log at all. An absent or empty file (or no path) holds nothing.
+func logHoldsRecord(fsys checkpoint.FS, path string) bool {
+	data, err := fsys.ReadFile(path)
+	if err != nil || len(data) == 0 {
+		return false
+	}
+	r, err := crawlog.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return true
+	}
+	_, err = r.Next()
+	return err != io.EOF
+}
+
+// dbHoldsRecord reports whether the link DB at path is longer than its
+// header.
+func dbHoldsRecord(path string) bool {
+	info, err := os.Stat(path)
+	return err == nil && info.Size() > int64(kvstore.HeaderSize)
+}
 
 // ckState is the crawl loop's view of checkpointing for one run: the writer,
 // the state loaded from a prior run (nil on a fresh start), and the
@@ -49,21 +162,21 @@ func (c *Crawler) openCheckpoint() (*ckState, error) {
 	if every <= 0 {
 		every = 1024
 	}
+	// A fresh run's first checkpoint is due at once, before its first
+	// fetch, so every record a sink ever holds lies behind a checkpoint
+	// that vouches for it.
 	ck := &ckState{ckp: ckp, st: st, every: every}
-	crawled := 0
 	if st != nil {
-		crawled = st.Crawled
+		ck.advance(st.Crawled)
 	}
-	ck.nextCk = (crawled/every + 1) * every
 	return ck, nil
 }
 
 // resume applies the loaded state: result counters, the seen set, the
 // fault machinery, and the frontier (push is called once per entry in
 // saved pop order). Reports whether there was a checkpoint to resume.
-// The resume_total telemetry counter is NOT bumped here — for live
-// crawls checkpoint.RecoverCrawl (which the cmds run first, to truncate
-// the torn log tails) owns that count.
+// The resume_total telemetry counter is NOT bumped here — OpenSinks,
+// which runs first to truncate the torn tails, owns that count.
 func (ck *ckState) resume(res *Result, seen *checkpoint.Seen, flt *faultCtl, guard *hostGuard, push func(checkpoint.Entry)) bool {
 	if ck == nil || ck.st == nil {
 		return false

@@ -20,72 +20,25 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 )
 
 // killResume drives the full production resume flow in-package: run
-// with StopAfter (the SIGKILL stand-in), recover the log/DB tails with
-// checkpoint.RecoverCrawl, reopen everything, and go again until a run
-// completes. Returns the final log bytes and how many kills happened.
-func killResume(t *testing.T, space *webgraph.Space, mkCfg func() Config, killStep int) ([]byte, int) {
+// with StopAfter (the SIGKILL stand-in), reopen the sinks with
+// OpenSinks, which truncates their tails back to the checkpoint, and go
+// again until a run completes. Returns the final log bytes and how many
+// kills happened.
+func killResume(t *testing.T, mkCfg func() Config, killStep int) ([]byte, int) {
 	t.Helper()
 	dir := t.TempDir()
-	ckDir := filepath.Join(dir, "ck")
-	logPath := filepath.Join(dir, "crawl.log")
-	dbPath := filepath.Join(dir, "links.db")
 	kills := 0
 	for stopAt := killStep; ; stopAt += killStep {
-		st, man, err := checkpoint.Load(ckDir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != nil {
-			if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
-				checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
-				checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail},
-			); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var f *os.File
-		var w *crawlog.Writer
-		if st != nil && man.LogPos > 0 {
-			if f, err = os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			info, err := f.Stat()
-			if err != nil {
-				t.Fatal(err)
-			}
-			w = crawlog.NewWriterAt(f, info.Size())
-		} else {
-			if f, err = os.Create(logPath); err != nil {
-				t.Fatal(err)
-			}
-			if w, err = crawlog.NewWriter(f, crawlog.Header{Seeds: seedsOf(space)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db, err := linkdb.Open(dbPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := mkCfg()
-		cfg.Log = w
-		cfg.DB = db
-		cfg.CheckpointDir = ckDir
+		cfg.CheckpointDir = filepath.Join(dir, "ck")
 		cfg.StopAfter = stopAt
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = c.Run(context.Background())
-		werr := w.Flush()
-		f.Close()
-		db.Close()
+		_, err := runInto(t, dir, cfg)
 		if errors.Is(err, checkpoint.ErrKilled) {
 			kills++
 			if kills > 1000 {
@@ -96,38 +49,67 @@ func killResume(t *testing.T, space *webgraph.Space, mkCfg func() Config, killSt
 		if err != nil {
 			t.Fatal(err)
 		}
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		data, err := os.ReadFile(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data, kills
+		return readLog(t, dir), kills
 	}
 }
 
 // refLog runs the uninterrupted crawl with the same sinks and returns
 // its log bytes.
-func refLog(t *testing.T, space *webgraph.Space, mkCfg func() Config) []byte {
+func refLog(t *testing.T, mkCfg func() Config) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "crawl.log")
-	f, err := os.Create(logPath)
+	if _, err := runInto(t, dir, mkCfg()); err != nil {
+		t.Fatal(err)
+	}
+	return readLog(t, dir)
+}
+
+// readLog returns the bytes of dir's crawl.log.
+func readLog(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "crawl.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := crawlog.NewWriter(f, crawlog.Header{Seeds: seedsOf(space)})
-	if err != nil {
-		t.Fatal(err)
+	return data
+}
+
+// sinkCfg is a small crawl over space whose sinks OpenSinks opens.
+func sinkCfg(space *webgraph.Space, client *http.Client) Config {
+	return Config{
+		Seeds:        seedsOf(space),
+		Strategy:     core.SoftFocused{},
+		Classifier:   core.MetaClassifier{Target: charset.LangThai},
+		Client:       client,
+		IgnoreRobots: true,
 	}
-	db, err := linkdb.Open(filepath.Join(dir, "links.db"))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestOpenSinksCreates: with no checkpoint, an absent sink is created,
+// and so is one that holds no record — a header-only log and a bare
+// link DB, what a run killed before its first checkpoint leaves.
+func TestOpenSinksCreates(t *testing.T) {
+	space, _, client := testWeb(t, 60, 5)
+	dir := t.TempDir()
+	open := func() (Config, func() error) {
+		cfg := sinkCfg(space, client)
+		cfg.CheckpointDir = filepath.Join(dir, "ck")
+		cfg.MaxPages = 20
+		rec, closeSinks, err := OpenSinks(&cfg, filepath.Join(dir, "crawl.log"), filepath.Join(dir, "links.db"),
+			crawlog.Header{Seeds: cfg.Seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != nil || cfg.Log == nil || cfg.DB == nil {
+			t.Fatalf("recovery %+v, log %v, DB %v: want a fresh start with both sinks", rec, cfg.Log, cfg.DB)
+		}
+		return cfg, closeSinks
 	}
-	cfg := mkCfg()
-	cfg.Log = w
-	cfg.DB = db
+	_, closeSinks := open() // absent: created, left with a header and no record
+	closeSinks()
+
+	cfg, closeSinks := open()
+	defer closeSinks()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,16 +117,130 @@ func refLog(t *testing.T, space *webgraph.Space, mkCfg func() Config) []byte {
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if n := cfg.DB.Len(); n != 20 {
+		t.Errorf("link DB holds %d records, want 20", n)
+	}
+	if n := len(logSeq(t, readLog(t, dir))); n != 20 {
+		t.Errorf("crawl log holds %d records after one header, want 20", n)
+	}
+}
+
+// TestOpenSinksRefusesUnvouched: a log or link DB that holds records no
+// checkpoint vouches for is refused by name, and neither file changes.
+func TestOpenSinksRefusesUnvouched(t *testing.T) {
+	space, _, client := testWeb(t, 60, 5)
+	dir := t.TempDir()
+	logPath, dbPath := filepath.Join(dir, "crawl.log"), filepath.Join(dir, "links.db")
+	cfg := sinkCfg(space, client)
+	cfg.MaxPages = 20
+	if _, err := runInto(t, dir, cfg); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	db.Close()
-	data, err := os.ReadFile(logPath)
+	log0 := readLog(t, dir)
+	db0, err := os.ReadFile(dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	for _, tc := range []struct {
+		name, log, db, ckDir, refused string
+	}{
+		{"both, no checkpoint dir", logPath, dbPath, "", logPath},
+		{"log, empty checkpoint dir", logPath, "", filepath.Join(dir, "ck"), logPath},
+		{"DB alone", "", dbPath, "", dbPath},
+	} {
+		cfg := sinkCfg(space, client)
+		cfg.CheckpointDir = tc.ckDir
+		_, _, err := OpenSinks(&cfg, tc.log, tc.db, crawlog.Header{})
+		if err == nil || !strings.Contains(err.Error(), tc.refused) {
+			t.Errorf("%s: err %v, want a refusal naming %s", tc.name, err, tc.refused)
+		}
+		if cfg.Log != nil || cfg.DB != nil {
+			t.Errorf("%s: a refused open left sinks set", tc.name)
+		}
+	}
+	if !bytes.Equal(readLog(t, dir), log0) {
+		t.Error("a refused open changed the crawl log")
+	}
+	if db, err := os.ReadFile(dbPath); err != nil || !bytes.Equal(db, db0) {
+		t.Errorf("a refused open changed the link DB (err %v)", err)
+	}
+}
+
+// TestOpenSinksResumesAfterTornTail: a crawl killed after a checkpoint,
+// its log and link DB carrying records past the checkpoint and a torn
+// one at the end, reopens with both cut back to the checkpointed
+// positions, and the resumed crawl writes the log one uninterrupted
+// crawl does.
+func TestOpenSinksResumesAfterTornTail(t *testing.T) {
+	space, _, client := testWeb(t, 120, 9)
+	mkCfg := func() Config {
+		cfg := sinkCfg(space, client)
+		cfg.CheckpointEvery = 10
+		return cfg
+	}
+	dir := t.TempDir()
+	logPath, dbPath := filepath.Join(dir, "crawl.log"), filepath.Join(dir, "links.db")
+	cfg := mkCfg()
+	cfg.CheckpointDir = filepath.Join(dir, "ck")
+	killed := cfg
+	killed.StopAfter = 25
+	_, closeSinks, err := OpenSinks(&killed, logPath, dbPath, crawlog.Header{Seeds: cfg.Seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); !errors.Is(err, checkpoint.ErrKilled) {
+		t.Fatalf("want an emulated kill, got %v", err)
+	}
+	// The records past the checkpoint reach disk, then a torn one.
+	if err := killed.Log.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	closeSinks()
+
+	for _, p := range []string{logPath, dbPath} {
+		f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{0x40, 0x01, 0x02}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+
+	rec, closeSinks, err := OpenSinks(&cfg, logPath, dbPath, crawlog.Header{Seeds: cfg.Seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSinks()
+	if rec.State == nil || rec.State.Crawled != 20 {
+		t.Fatalf("resumed from %+v, want the checkpoint at 20 pages", rec.State)
+	}
+	if rec.TruncatedRecords != 10 {
+		t.Errorf("recovery cut %d complete records, want the 5 log and 5 DB records past the checkpoint", rec.TruncatedRecords)
+	}
+	for _, tf := range []struct {
+		path string
+		pos  int64
+	}{{logPath, rec.Manifest.LogPos}, {dbPath, rec.Manifest.DBPos}} {
+		if info, err := os.Stat(tf.path); err != nil || info.Size() != tf.pos {
+			t.Errorf("%s not cut back to its checkpointed %d bytes (%v, %v)", filepath.Base(tf.path), tf.pos, info, err)
+		}
+	}
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readLog(t, dir), refLog(t, mkCfg); !bytes.Equal(got, want) {
+		t.Errorf("resumed log differs from the uninterrupted one (%d vs %d bytes)", len(got), len(want))
+	}
 }
 
 // TestCheckpointKillResumeSequential pins kill-resume equivalence at
@@ -167,8 +263,8 @@ func TestCheckpointKillResumeSequential(t *testing.T) {
 			Breaker:         faults.BreakerConfig{Threshold: 3, Cooldown: 1},
 		}
 	}
-	want := refLog(t, space, mkCfg)
-	got, kills := killResume(t, space, mkCfg, 90)
+	want := refLog(t, mkCfg)
+	got, kills := killResume(t, mkCfg, 90)
 	if kills == 0 {
 		t.Fatal("crawl finished before the first kill; shrink killStep")
 	}
@@ -195,8 +291,8 @@ func TestCheckpointKillResumeParallel(t *testing.T) {
 			CheckpointEvery: 50,
 		}
 	}
-	want := logURLs(t, refLog(t, space, mkCfg))
-	data, kills := killResume(t, space, mkCfg, 97)
+	want := logURLs(t, refLog(t, mkCfg))
+	data, kills := killResume(t, mkCfg, 97)
 	if kills == 0 {
 		t.Fatal("crawl finished before the first kill; shrink killStep")
 	}
@@ -263,15 +359,14 @@ func TestCheckpointBudgetResume(t *testing.T) {
 			cfg.CheckpointDir = filepath.Join(dir, "ck")
 			leg1 := cfg
 			leg1.MaxPages = 150
-			res, err := digestRun(t, dir, leg1)
+			res, err := runInto(t, dir, leg1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Crawled != 150 {
 				t.Fatalf("leg 1 crawled %d pages, want its budget of 150", res.Crawled)
 			}
-			recoverTails(t, dir)
-			if res, err = digestRun(t, dir, cfg); err != nil {
+			if res, err = runInto(t, dir, cfg); err != nil {
 				t.Fatal(err)
 			}
 			if res.Crawled != space.N() {
@@ -291,11 +386,7 @@ func TestCheckpointBudgetResume(t *testing.T) {
 			if workers > 1 {
 				return
 			}
-			data, err := os.ReadFile(filepath.Join(dir, "crawl.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := logSeq(t, data), logSeq(t, refLog(t, space, mkCfg))
+			got, want := logSeq(t, readLog(t, dir)), logSeq(t, refLog(t, mkCfg))
 			if !slices.Equal(got, want) {
 				t.Errorf("two legs logged %d URLs in another order than the %d of one uninterrupted crawl",
 					len(got), len(want))
@@ -366,79 +457,35 @@ func TestCheckpointGracefulStop(t *testing.T) {
 			CheckpointEvery: 25,
 		}
 	}
-	want := refLog(t, space, mkCfg)
+	want := refLog(t, mkCfg)
 
 	dir := t.TempDir()
-	ckDir := filepath.Join(dir, "ck")
-	logPath := filepath.Join(dir, "crawl.log")
 	stopped := make(chan struct{})
 	close(stopped)
-
-	f, err := os.Create(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := crawlog.NewWriter(f, crawlog.Header{Seeds: seedsOf(space)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := mkCfg()
-	cfg.Log = w
-	cfg.CheckpointDir = ckDir
+	cfg.CheckpointDir = filepath.Join(dir, "ck")
 	cfg.Stop = stopped
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(context.Background())
+	res, err := runInto(t, dir, cfg)
 	if err != nil {
 		t.Fatalf("graceful stop must return normally: %v", err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if res.Crawled >= space.N() {
 		t.Fatalf("stopped crawl still fetched all %d pages", res.Crawled)
 	}
-	st, man, err := checkpoint.Load(ckDir, nil)
+	st, _, err := checkpoint.Load(cfg.CheckpointDir, nil)
 	if err != nil || st == nil {
 		t.Fatalf("no final checkpoint after graceful stop: %v/%v", st, err)
 	}
 	if st.Crawled != res.Crawled {
 		t.Fatalf("checkpoint says %d crawled, run says %d", st.Crawled, res.Crawled)
 	}
-	_ = man
 
 	// Resume (no Stop this time) and finish.
-	f, err = os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	cfg.Stop = nil
+	if _, err := runInto(t, dir, cfg); err != nil {
 		t.Fatal(err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w = crawlog.NewWriterAt(f, info.Size())
-	cfg = mkCfg()
-	cfg.Log = w
-	cfg.CheckpointDir = ckDir
-	c, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
+	if got := readLog(t, dir); !bytes.Equal(want, got) {
 		t.Fatalf("stop+resume log differs from the uninterrupted log (%d vs %d bytes)", len(got), len(want))
 	}
 }
@@ -452,43 +499,32 @@ func TestCheckpointPositionsDurable(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
 			dir := t.TempDir()
-			ckDir := filepath.Join(dir, "ck")
 			logPath := filepath.Join(dir, "crawl.log")
 			dbPath := filepath.Join(dir, "links.db")
-			f, err := os.Create(logPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			w, err := crawlog.NewWriter(f, crawlog.Header{Seeds: seedsOf(space)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := linkdb.Open(dbPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			c, err := New(Config{
+			cfg := Config{
 				Seeds:           seedsOf(space),
 				Strategy:        core.SoftFocused{},
 				Classifier:      core.MetaClassifier{Target: charset.LangThai},
 				Client:          client,
 				IgnoreRobots:    true,
 				Parallelism:     workers,
-				Log:             w,
-				DB:              db,
-				CheckpointDir:   ckDir,
+				CheckpointDir:   filepath.Join(dir, "ck"),
 				CheckpointEvery: 40,
 				StopAfter:       50,
-			})
+			}
+			killed := cfg
+			_, closeSinks, err := OpenSinks(&killed, logPath, dbPath, crawlog.Header{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(killed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.Run(context.Background()); !errors.Is(err, checkpoint.ErrKilled) {
 				t.Fatalf("want an emulated kill, got %v", err)
 			}
-			_, man, err := checkpoint.Load(ckDir, nil)
+			_, man, err := checkpoint.Load(cfg.CheckpointDir, nil)
 			if err != nil || man == nil {
 				t.Fatalf("no checkpoint before the kill: %v", err)
 			}
@@ -505,12 +541,12 @@ func TestCheckpointPositionsDurable(t *testing.T) {
 						filepath.Base(tf.path), info.Size(), tf.pos)
 				}
 			}
-			if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
-				checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
-				checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail},
-			); err != nil {
+			closeSinks()
+			_, closeSinks, err = OpenSinks(&cfg, logPath, dbPath, crawlog.Header{})
+			if err != nil {
 				t.Fatalf("recovery refused the killed crawl: %v", err)
 			}
+			closeSinks()
 		})
 	}
 }

@@ -77,10 +77,9 @@ type Config struct {
 	// failed attempt), written in place under the engine lock. Each
 	// checkpoint syncs it to disk, and Run flushes it once at the end.
 	Log *crawlog.Writer
-	// DB, if non-nil, receives one record per fetched page and also
-	// serves as the resume set: URLs already in the DB are not refetched.
-	// Appends are written in place under the engine lock; each
-	// checkpoint syncs the DB to disk, and the caller closes it.
+	// DB, if non-nil, receives one record per fetched page. Appends are
+	// written in place under the engine lock; each checkpoint syncs the
+	// DB to disk, and the caller closes it.
 	DB *linkdb.DB
 	// Parallelism is the number of concurrent fetch workers (default 1,
 	// fully deterministic). Workers pop one shared frontier in its
@@ -135,17 +134,18 @@ type Config struct {
 	// this directory, and on startup it resumes from the newest snapshot
 	// found there. It is the crawl's one resume path: a run that ends on
 	// MaxPages, Stop or a canceled context writes a final snapshot, and
-	// a killed run leaves its last periodic one. Run
-	// checkpoint.RecoverCrawl on the directory before opening the log
-	// and DB so their post-crash tails are truncated back to the
-	// checkpointed positions (cmd/livecrawl does this).
+	// a killed run leaves its last periodic one; a fresh run writes its
+	// first before its first fetch, so no record reaches Log or DB
+	// before a checkpoint vouches for them. Open Log and DB with
+	// OpenSinks, which truncates their post-crash tails back to the
+	// checkpointed positions.
 	CheckpointDir string
 	// CheckpointEvery is the page-count interval between checkpoints
 	// (default 1024 when CheckpointDir is set).
 	CheckpointEvery int
-	// CheckpointFS overrides the filesystem checkpoints are written to —
-	// crash-injection tests use faults.CrashFS. nil means the real OS
-	// filesystem.
+	// CheckpointFS overrides the filesystem checkpoints (and the crawl
+	// log OpenSinks opens) are written to — crash-injection tests use
+	// faults.CrashFS. nil means the real OS filesystem.
 	CheckpointFS checkpoint.FS
 	// StopAfter, when positive, emulates a SIGKILL once that many pages
 	// have been crawled: the engine returns checkpoint.ErrKilled with no
@@ -282,8 +282,8 @@ type qitem struct {
 	// carry the effective priority (effPrio) instead.
 	demoted int32
 	// revisit marks an incremental-mode revalidation of an already
-	// crawled URL: it bypasses the seen-set and already-in-DB skips and
-	// is fetched conditionally against the ledger's validators.
+	// crawled URL: it bypasses the seen-set skip and is fetched
+	// conditionally against the ledger's validators.
 	revisit bool
 }
 

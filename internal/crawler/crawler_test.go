@@ -6,14 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"langcrawl/internal/charset"
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
-	"langcrawl/internal/linkdb"
 	"langcrawl/internal/sim"
 	"langcrawl/internal/webgraph"
 	"langcrawl/internal/webserve"
@@ -282,52 +280,6 @@ func TestContextCancel(t *testing.T) {
 	if res.Crawled != 0 {
 		t.Errorf("canceled crawl fetched %d pages", res.Crawled)
 	}
-}
-
-func TestLinkDBResume(t *testing.T) {
-	space, srv, client := testWeb(t, 300, 23)
-	dbPath := filepath.Join(t.TempDir(), "links.db")
-	db, err := linkdb.Open(dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *Crawler {
-		c, err := New(Config{
-			Seeds:        seedsOf(space),
-			Strategy:     core.BreadthFirst{},
-			Classifier:   core.MetaClassifier{Target: charset.LangThai},
-			Client:       client,
-			DB:           db,
-			MaxPages:     40,
-			IgnoreRobots: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	res1, err := mk().Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Crawled != 40 || db.Len() != 40 {
-		t.Fatalf("first run crawled %d, db %d", res1.Crawled, db.Len())
-	}
-	before := srv.Requests()
-	res2, err := mk().Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The second run's frontier drains through already-crawled URLs
-	// without refetching them: the seeds (and anything reachable only
-	// through them) are in the DB, so no page requests are issued.
-	if res2.Crawled != 0 {
-		t.Errorf("resume refetched %d pages", res2.Crawled)
-	}
-	if srv.Requests() != before {
-		t.Errorf("resume issued %d HTTP requests", srv.Requests()-before)
-	}
-	db.Close()
 }
 
 func TestPolitenessDelays(t *testing.T) {

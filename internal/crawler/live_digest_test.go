@@ -24,7 +24,6 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/faults"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 	"langcrawl/internal/webgraph"
 	"langcrawl/internal/webserve"
@@ -189,20 +188,19 @@ func liveDigests(t *testing.T) []byte {
 			cfg.CheckpointDir = filepath.Join(dir, "ck")
 			first := cfg
 			lc.first(&first)
-			res, err := digestRun(t, dir, first)
+			res, err := runInto(t, dir, first)
 			switch {
 			case first.StopAfter > 0:
 				if !errors.Is(err, checkpoint.ErrKilled) {
 					t.Fatalf("%s: want an emulated kill, got %v", lc.name, err)
 				}
-				recoverTails(t, dir)
 			case err != nil:
 				t.Fatalf("%s: %v", lc.name, err)
 			default:
 				digestLiveResult(h, res)
 			}
 		}
-		res, err := digestRun(t, dir, cfg)
+		res, err := runInto(t, dir, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", lc.name, err)
 		}
@@ -220,58 +218,22 @@ func liveDigests(t *testing.T) []byte {
 	return out.Bytes()
 }
 
-// digestRun runs one crawl into dir's log and link DB, appending to
-// whatever an earlier run of the same case left there.
-func digestRun(t *testing.T, dir string, cfg Config) (*Result, error) {
+// runInto runs one crawl into dir's crawl.log and links.db, opened with
+// OpenSinks: a run that resumes from a checkpoint appends after what the
+// earlier run left there.
+func runInto(t *testing.T, dir string, cfg Config) (*Result, error) {
 	t.Helper()
-	logPath := filepath.Join(dir, "crawl.log")
-	f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	_, closeSinks, err := OpenSinks(&cfg, filepath.Join(dir, "crawl.log"), filepath.Join(dir, "links.db"),
+		crawlog.Header{Seeds: cfg.Seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w *crawlog.Writer
-	if info.Size() > 0 {
-		w = crawlog.NewWriterAt(f, info.Size())
-	} else if w, err = crawlog.NewWriter(f, crawlog.Header{Seeds: cfg.Seeds}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := linkdb.Open(filepath.Join(dir, "links.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	cfg.Log, cfg.DB = w, db
+	defer closeSinks()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(context.Background())
-	if ferr := w.Flush(); ferr != nil {
-		t.Fatal(ferr)
-	}
-	return res, err
-}
-
-// recoverTails truncates the log and link DB back to the newest
-// checkpoint's positions, as the cmds do before resuming.
-func recoverTails(t *testing.T, dir string) {
-	t.Helper()
-	ckDir := filepath.Join(dir, "ck")
-	_, man, err := checkpoint.Load(ckDir, nil)
-	if err != nil || man == nil {
-		t.Fatalf("loading checkpoint: %v", err)
-	}
-	if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
-		checkpoint.TailFile{Path: filepath.Join(dir, "crawl.log"), Pos: man.LogPos, Scan: crawlog.CountTail},
-		checkpoint.TailFile{Path: filepath.Join(dir, "links.db"), Pos: man.DBPos, Scan: kvstore.ScanTail},
-	); err != nil {
-		t.Fatal(err)
-	}
+	return c.Run(context.Background())
 }
 
 // digestLiveResult writes every Result field into h in a fixed order.

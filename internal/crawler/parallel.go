@@ -208,7 +208,7 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				}
 			}
 			// A revisit is an already-crawled URL by definition: it skips
-			// the seen-set and link-DB checks that stop discovery refetches.
+			// the seen-set check that stops discovery refetches.
 			if !item.revisit && seen.Has(item.url) {
 				mu.Unlock()
 				continue
@@ -232,10 +232,6 @@ func (c *Crawler) runParallel(ctx context.Context) (*Result, error) {
 				continue
 			}
 			seen.Add(item.url)
-			if !item.revisit && db != nil && db.Has(item.url) {
-				mu.Unlock()
-				continue // already crawled in a previous run
-			}
 			var val validators
 			if item.revisit {
 				val = rc.validatorsOf(item.url)

@@ -13,7 +13,6 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawler"
 	"langcrawl/internal/crawlog"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 )
 
@@ -63,8 +62,8 @@ type WorkerResult struct {
 // migrate.
 //
 // Redelivered URLs the worker already crawled are not refetched (the
-// checkpoint seen-set and DB resume-set skip them); instead their
-// recorded links are replayed from the DB and re-forwarded, which keeps
+// seen set restored from the worker's checkpoint skips them); instead
+// their recorded links are replayed from the DB and re-forwarded, which keeps
 // at-least-once delivery honest even when the *coordinator* restarted
 // from a snapshot older than the original forward. Replay re-scores the
 // recorded page, so it is exact for classifiers whose score depends
@@ -94,52 +93,23 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	ckDir := filepath.Join(o.Dir, "ck")
-	logPath := filepath.Join(o.Dir, "crawl.log")
-	dbPath := filepath.Join(o.Dir, "links.db")
-
-	// Recovery before opening the sinks, exactly like cmd/livecrawl: the
-	// newest checkpoint vouches for log/DB positions, and anything past
-	// them is a torn post-kill tail to truncate.
-	st, man, err := checkpoint.Load(ckDir, nil)
+	// Every batch runs on base: one crawl log, link DB and checkpoint
+	// directory under Dir, reused only from the checkpoint that vouches
+	// for them.
+	base := o.Crawl
+	base.CheckpointDir = filepath.Join(o.Dir, "ck")
+	if base.CheckpointEvery == 0 {
+		base.CheckpointEvery = 64
+	}
+	base.StopAfter = o.StopAfter
+	base.Stop = o.Stop
+	_, closeSinks, err := crawler.OpenSinks(&base, filepath.Join(o.Dir, "crawl.log"), filepath.Join(o.Dir, "links.db"),
+		crawlog.Header{Comment: "dist worker " + o.Coord.Worker()})
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		if _, err := checkpoint.RecoverCrawl(ckDir, nil, nil,
-			checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
-			checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail},
-		); err != nil {
-			return nil, err
-		}
-	}
-	var f *os.File
-	var w *crawlog.Writer
-	if st != nil && man.LogPos > 0 {
-		if f, err = os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-			return nil, err
-		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		w = crawlog.NewWriterAt(f, info.Size())
-	} else {
-		if f, err = os.Create(logPath); err != nil {
-			return nil, err
-		}
-		if w, err = crawlog.NewWriter(f, crawlog.Header{Comment: "dist worker " + o.Coord.Worker()}); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	defer f.Close()
-	db, err := linkdb.Open(dbPath)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
+	defer closeSinks()
+	db := base.DB
 
 	// The heartbeat goroutine renews whatever leases the last pull
 	// reported. Failures are tolerated — a missed renewal just ages the
@@ -191,7 +161,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 	res := &WorkerResult{}
 	for {
 		if stopClosed(o.Stop) || ctx.Err() != nil {
-			return res, w.Flush()
+			return res, nil
 		}
 		pull, err := o.Coord.Pull(ctx, reg.MaxBatch)
 		if err != nil {
@@ -202,7 +172,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 		lmu.Unlock()
 		if pull.Batch == nil {
 			if pull.Done {
-				return res, w.Flush()
+				return res, nil
 			}
 			select {
 			case <-time.After(poll):
@@ -214,26 +184,18 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 		}
 
 		b := pull.Batch
-		replayed, err := replayLinks(ctx, &o, db, b, res)
+		replayed, err := replayLinks(ctx, &o, db, b)
 		if err != nil {
 			return res, err
 		}
 		res.Replayed += replayed
 
-		cfg := o.Crawl
+		cfg := base
 		cfg.Seeds = nil
 		cfg.SeedItems = make([]checkpoint.Entry, len(b.Links))
 		for i, l := range b.Links {
 			cfg.SeedItems[i] = checkpoint.Entry{URL: l.URL, Dist: l.Dist, Prio: l.Prio}
 		}
-		cfg.Log = w
-		cfg.DB = db
-		cfg.CheckpointDir = ckDir
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = 64
-		}
-		cfg.StopAfter = o.StopAfter
-		cfg.Stop = o.Stop
 		cfg.LinkSink = func(entries []checkpoint.Entry) error {
 			links := make([]Link, len(entries))
 			for i, e := range entries {
@@ -256,7 +218,6 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 		if err != nil {
 			// ErrKilled propagates unacked — the emulated SIGKILL. Real
 			// errors likewise leave the batch for redelivery.
-			w.Flush()
 			return res, err
 		}
 		if stopClosed(o.Stop) {
@@ -264,10 +225,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 			// before draining, so the batch is NOT done — leave it unacked
 			// for redelivery (to this worker after a restart, or to a peer
 			// after the lease expires).
-			return res, w.Flush()
-		}
-		if err := w.Flush(); err != nil {
-			return res, err
+			return res, nil
 		}
 		stale, err := o.Coord.Ack(ctx, b)
 		if err != nil {
@@ -282,18 +240,16 @@ func RunWorker(ctx context.Context, o WorkerOptions) (*WorkerResult, error) {
 }
 
 // replayLinks re-forwards the recorded out-links of batch URLs this
-// worker has already crawled. The crawl engines skip such URLs (seen
-// set, DB resume set), so without replay a redelivered batch could
-// retire URLs whose discoveries the coordinator lost in a restart.
-func replayLinks(ctx context.Context, o *WorkerOptions, db *linkdb.DB, b *Batch, res *WorkerResult) (int, error) {
+// worker has already crawled. The crawl skips such URLs (its checkpoint
+// seen set holds every URL the DB does), so without replay a
+// redelivered batch could retire URLs whose discoveries the coordinator
+// lost in a restart.
+func replayLinks(ctx context.Context, o *WorkerOptions, db *linkdb.DB, b *Batch) (int, error) {
 	replayed := 0
 	for _, l := range b.Links {
-		if !db.Has(l.URL) {
-			continue
-		}
 		rec, err := db.Get(l.URL)
 		if err != nil {
-			continue // torn or missing record: the crawler will refetch
+			continue // not crawled yet, or its fetch failed: nothing to replay
 		}
 		if rec.Status != 200 || len(rec.Links) == 0 {
 			continue

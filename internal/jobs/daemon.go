@@ -137,6 +137,7 @@ func NewDaemon(opts Options) (*Daemon, error) {
 	if opts.Faults.Enabled() {
 		d.flt = faults.NewAPISampler(opts.Faults)
 	}
+	store.ended = d.countEnded
 	// Resumed jobs bypass capacity: they were admitted by a previous
 	// life, and "admitted is never dropped" outranks the queue bound.
 	for _, j := range store.Pending() {
@@ -150,6 +151,20 @@ func NewDaemon(opts Options) (*Daemon, error) {
 		go d.executor()
 	}
 	return d, nil
+}
+
+// countEnded books a job's terminal status in its counter. The store
+// calls it before the status is visible, so no reader sees more ended
+// jobs than the counters hold.
+func (d *Daemon) countEnded(s Status) {
+	switch s {
+	case StatusDone:
+		d.tel.Completed.Inc()
+	case StatusFailed:
+		d.tel.Failed.Inc()
+	case StatusCanceled:
+		d.tel.Canceled.Inc()
+	}
 }
 
 // Store exposes the daemon's job table (read paths of the HTTP layer).
@@ -247,7 +262,6 @@ func (d *Daemon) Cancel(id string) error {
 			// through to the running path.
 			break
 		}
-		d.tel.Canceled.Inc()
 		return nil
 	}
 	d.mu.Lock()
@@ -358,15 +372,12 @@ func (d *Daemon) runJob(j *Job) {
 		canceled = true
 	default:
 	}
+	// The store books each terminal status in its counter (countEnded).
 	switch {
 	case err != nil:
-		if _, serr := d.store.SetStatus(j.ID, StatusFailed, err.Error(), summarize(res)); serr == nil {
-			d.tel.Failed.Inc()
-		}
+		d.store.SetStatus(j.ID, StatusFailed, err.Error(), summarize(res))
 	case canceled:
-		if _, serr := d.store.SetStatus(j.ID, StatusCanceled, "", summarize(res)); serr == nil {
-			d.tel.Canceled.Inc()
-		}
+		d.store.SetStatus(j.ID, StatusCanceled, "", summarize(res))
 	case d.stopping():
 		// Graceful drain interrupted the pass after a final checkpoint.
 		// The job may in fact have finished, but "running" is the safe
@@ -374,7 +385,6 @@ func (d *Daemon) runJob(j *Job) {
 		// nothing, and marks it done then.
 	default:
 		if _, serr := d.store.SetStatus(j.ID, StatusDone, "", summarize(res)); serr == nil {
-			d.tel.Completed.Inc()
 			d.tel.JobTime.Observe(d.opts.Now().Sub(start).Seconds())
 		}
 	}
@@ -397,9 +407,9 @@ func (d *Daemon) LogPath(id string) string {
 	return filepath.Join(d.store.Dir(id), "crawl.log")
 }
 
-// runSequentialJob runs j as one ordinary checkpointed crawler pass:
-// the same recovery-before-open dance cmd/livecrawl does, with every
-// file under the job's own state directory and behind the daemon's FS.
+// runSequentialJob runs j as one ordinary checkpointed crawler pass,
+// with every file under the job's own state directory and behind the
+// daemon's FS.
 func (d *Daemon) runSequentialJob(j *Job, stop <-chan struct{}) (*crawler.Result, error) {
 	spec := &j.Spec
 	lang := spec.TargetLanguage(d.opts.DefaultTarget)
@@ -411,10 +421,6 @@ func (d *Daemon) runSequentialJob(j *Job, stop <-chan struct{}) (*crawler.Result
 	if err != nil {
 		return nil, err
 	}
-	jobDir := d.store.Dir(j.ID)
-	ckDir := filepath.Join(jobDir, "ck")
-	logPath := d.LogPath(j.ID)
-
 	cfg := crawler.Config{
 		Seeds:           spec.Seeds,
 		Strategy:        strategy,
@@ -425,54 +431,23 @@ func (d *Daemon) runSequentialJob(j *Job, stop <-chan struct{}) (*crawler.Result
 		HostInterval:    d.opts.HostInterval,
 		IgnoreRobots:    d.opts.IgnoreRobots,
 		Telemetry:       d.opts.Crawl,
-		CheckpointDir:   ckDir,
+		CheckpointDir:   filepath.Join(d.store.Dir(j.ID), "ck"),
 		CheckpointEvery: d.opts.CheckpointEvery,
 		CheckpointFS:    d.opts.FS,
 		StopAfter:       d.opts.StopAfter,
 		Stop:            stop,
 	}
 
-	// Recovery runs before the log is opened: bytes past the newest
-	// checkpoint (possibly torn mid-record) are truncated back to the
-	// durable position, then the writer appends after them.
-	st, man, err := checkpoint.Load(ckDir, d.opts.FS)
+	_, closeSinks, err := crawler.OpenSinks(&cfg, d.LogPath(j.ID), "",
+		crawlog.Header{Target: lang, Seeds: spec.Seeds, Comment: "crawld"})
 	if err != nil {
-		return nil, fmt.Errorf("loading checkpoint: %w", err)
+		return nil, err
 	}
-	if st != nil {
-		if _, err := checkpoint.RecoverCrawl(ckDir, d.opts.FS, d.opts.Crawl.Checkpoint(),
-			checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail}); err != nil {
-			return nil, fmt.Errorf("recovering job state: %w", err)
-		}
-		size, err := d.opts.FS.Stat(logPath)
-		if err != nil {
-			return nil, fmt.Errorf("stat recovered log: %w", err)
-		}
-		f, err := checkpoint.OpenAppend(d.opts.FS, logPath)
-		if err != nil {
-			return nil, fmt.Errorf("reopening log: %w", err)
-		}
-		defer f.Close()
-		cfg.Log = crawlog.NewWriterAt(f, size)
-	} else {
-		f, err := d.opts.FS.Create(logPath)
-		if err != nil {
-			return nil, fmt.Errorf("creating log: %w", err)
-		}
-		defer f.Close()
-		hdr := crawlog.Header{Target: lang, Seeds: spec.Seeds, Comment: "crawld"}
-		if cfg.Log, err = crawlog.NewWriter(f, hdr); err != nil {
-			return nil, fmt.Errorf("writing log header: %w", err)
-		}
-	}
+	defer closeSinks()
 
 	c, err := crawler.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Run(context.Background())
-	if err == nil {
-		err = cfg.Log.Flush()
-	}
-	return res, err
+	return c.Run(context.Background())
 }

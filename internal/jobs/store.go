@@ -28,6 +28,9 @@ type Store struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
 	next uint64 // next admission sequence number
+	// ended, when set, is called under mu as a job moves to a terminal
+	// status, before any reader can see the move.
+	ended func(Status)
 }
 
 // OpenStore opens (creating if needed) the job table rooted at root,
@@ -168,6 +171,9 @@ func (s *Store) SetStatus(id string, next Status, errMsg string, result *Summary
 	if err := j.transition(next); err != nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("job %s: %w", id, err)
+	}
+	if next != j.Status && next.Terminal() && s.ended != nil {
+		s.ended(next)
 	}
 	j.Status = next
 	if errMsg != "" {

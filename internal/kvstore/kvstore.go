@@ -29,7 +29,13 @@ import (
 	"sync"
 )
 
-var magic = []byte("LCKV1\n")
+const header = "LCKV1\n"
+
+var magic = []byte(header)
+
+// HeaderSize is the length of the magic every store file starts with: a
+// file no longer than that holds no record.
+const HeaderSize = len(header)
 
 // ErrNotFound is returned by Get for absent (or deleted) keys.
 var ErrNotFound = errors.New("kvstore: key not found")

@@ -64,8 +64,7 @@ func (db *DB) Get(url string) (*crawlog.Record, error) {
 	return rec, nil
 }
 
-// Has reports whether url has been recorded — the visited-set check a
-// resuming crawler makes before fetching.
+// Has reports whether url has been recorded.
 func (db *DB) Has(url string) bool { return db.store.Has(url) }
 
 // Delete removes url's record.
