@@ -14,7 +14,7 @@ import (
 	"langcrawl/internal/textgen"
 )
 
-var updateDigest = flag.Bool("update", false, "rewrite testdata/pagebytes.digest from this tree's page synthesis")
+var updateDigest = flag.Bool("update", false, "rewrite testdata/pagebytes.digest and testdata/space.digest from this tree")
 
 const digestFile = "testdata/pagebytes.digest"
 
