@@ -122,13 +122,24 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // Zipf samples ranks 0..n-1 with probability proportional to
-// 1/(rank+1)^s via a precomputed CDF and binary search. It is
+// 1/(rank+1)^s via a precomputed CDF: Sample returns the smallest rank
+// whose cumulative probability reaches the uniform drawn. It is
 // deterministic given the RNG stream, unlike math/rand's rejection
 // sampler which consumes a variable number of uniforms — CDF inversion
 // consumes exactly one uniform per sample, keeping derived streams
 // aligned.
+//
+// A guide table of n buckets narrows the search: guide[k] is the
+// smallest rank whose cumulative probability reaches k/n, so a uniform
+// in bucket k = ⌊u·n⌋ is answered by a binary search over
+// [guide[k], guide[k+1]] alone — the few ranks one bucket spans, where
+// a search over the whole CDF takes log n cold branches. The narrowed
+// search returns exactly the index the whole-CDF search does: where
+// float rounding puts u outside its bucket's range, the range is
+// widened.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int // n+1 entries; guide[n] = n-1
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
@@ -146,16 +157,44 @@ func NewZipf(n int, s float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf}
+	return zipfFromCDF(cdf)
+}
+
+// zipfFromCDF builds the guide table over a non-decreasing cdf ending
+// in 1.
+func zipfFromCDF(cdf []float64) *Zipf {
+	n := len(cdf)
+	guide := make([]int, n+1)
+	i := 0
+	for k := range guide {
+		for cdf[i] < float64(k)/float64(n) {
+			i++
+		}
+		guide[k] = i
+	}
+	return &Zipf{cdf: cdf, guide: guide}
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Sample draws one rank using r.
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Sample(r *RNG) int { return z.index(r.Float64()) }
+
+// index returns the smallest rank i with cdf[i] >= u, for u in [0, 1).
+func (z *Zipf) index(u float64) int {
+	n := len(z.cdf)
+	k := int(u * float64(n))
+	if k > n-1 {
+		k = n - 1 // defensive: for u < 1, u·n rounds below n
+	}
+	lo, hi := z.guide[k], z.guide[k+1]
+	if lo > 0 && z.cdf[lo-1] >= u {
+		lo = 0 // u·n rounded up into the bucket above u's own
+	}
+	if z.cdf[hi] < u {
+		hi = n - 1 // defensive: a u above k/n never rounds below k
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {
