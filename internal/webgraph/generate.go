@@ -3,6 +3,7 @@ package webgraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"langcrawl/internal/charset"
@@ -94,7 +95,7 @@ func (c *Config) validate() error {
 	switch {
 	case c.Pages < 2:
 		return fmt.Errorf("webgraph: Pages must be >= 2, got %d", c.Pages)
-	case c.Target == charset.LangUnknown || c.Target == charset.LangOther:
+	case !hasCharsets(c.Target):
 		return fmt.Errorf("webgraph: Target must be a concrete language")
 	case c.RelevanceRatio <= 0 || c.RelevanceRatio > 1:
 		return fmt.Errorf("webgraph: RelevanceRatio must be in (0,1], got %v", c.RelevanceRatio)
@@ -119,6 +120,9 @@ func (c *Config) validate() error {
 	for _, l := range c.FillerLangs {
 		if l == c.Target {
 			return fmt.Errorf("webgraph: FillerLangs must not contain the target language")
+		}
+		if !hasCharsets(l) {
+			return fmt.Errorf("webgraph: FillerLangs must be concrete languages, got %v", l)
 		}
 	}
 	if c.SeedCount < 1 {
@@ -153,8 +157,14 @@ func domainFor(lang charset.Language, sid SiteID) string {
 	}
 }
 
-// charsetWeights gives the per-language distribution of true encodings.
-var charsetWeights = map[charset.Language][]struct {
+// langSlots sizes the per-language tables, which are indexed by
+// charset.Language rather than keyed by it: the link loop reads them
+// once per link.
+const langSlots = charset.LangOther + 1
+
+// charsetWeights gives the per-language distribution of true encodings;
+// a language with no entry cannot be a page language.
+var charsetWeights = [langSlots][]struct {
 	cs charset.Charset
 	w  float64
 }{
@@ -167,6 +177,11 @@ var charsetWeights = map[charset.Language][]struct {
 	charset.LangEnglish: {
 		{charset.ASCII, 0.70}, {charset.Latin1, 0.30},
 	},
+}
+
+// hasCharsets reports whether pages of lang can be synthesized.
+func hasCharsets(lang charset.Language) bool {
+	return lang < langSlots && len(charsetWeights[lang]) > 0
 }
 
 // Generate synthesizes a Space from cfg. The result is a pure function
@@ -300,8 +315,11 @@ func Generate(cfg Config) (*Space, error) {
 	s.Status = make([]uint16, n)
 	s.Size = make([]uint32, n)
 
-	samplers := make(map[charset.Language]*rng.Weighted)
+	var samplers [langSlots]*rng.Weighted
 	for lang, tab := range charsetWeights {
+		if len(tab) == 0 {
+			continue
+		}
 		w := make([]float64, len(tab))
 		for i, e := range tab {
 			w[i] = e.w
@@ -362,18 +380,24 @@ func Generate(cfg Config) (*Space, error) {
 		}
 	}
 
-	// --- 3. Links ---------------------------------------------------------
-	out := make([][]PageID, n)
+	// --- 3. Links, built straight into CSR ------------------------------
+	// Each page's out-links are one sorted, duplicate-free segment of
+	// s.links, laid down in page order. The backbone edges are drawn
+	// first, as (src, tgt) pairs, and bucketed by source with one
+	// counting sort. The random-link loop then walks the pages in id
+	// order: it copies a page's backbone targets to the end of s.links,
+	// appends the page's random links behind them, and sorts and
+	// compacts that segment in place. Every draw happens in the same
+	// order whatever the storage, and a page's segment is the sorted set
+	// of its targets, so the space does not depend on how it is built.
 
 	// Per-language site lists for inter-site targeting, with Zipf
 	// popularity so a few sites dominate inbound links, as on the Web.
-	visibleByLang := make(map[charset.Language][]SiteID)
-	var hiddenRelevant []SiteID
+	var visibleByLang [langSlots][]SiteID
 	var allRelevant []SiteID
 	for i := range s.Sites {
 		site := &s.Sites[i]
 		if site.Hidden {
-			hiddenRelevant = append(hiddenRelevant, SiteID(i))
 			allRelevant = append(allRelevant, SiteID(i))
 			continue
 		}
@@ -382,9 +406,11 @@ func Generate(cfg Config) (*Space, error) {
 			allRelevant = append(allRelevant, SiteID(i))
 		}
 	}
-	zipfFor := make(map[charset.Language]*rng.Zipf)
+	var zipfFor [langSlots]*rng.Zipf
 	for lang, list := range visibleByLang {
-		zipfFor[lang] = rng.NewZipf(len(list), 0.9)
+		if len(list) > 0 {
+			zipfFor[lang] = rng.NewZipf(len(list), 0.9)
+		}
 	}
 	var zipfAllRelevant *rng.Zipf
 	if len(allRelevant) > 0 {
@@ -427,6 +453,11 @@ func Generate(cfg Config) (*Space, error) {
 		return site.Start // home pages are always OK and in the site language
 	}
 
+	// The backbone is a site tree per site (Count-1 edges each) plus one
+	// inbound link per site but the first: n-1 edges in all.
+	type edge struct{ src, tgt PageID }
+	backbone := make([]edge, 0, n-1)
+
 	// Backbone 1: within each site, a link tree over pages rooted at the
 	// home page, with every child's parent being an OK page, guarantees
 	// intra-site reachability.
@@ -438,8 +469,7 @@ func Generate(cfg Config) (*Space, error) {
 			for parent != 0 && s.Status[site.Start+PageID(parent)] != 200 {
 				parent = (parent - 1) / branch
 			}
-			src := site.Start + PageID(parent)
-			out[src] = append(out[src], site.Start+PageID(ord))
+			backbone = append(backbone, edge{site.Start + PageID(parent), site.Start + PageID(ord)})
 		}
 	}
 
@@ -475,82 +505,97 @@ func Generate(cfg Config) (*Space, error) {
 		default:
 			src = okPageInSite(SiteID(rLinks.Intn(i)), false)
 		}
-		out[src] = append(out[src], site.Start)
+		backbone = append(backbone, edge{src, site.Start})
 	}
 
-	// Random links by the locality model.
-	degMu := math.Log(cfg.MeanOutDegree) - cfg.OutDegreeSigma*cfg.OutDegreeSigma/2
-	for id := 0; id < n; id++ {
-		if s.Status[id] != 200 {
-			continue // error pages contribute no outlinks
-		}
-		deg := int(rLinks.LogNormal(degMu, cfg.OutDegreeSigma))
-		if deg > 200 {
-			deg = 200
-		}
-		srcSite := s.SiteOf[id]
-		srcLang := s.Lang[id]
-		for k := 0; k < deg; k++ {
-			var tgt PageID
-			if rLinks.Bool(cfg.IntraSiteProb) && s.Sites[srcSite].Count > 1 {
-				tgt = pageInSite(srcSite)
-			} else {
-				var lang charset.Language
-				if rLinks.Bool(cfg.Locality) || len(fillerLangsPresent) == 0 && srcLang == cfg.Target {
-					lang = srcLang
-				} else if srcLang == cfg.Target {
-					lang = fillerLangsPresent[rLinks.Intn(len(fillerLangsPresent))]
-				} else if rLinks.Bool(0.5) {
-					lang = cfg.Target
-				} else if len(fillerLangsPresent) > 0 {
-					lang = fillerLangsPresent[rLinks.Intn(len(fillerLangsPresent))]
-				} else {
-					lang = srcLang
-				}
-				var sid SiteID
-				switch {
-				case lang == cfg.Target && srcLang != cfg.Target && zipfAllRelevant != nil:
-					// Irrelevant sources may link into hidden sites too.
-					sid = allRelevant[zipfAllRelevant.Sample(rLinks)]
-				case len(visibleByLang[lang]) > 0:
-					sid = visibleByLang[lang][zipfFor[lang].Sample(rLinks)]
-				default:
-					sid = srcSite
-				}
-				tgt = pageInSite(sid)
-			}
-			if tgt == PageID(id) {
-				continue
-			}
-			out[id] = append(out[id], tgt)
-		}
+	// Counting sort by source: afterwards page id's backbone targets are
+	// bbTgt[bbEnd[id-1]:bbEnd[id]], from 0 for page 0.
+	bbEnd := make([]uint32, n)
+	for _, e := range backbone {
+		bbEnd[e.src]++
+	}
+	var sum uint32
+	for id, c := range bbEnd {
+		bbEnd[id] = sum // start offset until the edges are placed
+		sum += c
+	}
+	bbTgt := make([]PageID, len(backbone))
+	for _, e := range backbone {
+		bbTgt[bbEnd[e.src]] = e.tgt
+		bbEnd[e.src]++
 	}
 
-	// --- 4. Flatten to CSR, dedup per page --------------------------------
+	// Random links by the locality model. s.links starts at the expected
+	// link count (OK pages times the mean out-degree, plus the backbone);
+	// the segments are deduplicated as they go, so it seldom grows.
+	okPages := 0
+	for _, st := range s.Status {
+		if st == 200 {
+			okPages++
+		}
+	}
 	s.linkOff = make([]uint64, n+1)
-	total := 0
+	s.links = make([]PageID, 0, int(float64(okPages)*min(cfg.MeanOutDegree, 200))+len(bbTgt))
+	degMu := math.Log(cfg.MeanOutDegree) - cfg.OutDegreeSigma*cfg.OutDegreeSigma/2
+	var bbLo uint32
 	for id := 0; id < n; id++ {
-		links := out[id]
-		sort.Slice(links, func(a, b int) bool { return links[a] < links[b] })
-		w := 0
-		for r := 0; r < len(links); r++ {
-			if r > 0 && links[r] == links[r-1] {
-				continue
+		start := len(s.links)
+		s.linkOff[id] = uint64(start)
+		s.links = append(s.links, bbTgt[bbLo:bbEnd[id]]...)
+		bbLo = bbEnd[id]
+		if s.Status[id] == 200 { // error pages contribute no random outlinks
+			deg := int(rLinks.LogNormal(degMu, cfg.OutDegreeSigma))
+			if deg > 200 {
+				deg = 200
 			}
-			links[w] = links[r]
-			w++
+			srcSite := s.SiteOf[id]
+			srcLang := s.Lang[id]
+			for k := 0; k < deg; k++ {
+				var tgt PageID
+				if rLinks.Bool(cfg.IntraSiteProb) && s.Sites[srcSite].Count > 1 {
+					tgt = pageInSite(srcSite)
+				} else {
+					var lang charset.Language
+					if rLinks.Bool(cfg.Locality) || len(fillerLangsPresent) == 0 && srcLang == cfg.Target {
+						lang = srcLang
+					} else if srcLang == cfg.Target {
+						lang = fillerLangsPresent[rLinks.Intn(len(fillerLangsPresent))]
+					} else if rLinks.Bool(0.5) {
+						lang = cfg.Target
+					} else if len(fillerLangsPresent) > 0 {
+						lang = fillerLangsPresent[rLinks.Intn(len(fillerLangsPresent))]
+					} else {
+						lang = srcLang
+					}
+					var sid SiteID
+					switch {
+					case lang == cfg.Target && srcLang != cfg.Target && zipfAllRelevant != nil:
+						// Irrelevant sources may link into hidden sites too.
+						sid = allRelevant[zipfAllRelevant.Sample(rLinks)]
+					case len(visibleByLang[lang]) > 0:
+						sid = visibleByLang[lang][zipfFor[lang].Sample(rLinks)]
+					default:
+						sid = srcSite
+					}
+					tgt = pageInSite(sid)
+				}
+				if tgt == PageID(id) {
+					continue
+				}
+				s.links = append(s.links, tgt)
+			}
 		}
-		out[id] = links[:w]
-		total += w
-	}
-	s.links = make([]PageID, 0, total)
-	for id := 0; id < n; id++ {
-		s.linkOff[id] = uint64(len(s.links))
-		s.links = append(s.links, out[id]...)
+		seg := s.links[start:]
+		slices.Sort(seg)
+		s.links = s.links[:start+len(slices.Compact(seg))]
 	}
 	s.linkOff[n] = uint64(len(s.links))
+	if cap(s.links) != len(s.links) {
+		// The space keeps s.links for its lifetime: hold no spare tail.
+		s.links = append(make([]PageID, 0, len(s.links)), s.links...)
+	}
 
-	// --- 5. Seeds and caches ----------------------------------------------
+	// --- 4. Seeds and caches ----------------------------------------------
 	type cand struct {
 		sid   SiteID
 		count uint32
