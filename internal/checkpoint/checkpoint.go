@@ -62,7 +62,7 @@ func New(dir string, fsys FS, st *telemetry.CheckpointStats) (*Checkpointer, err
 		return nil, fmt.Errorf("checkpoint: mkdir %s: %w", dir, err)
 	}
 	c := &Checkpointer{dir: dir, fsys: fsys, st: st}
-	man, err := readManifest(fsys, dir)
+	man, err := ReadManifest(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func Load(dir string, fsys FS) (*State, *Manifest, error) {
 	if fsys == nil {
 		fsys = OSFS{}
 	}
-	man, err := readManifest(fsys, dir)
+	man, err := ReadManifest(fsys, dir)
 	if err != nil || man == nil {
 		return nil, nil, err
 	}
@@ -177,9 +177,11 @@ func Load(dir string, fsys FS) (*State, *Manifest, error) {
 	return st, man, nil
 }
 
-// readManifest returns nil (no error) when dir or the manifest does not
+// ReadManifest reads dir's manifest alone, leaving the state file it
+// names unread: enough to learn the sink positions a checkpoint vouches
+// for. It returns nil (no error) when dir or the manifest does not
 // exist.
-func readManifest(fsys FS, dir string) (*Manifest, error) {
+func ReadManifest(fsys FS, dir string) (*Manifest, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, nil // no checkpoint yet

@@ -32,7 +32,9 @@ func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkp
 	var man checkpoint.Manifest // the zero manifest vouches for nothing
 	rec := &checkpoint.Recovery{}
 	if cfg.CheckpointDir != "" {
-		_, m, err := checkpoint.Load(cfg.CheckpointDir, fsys)
+		// The manifest alone says what is vouched for; RecoverCrawl below
+		// is the one read of the state it names.
+		m, err := checkpoint.ReadManifest(fsys, cfg.CheckpointDir)
 		if err != nil {
 			return nil, nil, fmt.Errorf("crawler: %w", err)
 		}

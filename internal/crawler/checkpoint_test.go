@@ -243,6 +243,58 @@ func TestOpenSinksResumesAfterTornTail(t *testing.T) {
 	}
 }
 
+// readCountFS counts ReadFile calls per file name.
+type readCountFS struct {
+	checkpoint.FS
+	reads map[string]int
+}
+
+func (f readCountFS) ReadFile(name string) ([]byte, error) {
+	f.reads[filepath.Base(name)]++
+	return f.FS.ReadFile(name)
+}
+
+// TestOpenSinksDecodesStateOnce: reopening the sinks of a checkpointed
+// crawl reads the manifest for the vouched positions and the state file
+// it names once, in RecoverCrawl.
+func TestOpenSinksDecodesStateOnce(t *testing.T) {
+	space, _, client := testWeb(t, 120, 9)
+	dir := t.TempDir()
+	logPath, dbPath := filepath.Join(dir, "crawl.log"), filepath.Join(dir, "links.db")
+	cfg := sinkCfg(space, client)
+	cfg.CheckpointEvery = 10
+	cfg.CheckpointDir = filepath.Join(dir, "ck")
+	cfg.StopAfter = 25
+	_, closeSinks, err := OpenSinks(&cfg, logPath, dbPath, crawlog.Header{Seeds: cfg.Seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); !errors.Is(err, checkpoint.ErrKilled) {
+		t.Fatalf("want an emulated kill, got %v", err)
+	}
+	closeSinks()
+
+	fsys := readCountFS{FS: checkpoint.OSFS{}, reads: map[string]int{}}
+	cfg = sinkCfg(space, client)
+	cfg.CheckpointDir = filepath.Join(dir, "ck")
+	cfg.CheckpointFS = fsys
+	rec, closeSinks, err := OpenSinks(&cfg, logPath, dbPath, crawlog.Header{Seeds: cfg.Seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSinks()
+	if rec.State == nil || rec.Manifest == nil {
+		t.Fatalf("recovery %+v: want a resume from the checkpoint", rec)
+	}
+	if n := fsys.reads[rec.Manifest.StateFile]; n != 1 {
+		t.Errorf("OpenSinks read state file %s %d times, want 1 (reads: %v)", rec.Manifest.StateFile, n, fsys.reads)
+	}
+}
+
 // TestCheckpointKillResumeSequential pins kill-resume equivalence at
 // the engine level: the stitched log of a crawl killed every 90 pages
 // must be byte-identical to the uninterrupted crawl's. Breakers and
