@@ -216,35 +216,23 @@ func (c iso2022JPCodec) Encode(s string) []byte {
 }
 
 func (iso2022JPCodec) AppendEncode(dst []byte, s string) []byte {
-	inJIS := false
+	var sh Shift
 	for _, r := range s {
-		if r < 0x80 {
-			if inJIS {
-				dst = append(dst, escASCII...)
-				inJIS = false
-			}
-			dst = append(dst, byte(r))
-			continue
-		}
-		k, ok := jisKuten(r)
-		if !ok {
-			if inJIS {
-				dst = append(dst, escASCII...)
-				inJIS = false
-			}
-			dst = append(dst, '?')
-			continue
-		}
-		if !inJIS {
-			dst = append(dst, escJISX0208...)
-			inJIS = true
-		}
-		dst = append(dst, 0x20+k.row, 0x20+k.cell)
+		dst = sh.AppendRune(dst, iso2022JPRune(r))
 	}
-	if inJIS {
-		dst = append(dst, escASCII...)
+	return sh.AppendASCII(dst, "")
+}
+
+// iso2022JPRune is r's ISO-2022-JP encoding: ASCII as is, JIS X 0208 in
+// the shifted mode, and '?' (in ASCII mode) for a rune with no mapping.
+func iso2022JPRune(r rune) RuneCode {
+	if r < 0x80 {
+		return RuneCode{b: [4]byte{byte(r)}, n: 1}
 	}
-	return dst
+	if k, ok := jisKuten(r); ok {
+		return RuneCode{b: [4]byte{0x20 + k.row, 0x20 + k.cell}, n: 2, jis: true}
+	}
+	return RuneCode{b: [4]byte{'?'}, n: 1}
 }
 
 func (c iso2022JPCodec) Decode(b []byte) string {

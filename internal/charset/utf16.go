@@ -22,13 +22,18 @@ func (c utf16Codec) Charset() Charset {
 }
 
 func (c utf16Codec) Encode(s string) []byte {
-	units := utf16.Encode([]rune(s))
-	out := make([]byte, 0, 2+2*len(units))
-	out = c.appendUnit(out, 0xFEFF) // BOM
-	for _, u := range units {
-		out = c.appendUnit(out, u)
+	return c.AppendEncode(make([]byte, 0, 2+2*len(s)), s)
+}
+
+func (c utf16Codec) AppendEncode(dst []byte, s string) []byte {
+	dst = c.appendUnit(dst, 0xFEFF) // BOM
+	var units [2]uint16
+	for _, r := range s {
+		for _, u := range utf16.AppendRune(units[:0], r) {
+			dst = c.appendUnit(dst, u)
+		}
 	}
-	return out
+	return dst
 }
 
 func (c utf16Codec) appendUnit(out []byte, u uint16) []byte {

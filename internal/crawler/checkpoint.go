@@ -51,6 +51,7 @@ func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkp
 	if man.DBPos == 0 && dbHoldsRecord(dbPath) {
 		return nil, nil, unvouched(dbPath)
 	}
+	cfg.resumed = nil
 	if man.StateFile != "" { // a checkpoint exists
 		var err error
 		if rec, err = checkpoint.RecoverCrawl(cfg.CheckpointDir, fsys, cfg.Telemetry.Checkpoint(),
@@ -58,6 +59,7 @@ func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkp
 			checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail}); err != nil {
 			return nil, nil, fmt.Errorf("crawler: %w", err)
 		}
+		cfg.resumed = &resumedState{st: rec.State}
 	}
 
 	var (
@@ -135,17 +137,35 @@ type ckState struct {
 	nextCk int
 }
 
-// openCheckpoint loads any prior checkpoint under cfg.CheckpointDir,
-// validates it against this run's configuration, and readies the
-// writer. Returns (nil, nil) when checkpointing is off.
+// resumedState holds the checkpoint state OpenSinks decoded until a
+// Run takes it.
+type resumedState struct{ st *checkpoint.State }
+
+// take returns the state once, and nil after that (or on a nil h).
+func (h *resumedState) take() *checkpoint.State {
+	if h == nil {
+		return nil
+	}
+	st := h.st
+	h.st = nil
+	return st
+}
+
+// openCheckpoint loads any prior checkpoint under cfg.CheckpointDir —
+// the one OpenSinks decoded and cut the sinks back to, on the first Run
+// after it — validates it against this run's configuration, and readies
+// the writer. Returns (nil, nil) when checkpointing is off.
 func (c *Crawler) openCheckpoint() (*ckState, error) {
 	if c.cfg.CheckpointDir == "" {
 		return nil, nil
 	}
 	fsys := c.cfg.CheckpointFS
-	st, _, err := checkpoint.Load(c.cfg.CheckpointDir, fsys)
-	if err != nil {
-		return nil, fmt.Errorf("crawler: %w", err)
+	st := c.cfg.resumed.take()
+	if st == nil {
+		var err error
+		if st, _, err = checkpoint.Load(c.cfg.CheckpointDir, fsys); err != nil {
+			return nil, fmt.Errorf("crawler: %w", err)
+		}
 	}
 	if st != nil {
 		if st.Kind != checkpoint.KindLive {

@@ -254,9 +254,10 @@ func (f readCountFS) ReadFile(name string) ([]byte, error) {
 	return f.FS.ReadFile(name)
 }
 
-// TestOpenSinksDecodesStateOnce: reopening the sinks of a checkpointed
-// crawl reads the manifest for the vouched positions and the state file
-// it names once, in RecoverCrawl.
+// TestOpenSinksDecodesStateOnce: resuming a checkpointed crawl —
+// OpenSinks, New and Run — reads the manifest for the vouched positions
+// and the state file it names once, in RecoverCrawl: Run resumes from
+// the state OpenSinks decoded.
 func TestOpenSinksDecodesStateOnce(t *testing.T) {
 	space, _, client := testWeb(t, 120, 9)
 	dir := t.TempDir()
@@ -290,8 +291,16 @@ func TestOpenSinksDecodesStateOnce(t *testing.T) {
 	if rec.State == nil || rec.Manifest == nil {
 		t.Fatalf("recovery %+v: want a resume from the checkpoint", rec)
 	}
+	cfg.StopAfter = 25 // five pages past the checkpoint resumed from (20), before the next
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); !errors.Is(err, checkpoint.ErrKilled) {
+		t.Fatalf("want an emulated kill, got %v", err)
+	}
 	if n := fsys.reads[rec.Manifest.StateFile]; n != 1 {
-		t.Errorf("OpenSinks read state file %s %d times, want 1 (reads: %v)", rec.Manifest.StateFile, n, fsys.reads)
+		t.Errorf("OpenSinks, New and Run read state file %s %d times, want 1 (reads: %v)", rec.Manifest.StateFile, n, fsys.reads)
 	}
 }
 

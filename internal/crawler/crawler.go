@@ -173,6 +173,13 @@ type Config struct {
 	// If-Modified-Since), so unchanged pages cost a 304 and no body
 	// bytes. See RecrawlConfig. Zero value disables.
 	Recrawl RecrawlConfig
+
+	// resumed carries the checkpoint state OpenSinks decoded to the
+	// first Run of this Config, which resumes from it without decoding
+	// it again. Copies of the Config share it, and the first Run takes
+	// it: a later Run (the dist worker crawls every batch on one Config)
+	// loads the checkpoints written since.
+	resumed *resumedState
 }
 
 // Result summarizes a crawl.

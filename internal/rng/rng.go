@@ -213,13 +213,14 @@ type Weighted struct {
 	cdf []float64
 	// guide[k] is the smallest index whose cumulative weight reaches
 	// k/guideSize: the scan for a uniform in [k/guideSize, (k+1)/guideSize)
-	// starts there and ends a step or two later, where a binary search
-	// would take log n unpredictable branches to the same index.
+	// starts there, and with many more buckets than indices it almost
+	// always stops there too, where a binary search would take log n
+	// unpredictable branches to the same index.
 	guide [guideSize]uint16
 }
 
 // guideSize is a power of two, so u*guideSize and k/guideSize are exact.
-const guideSize = 64
+const guideSize = 1024
 
 // NewWeighted builds a sampler from weights. At least one weight must be
 // positive.
@@ -255,8 +256,10 @@ func NewWeighted(weights []float64) *Weighted {
 }
 
 // Sample draws one index using r.
-func (w *Weighted) Sample(r *RNG) int {
-	u := r.Float64()
+func (w *Weighted) Sample(r *RNG) int { return w.index(r.Float64()) }
+
+// index returns the smallest index i with cdf[i] >= u, for u in [0, 1).
+func (w *Weighted) index(u float64) int {
 	i := int(w.guide[int(u*guideSize)])
 	for w.cdf[i] < u {
 		i++

@@ -367,3 +367,66 @@ func TestSeedMatchesNew(t *testing.T) {
 		t.Error("Seed2(9, 4) differs from New2(9, 4)")
 	}
 }
+
+// textgenWeights are the glyph weights of textgen's four inventories
+// (hiragana, katakana, kanji, Thai): the samplers every synthesized page
+// draws from. They are copied here because textgen imports this package.
+var textgenWeights = [][]float64{
+	{9, 9, 8, 7, 7, 7, 6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 4, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+	{4, 4, 6, 4, 4, 4, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 5},
+	{5, 4, 4, 3},
+	{9, 8, 8, 7, 7, 6, 6, 6, 5, 5, 5, 5, 5, 4, 4, 4, 4, 4, 6, 6, 6, 5, 4, 3, 3, 2, 2, 3, 2, 2, 3, 3, 2, 2, 3, 3, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1},
+}
+
+// TestWeightedGuideEdges compares the guided scan with a plain search
+// over the CDF where a guide can go wrong: at every guide edge
+// k/guideSize, at every CDF value, at the float neighbours of both, and
+// at 0 and 1-2⁻⁵³. It covers textgen's inventories, uniform weights
+// whose CDF steps land on guide edges, and random weights — zeros, tiny
+// weights and more indices than buckets included.
+func TestWeightedGuideEdges(t *testing.T) {
+	sets := append([][]float64{}, textgenWeights...)
+	for _, n := range []int{1, 2, 3, 4, 5, 64, 1000, guideSize, 2 * guideSize, 5000} {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		sets = append(sets, w)
+	}
+	gen := New(38)
+	for trial := 0; trial < 200; trial++ {
+		w := make([]float64, gen.IntRange(1, 3000))
+		for i := range w {
+			if !gen.Bool(0.3) {
+				w[i] = gen.LogNormal(0, 3)
+			}
+		}
+		w[gen.Intn(len(w))] += 1
+		sets = append(sets, w)
+	}
+	for set, weights := range sets {
+		w := NewWeighted(weights)
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return
+			}
+			want := sort.Search(len(w.cdf), func(j int) bool { return w.cdf[j] >= u })
+			if got := w.index(u); got != want {
+				t.Fatalf("set %d (%d weights): u=%v: guided scan %d, CDF search %d", set, len(weights), u, got, want)
+			}
+		}
+		check(0)
+		check(1 - 0x1p-53)
+		for k := 0; k <= guideSize; k++ {
+			e := float64(k) / guideSize
+			check(e)
+			check(math.Nextafter(e, 0))
+			check(math.Nextafter(e, 1))
+		}
+		for _, c := range w.cdf {
+			check(c)
+			check(math.Nextafter(c, 0))
+			check(math.Nextafter(c, 1))
+		}
+	}
+}

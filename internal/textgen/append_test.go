@@ -43,7 +43,7 @@ func checkAgainstLegacy(t *testing.T, spec PageSpec, seed uint64) {
 }
 
 // linkAlphabet mixes what hrefs are made of with everything the
-// attribute escaper and the transcoders must handle: markup bytes,
+// attribute escaper and the codecs must handle: markup bytes,
 // multi-byte runes of both languages, and bytes that are not UTF-8.
 var linkAlphabet = []string{
 	"http://", "a", "b.example", "/", "p1.html", "?x=1", "&", "\"", "<", ">", "'", " ",
@@ -147,12 +147,13 @@ func TestInventoriesHoldNoMarkup(t *testing.T) {
 
 // TestAppendHTMLPageZeroAlloc: into a warmed buffer, a page costs no
 // allocation in any language or charset family — no sampler tables, no
-// per-word strings, no string copy of the page for the transcoder.
+// per-word strings, no encoding table, no string copy of an href for
+// its codec.
 func TestAppendHTMLPageZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	links := []string{"http://a.example/", "http://a.example/p1.html?x=1&y=2", "http://b.example/p2.html"}
+	links := []string{"http://a.example/", "http://a.example/p1.html?x=1&y=2", "http://b.example/p2.html", "http://b.example/日本/ไทย"}
 	for _, spec := range []PageSpec{
 		{Lang: charset.LangJapanese, Charset: charset.EUCJP, DeclaredCharset: charset.EUCJP, Links: links},
 		{Lang: charset.LangJapanese, Charset: charset.ShiftJIS, Links: links, Paragraphs: 5},
@@ -160,6 +161,7 @@ func TestAppendHTMLPageZeroAlloc(t *testing.T) {
 		{Lang: charset.LangThai, Charset: charset.TIS620, DeclaredCharset: charset.Windows874, Links: links},
 		{Lang: charset.LangThai, Charset: charset.UTF8, DeclaredCharset: charset.UTF8, Links: links},
 		{Lang: charset.LangEnglish, Charset: charset.Latin1, DeclaredCharset: charset.ASCII, Links: links},
+		{Lang: charset.LangJapanese, Charset: charset.UTF16LE, DeclaredCharset: charset.UTF16LE, Links: links},
 	} {
 		var r rng.RNG
 		var buf []byte

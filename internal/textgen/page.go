@@ -39,10 +39,11 @@ func HTMLPage(spec PageSpec, r *rng.RNG) []byte {
 	return AppendHTMLPage(nil, spec, r)
 }
 
-// scratch holds the UTF-8 form of the page being built and the href of
-// the anchor being written. A scratch belongs to one AppendHTMLPage
-// call from Get to Put, and nothing a caller sees aliases it: the page
-// reaches dst only through the transcoding pass.
+// scratch holds the href of the anchor being written (its escaped form
+// after it, when the href needs the codec) and, for a UTF-16 page, the
+// UTF-8 form the page is widened from. A scratch belongs to one
+// AppendHTMLPage call from Get to Put, and nothing a caller sees aliases
+// it.
 type scratch struct {
 	page, href []byte
 }
@@ -54,11 +55,32 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // slice each time. It returns the extended buffer; the bytes appended
 // are identical to HTMLPage's. With dst's capacity warmed it does not
 // allocate.
+//
+// The page is written straight in its charset, glyph by glyph from the
+// encoding tables. A UTF-16 page, whose bytes are not ASCII-compatible,
+// is written as UTF-8 and widened once through its codec; a page with no
+// charset is UTF-8.
 func AppendHTMLPage(dst []byte, spec PageSpec, r *rng.RNG) []byte {
 	sc := scratchPool.Get().(*scratch)
-	g := Generator{lang: spec.Lang, r: r}
-	b := sc.page[:0]
+	enc := utf8Enc // a charset with no codec
+	if int(spec.Charset) < len(encodings) {
+		enc = encodings[spec.Charset]
+	}
+	if enc != nil {
+		dst = writePage(dst, spec, r, enc, sc)
+	} else { // UTF-16
+		sc.page = writePage(sc.page[:0], spec, r, utf8Enc, sc)
+		dst = charset.AppendEncodeBytes(charset.CodecFor(spec.Charset), dst, sc.page)
+	}
+	scratchPool.Put(sc)
+	return dst
+}
 
+// writePage appends the page in enc's charset. Markup that follows text
+// goes through g.sh, which first returns an ISO-2022-JP stream to ASCII
+// mode; the rest follows markup, so the stream is in ASCII mode already.
+func writePage(b []byte, spec PageSpec, r *rng.RNG, enc *encoding, sc *scratch) []byte {
+	g := Generator{lang: spec.Lang, r: r, enc: enc}
 	b = append(b, "<!DOCTYPE html>\n<html>\n<head>\n"...)
 	if spec.DeclaredCharset != charset.Unknown {
 		b = append(b, `<meta http-equiv="Content-Type" content="text/html; charset=`...)
@@ -67,9 +89,9 @@ func AppendHTMLPage(dst []byte, spec PageSpec, r *rng.RNG) []byte {
 	}
 	b = append(b, "<title>"...)
 	b = g.appendTitle(b)
-	b = append(b, "</title>\n</head>\n<body>\n<h1>"...)
+	b = g.sh.AppendASCII(b, "</title>\n</head>\n<body>\n<h1>")
 	b = g.appendTitle(b)
-	b = append(b, "</h1>\n"...)
+	b = g.sh.AppendASCII(b, "</h1>\n")
 
 	paras := spec.Paragraphs
 	if paras <= 0 {
@@ -80,7 +102,7 @@ func AppendHTMLPage(dst []byte, spec PageSpec, r *rng.RNG) []byte {
 		links = len(spec.LinkIDs)
 	}
 	for i := 0; i < paras; i++ {
-		b = append(b, "<p>"...)
+		b = g.sh.AppendASCII(b, "<p>")
 		b = g.appendParagraph(b, 0)
 		// Spread links across paragraphs.
 		for j := i * links / paras; j < (i+1)*links/paras; j++ {
@@ -89,24 +111,30 @@ func AppendHTMLPage(dst []byte, spec PageSpec, r *rng.RNG) []byte {
 			} else {
 				sc.href = append(sc.href[:0], spec.Links[j]...)
 			}
-			b = append(b, ` <a href="`...)
-			b = appendEscapedAttr(b, sc.href)
+			b = g.sh.AppendASCII(b, ` <a href="`)
+			b = sc.appendHref(b, enc.codec)
 			b = append(b, `">`...)
 			b = g.appendWord(b)
-			b = append(b, "</a>"...)
+			b = g.sh.AppendASCII(b, "</a>")
 		}
-		b = append(b, "</p>\n"...)
+		b = g.sh.AppendASCII(b, "</p>\n")
 	}
-	b = append(b, "</body>\n</html>\n"...)
+	return g.sh.AppendASCII(b, "</body>\n</html>\n")
+}
 
-	codec := charset.CodecFor(spec.Charset)
-	if codec == nil {
-		codec = charset.CodecFor(charset.UTF8)
+// appendHref appends sc.href as the value of a double-quoted attribute,
+// in ASCII mode and leaving the stream in it. An ASCII href is the same
+// in every charset written here; any other is escaped after itself in
+// sc.href and encoded by codec from ASCII mode, invalid UTF-8 included.
+func (sc *scratch) appendHref(dst []byte, codec charset.Codec) []byte {
+	n := len(sc.href)
+	for _, c := range sc.href {
+		if c >= 0x80 {
+			sc.href = appendEscapedAttr(sc.href, sc.href[:n])
+			return charset.AppendEncodeBytes(codec, dst, sc.href[n:])
+		}
 	}
-	dst = charset.AppendEncodeBytes(codec, dst, b)
-	sc.page = b
-	scratchPool.Put(sc)
-	return dst
+	return appendEscapedAttr(dst, sc.href)
 }
 
 // appendEscapedAttr appends s as the value of a double-quoted attribute.

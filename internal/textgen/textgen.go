@@ -11,8 +11,6 @@
 package textgen
 
 import (
-	"unicode/utf8"
-
 	"langcrawl/internal/charset"
 	"langcrawl/internal/rng"
 )
@@ -104,12 +102,66 @@ func newInventory(tab []glyph) inventory {
 	return inventory{glyphs: tab, cdf: rng.NewWeighted(w)}
 }
 
-// appendN appends n glyphs sampled with r, as UTF-8.
-func (inv *inventory) appendN(dst []byte, r *rng.RNG, n int) []byte {
+// appendN appends n glyphs sampled with r, taking their bytes from codes
+// (the inventory's glyphs in the charset being written).
+func (inv *inventory) appendN(dst []byte, r *rng.RNG, n int, codes []charset.RuneCode, sh *charset.Shift) []byte {
 	for i := 0; i < n; i++ {
-		dst = utf8.AppendRune(dst, inv.glyphs[inv.cdf.Sample(r)].r)
+		dst = sh.AppendRune(dst, codes[inv.cdf.Sample(r)])
 	}
 	return dst
+}
+
+// encoding is every glyph the generator writes, encoded in one charset,
+// plus that charset's codec for the bytes no table holds (a non-ASCII
+// href). ASCII — markup, English syllables, spaces — is the same in
+// every charset an encoding exists for.
+type encoding struct {
+	hiragana, katakana, kanji, thai []charset.RuneCode
+	comma, stop                     charset.RuneCode // 、 and 。
+	codec                           charset.Codec
+}
+
+// encodings[c] is the encoding a page in charset c is written in, built
+// once from the charset codecs: nil for UTF-16, which is not written
+// rune by rune, and UTF-8 for Unknown, which has no codec.
+var encodings = func() []*encoding {
+	all := charset.All()
+	encs := make([]*encoding, len(all)+1)
+	for _, c := range all {
+		if _, ok := charset.EncodeRune(c, 'a'); ok {
+			encs[c] = newEncoding(c)
+		}
+	}
+	encs[charset.Unknown] = encs[charset.UTF8]
+	return encs
+}()
+
+// utf8Enc is the encoding of the string methods, of a page whose
+// charset has no codec and of the UTF-8 form a UTF-16 page is widened
+// from.
+var utf8Enc = encodings[charset.UTF8]
+
+func newEncoding(c charset.Charset) *encoding {
+	enc := func(r rune) charset.RuneCode {
+		rc, _ := charset.EncodeRune(c, r)
+		return rc
+	}
+	glyphs := func(inv inventory) []charset.RuneCode {
+		codes := make([]charset.RuneCode, len(inv.glyphs))
+		for i, g := range inv.glyphs {
+			codes[i] = enc(g.r)
+		}
+		return codes
+	}
+	return &encoding{
+		hiragana: glyphs(hiragana),
+		katakana: glyphs(katakana),
+		kanji:    glyphs(kanji),
+		thai:     glyphs(thai),
+		comma:    enc('、'),
+		stop:     enc('。'),
+		codec:    charset.CodecFor(c),
+	}
 }
 
 func syllableWeights() []float64 {
@@ -121,19 +173,21 @@ func syllableWeights() []float64 {
 }
 
 // Generator produces text in one language from a deterministic stream.
-// Text is appended as UTF-8 to a caller-owned buffer; the string
-// methods wrap the append forms. The sequence of draws from the stream
-// is fixed — pages are regenerated from seeds, never stored — so a
-// change to it is a change to every recorded crawl. It is not safe for
-// concurrent use; create one per goroutine.
+// The string methods return UTF-8; a page is written in its charset
+// directly. The sequence of draws from the stream is fixed — pages are
+// regenerated from seeds, never stored — so a change to it is a change
+// to every recorded crawl. It is not safe for concurrent use; create one
+// per goroutine.
 type Generator struct {
 	lang Lang
 	r    *rng.RNG
+	enc  *encoding
+	sh   charset.Shift
 }
 
 // New returns a Generator for lang drawing randomness from r.
 func New(lang Lang, r *rng.RNG) *Generator {
-	return &Generator{lang: lang, r: r}
+	return &Generator{lang: lang, r: r, enc: utf8Enc}
 }
 
 // Lang returns the generator's language.
@@ -149,18 +203,18 @@ func (g *Generator) appendWord(dst []byte) []byte {
 		// Occasionally a katakana loanword or a kanji compound.
 		switch g.r.Intn(10) {
 		case 0:
-			return katakana.appendN(dst, g.r, n)
+			return katakana.appendN(dst, g.r, n, g.enc.katakana, &g.sh)
 		case 1:
-			return kanji.appendN(dst, g.r, 2)
+			return kanji.appendN(dst, g.r, 2, g.enc.kanji, &g.sh)
 		default:
-			return hiragana.appendN(dst, g.r, n)
+			return hiragana.appendN(dst, g.r, n, g.enc.hiragana, &g.sh)
 		}
 	case charset.LangThai:
-		return thai.appendN(dst, g.r, g.r.IntRange(3, 8))
+		return thai.appendN(dst, g.r, g.r.IntRange(3, 8), g.enc.thai, &g.sh)
 	default:
 		n := g.r.IntRange(1, 3)
 		for i := 0; i < n; i++ {
-			dst = append(dst, englishSyllables[engSyl.Sample(g.r)]...)
+			dst = g.sh.AppendASCII(dst, englishSyllables[engSyl.Sample(g.r)])
 		}
 		return dst
 	}
@@ -180,21 +234,21 @@ func (g *Generator) appendSentence(dst []byte, n int) []byte {
 			case charset.LangJapanese:
 				// Japanese does not use spaces; insert an occasional comma.
 				if g.r.Bool(0.15) {
-					dst = append(dst, "、"...)
+					dst = g.sh.AppendRune(dst, g.enc.comma)
 				}
 			default:
-				dst = append(dst, ' ')
+				dst = g.sh.AppendASCII(dst, " ")
 			}
 		}
 		dst = g.appendWord(dst)
 	}
 	switch g.lang {
 	case charset.LangJapanese:
-		dst = append(dst, "。"...)
+		dst = g.sh.AppendRune(dst, g.enc.stop)
 	case charset.LangThai:
 		// Thai marks sentence boundaries with a space; nothing to add.
 	default:
-		dst = append(dst, '.')
+		dst = g.sh.AppendASCII(dst, ".")
 	}
 	return dst
 }
@@ -208,7 +262,7 @@ func (g *Generator) appendParagraph(dst []byte, n int) []byte {
 	}
 	for i := 0; i < n; i++ {
 		if i > 0 && g.lang != charset.LangJapanese {
-			dst = append(dst, ' ')
+			dst = g.sh.AppendASCII(dst, " ")
 		}
 		dst = g.appendSentence(dst, 0)
 	}
@@ -222,7 +276,7 @@ func (g *Generator) appendTitle(dst []byte) []byte {
 	n := g.r.IntRange(2, 5)
 	for i := 0; i < n; i++ {
 		if i > 0 && g.lang != charset.LangJapanese {
-			dst = append(dst, ' ')
+			dst = g.sh.AppendASCII(dst, " ")
 		}
 		dst = g.appendWord(dst)
 	}
