@@ -21,7 +21,7 @@ import (
 	"langcrawl/internal/webgraph"
 )
 
-var updateResults = flag.Bool("update", false, "rewrite testdata/results.digest from this tree's engines")
+var updateResults = flag.Bool("update", false, "rewrite testdata/results.digest and testdata/frontier.digest from this tree's engines")
 
 const resultsDigestFile = "testdata/results.digest"
 
@@ -77,6 +77,15 @@ func TestResultDigest(t *testing.T) {
 	t.Fatalf("got %d lines, recorded %d", len(gl), len(wl))
 }
 
+// digestFaults is the fault configuration of the digests' faults variants.
+func digestFaults() *faults.Config {
+	return &faults.Config{
+		Model:   faults.Model{Rate: 0.05, DeadHostRate: 0.02},
+		Retry:   faults.DefaultRetryPolicy(),
+		Breaker: faults.BreakerConfig{Threshold: 4, Cooldown: 90},
+	}
+}
+
 // resultDigests renders every configuration as "name fnv64a-hex\n".
 func resultDigests(t *testing.T) []byte {
 	t.Helper()
@@ -84,14 +93,6 @@ func resultDigests(t *testing.T) []byte {
 	line := func(name string, h hash.Hash64) {
 		fmt.Fprintf(&out, "%s %016x\n", name, h.Sum64())
 	}
-	faultsOn := func() *faults.Config {
-		return &faults.Config{
-			Model:   faults.Model{Rate: 0.05, DeadHostRate: 0.02},
-			Retry:   faults.DefaultRetryPolicy(),
-			Breaker: faults.BreakerConfig{Threshold: 4, Cooldown: 90},
-		}
-	}
-
 	for _, st := range digestStrategies() {
 		base := Config{Strategy: st, Classifier: metaThai(), KeepVisited: true}
 		variants := []struct {
@@ -99,7 +100,7 @@ func resultDigests(t *testing.T) []byte {
 			mut  func(*Config)
 		}{
 			{"plain", func(*Config) {}},
-			{"faults", func(c *Config) { c.Faults = faultsOn() }},
+			{"faults", func(c *Config) { c.Faults = digestFaults() }},
 			{"upgrade", func(c *Config) { c.QueueMode = QueueUpgrade }},
 		}
 		for _, v := range variants {
@@ -120,7 +121,7 @@ func resultDigests(t *testing.T) []byte {
 		}{
 			{"c1", TimedConfig{Concurrency: 1}},
 			{"c16", TimedConfig{Concurrency: 16}},
-			{"faults", TimedConfig{Config: Config{Faults: faultsOn()}}},
+			{"faults", TimedConfig{Config: Config{Faults: digestFaults()}}},
 			{"news", TimedConfig{Evolve: webgraph.NewsChurn(5)}},
 		}
 		for _, v := range timed {
@@ -145,7 +146,7 @@ func resultDigests(t *testing.T) []byte {
 	for _, v := range []struct {
 		name string
 		f    *faults.Config
-	}{{"plain", nil}, {"faults", faultsOn()}} {
+	}{{"plain", nil}, {"faults", digestFaults()}} {
 		res, err := Run(jp, Config{Strategy: core.SoftFocused{}, Classifier: detect, KeepVisited: true, Faults: v.f})
 		if err != nil {
 			t.Fatal(err)
