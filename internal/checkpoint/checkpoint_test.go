@@ -32,7 +32,7 @@ func sampleState(crawled int) *checkpoint.State {
 			{URL: "http://h1.example/b", ID: 9, Dist: 3, Prio: -1.5, Revisit: true},
 		},
 		VisitedURLs: []string{"http://h0.example/", "http://h1.example/"},
-		VisitedBits: checkpoint.PackBits([]bool{true, false, true, true, false, false, false, false, true}),
+		VisitedBits: []byte{0b0000_1101, 0b0000_0001}, // pages 0, 2, 3 and 8, LSB first
 		VisitedN:    9,
 		Breakers: []checkpoint.Breaker{
 			{Host: "h0.example", State: 1, Failures: 5, Successes: 2, Probing: true, OpenedAt: 17.5, Trips: 1},
@@ -92,20 +92,6 @@ func TestStateRejectsDamage(t *testing.T) {
 	}
 	if _, err := checkpoint.Decode(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing garbage decoded successfully")
-	}
-}
-
-func TestPackBits(t *testing.T) {
-	bits := []bool{true, false, false, true, true, false, true, false, false, true, true}
-	back, err := checkpoint.UnpackBits(checkpoint.PackBits(bits), len(bits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bits, back) {
-		t.Fatalf("bit round trip: want %v got %v", bits, back)
-	}
-	if _, err := checkpoint.UnpackBits([]byte{1, 2, 3}, 5); err == nil {
-		t.Fatal("length-mismatched bitmap accepted")
 	}
 }
 

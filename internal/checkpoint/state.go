@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 
@@ -116,7 +115,7 @@ type State struct {
 	// VisitedURLs is the live crawler's exact visited set, sorted.
 	VisitedURLs []string
 	// VisitedBits is the simulator's visited bitmap (VisitedN pages,
-	// bit i = page i fetched), packed LSB-first.
+	// bit i of byte j = page 8j+i fetched), (VisitedN+7)/8 bytes.
 	VisitedBits []byte
 	VisitedN    int
 
@@ -497,26 +496,3 @@ func boolByte(v bool) byte {
 func zigzag(v int32) uint64 { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
 
 func unzigzag(u uint64) int32 { return int32(uint32(u)>>1) ^ -int32(uint32(u)&1) }
-
-// PackBits packs a []bool into an LSB-first bitmap.
-func PackBits(bits []bool) []byte {
-	out := make([]byte, (len(bits)+7)/8)
-	for i, v := range bits {
-		if v {
-			out[i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
-}
-
-// UnpackBits expands a PackBits bitmap back into n bools.
-func UnpackBits(packed []byte, n int) ([]bool, error) {
-	if len(packed) != (n+7)/8 {
-		return nil, fmt.Errorf("checkpoint: bitmap is %d bytes, want %d for %d pages", len(packed), (n+7)/8, n)
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = packed[i/8]&(1<<(i%8)) != 0
-	}
-	return out, nil
-}

@@ -20,7 +20,7 @@ func ckState(crawled int) *checkpoint.State {
 		Frontier: []checkpoint.Entry{
 			{URL: "http://h0.example/a", ID: 7, Dist: -2, Prio: 0.25},
 		},
-		VisitedBits: checkpoint.PackBits([]bool{true, false, true}),
+		VisitedBits: []byte{0b101}, // pages 0 and 2, LSB first
 		VisitedN:    3,
 	}
 }

@@ -10,11 +10,16 @@
 // priority class), which is the discipline the paper's strategies assume.
 package frontier
 
+import "slices"
+
 // Queue is the frontier abstraction used by the crawl engine.
 type Queue[T any] interface {
 	// Push enqueues item with the given priority. Higher priorities pop
 	// first; equal priorities pop in insertion order.
 	Push(item T, priority float64)
+	// PushAll enqueues items in order, all at one priority, exactly as
+	// that many Push calls would. It keeps no reference to items.
+	PushAll(items []T, priority float64)
 	// Pop removes and returns the next item; ok is false when empty.
 	Pop() (item T, ok bool)
 	// Len returns the number of queued items.
@@ -28,13 +33,14 @@ type Queue[T any] interface {
 // FIFO is a plain first-in first-out queue; priority is ignored. It is
 // the frontier of the breadth-first baseline and of the hard-focused and
 // non-prioritized limited-distance strategies (which enqueue a single
-// class). The ring buffer keeps Push/Pop O(1) without unbounded slice
-// growth on long crawls.
+// class), and each class of a Bucket. The ring buffer keeps Push/Pop
+// O(1) without unbounded slice growth on long crawls; its size is a
+// power of two, so a step wraps with a mask rather than a division.
 type FIFO[T any] struct {
-	buf        []T
-	head, tail int // tail = next write slot; head = next read slot
-	n          int
-	maxN       int
+	buf  []T // empty, or a power of two long
+	head int // next read slot; the next write slot is (head+n) & mask
+	n    int
+	maxN int
 }
 
 // NewFIFO returns an empty FIFO queue.
@@ -43,14 +49,26 @@ func NewFIFO[T any]() *FIFO[T] { return &FIFO[T]{} }
 // Push appends item. The priority argument is ignored.
 func (q *FIFO[T]) Push(item T, _ float64) {
 	if q.n == len(q.buf) {
-		q.grow()
+		q.grow(q.n + 1)
 	}
-	q.buf[q.tail] = item
-	q.tail = (q.tail + 1) % len(q.buf)
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = item
 	q.n++
-	if q.n > q.maxN {
-		q.maxN = q.n
+	q.maxN = max(q.maxN, q.n)
+}
+
+// PushAll appends items in order, in at most two copies. The priority
+// argument is ignored.
+func (q *FIFO[T]) PushAll(items []T, _ float64) {
+	if len(items) == 0 {
+		return
 	}
+	if q.n+len(items) > len(q.buf) {
+		q.grow(q.n + len(items))
+	}
+	k := copy(q.buf[(q.head+q.n)&(len(q.buf)-1):], items)
+	copy(q.buf, items[k:])
+	q.n += len(items)
+	q.maxN = max(q.maxN, q.n)
 }
 
 // Pop removes and returns the oldest item.
@@ -61,7 +79,7 @@ func (q *FIFO[T]) Pop() (T, bool) {
 	}
 	item := q.buf[q.head]
 	q.buf[q.head] = zero // release for GC
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return item, true
 }
@@ -72,20 +90,18 @@ func (q *FIFO[T]) Len() int { return q.n }
 // MaxLen returns the high-water mark.
 func (q *FIFO[T]) MaxLen() int { return q.maxN }
 
-func (q *FIFO[T]) grow() {
-	next := make([]T, maxInt(4, len(q.buf)*2))
-	for i := 0; i < q.n; i++ {
-		next[i] = q.buf[(q.head+i)%len(q.buf)]
+// grow doubles the ring (from 4 slots) until it holds need items, and
+// moves the queued items to its front: the run from head to the end of
+// the old ring, then the run that wrapped to its start.
+func (q *FIFO[T]) grow(need int) {
+	size := max(4, 2*len(q.buf))
+	for size < need {
+		size *= 2
 	}
-	q.buf = next
-	q.head, q.tail = 0, q.n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	next := make([]T, size)
+	k := copy(next, q.buf[q.head:min(q.head+q.n, len(q.buf))])
+	copy(next[k:], q.buf[:q.n-k])
+	q.buf, q.head = next, 0
 }
 
 // --- Heap -------------------------------------------------------------------
@@ -164,6 +180,13 @@ func (q *Heap[T]) Push(item T, priority float64) {
 	}
 }
 
+// PushAll pushes each of items at priority, in order.
+func (q *Heap[T]) PushAll(items []T, priority float64) {
+	for _, it := range items {
+		q.Push(it, priority)
+	}
+}
+
 // Pop removes and returns the highest-priority item.
 func (q *Heap[T]) Pop() (T, bool) {
 	var zero T
@@ -206,64 +229,69 @@ func (q *Heap[T]) MaxLen() int { return q.maxN }
 // strategies — soft-focused has classes {high, low} and prioritized
 // limited-distance has classes {0, -1, ..., -N} (priority -d for
 // distance d) — and both Push and Pop are O(1) amortized over the tiny
-// class count.
+// class count. The classes live in a slice sorted descending with their
+// FIFOs beside them, found by a scan rather than a map; a class that
+// drains keeps its FIFO and ring, so a crawl that keeps draining and
+// refilling a class allocates for it only while its ring grows.
 type Bucket[T any] struct {
-	classes []int // sorted descending
-	queues  map[int]*FIFO[T]
+	classes []int     // sorted descending
+	fifos   []FIFO[T] // fifos[i] queues class classes[i]
+	top     int       // every class before top is empty
 	n       int
 	maxN    int
 }
 
 // NewBucket returns an empty bucket queue.
-func NewBucket[T any]() *Bucket[T] {
-	return &Bucket[T]{queues: make(map[int]*FIFO[T])}
-}
+func NewBucket[T any]() *Bucket[T] { return &Bucket[T]{} }
 
 // Push enqueues item in the class floor(priority).
 func (q *Bucket[T]) Push(item T, priority float64) {
+	q.class(priority).Push(item, priority)
+	q.n++
+	q.maxN = max(q.maxN, q.n)
+}
+
+// PushAll enqueues items, in order, in the class floor(priority).
+func (q *Bucket[T]) PushAll(items []T, priority float64) {
+	if len(items) == 0 {
+		return
+	}
+	q.class(priority).PushAll(items, priority)
+	q.n += len(items)
+	q.maxN = max(q.maxN, q.n)
+}
+
+// class returns the FIFO of class floor(priority), inserting the class
+// into the descending list when it is new, and moves top to it: the
+// caller is about to fill it.
+func (q *Bucket[T]) class(priority float64) *FIFO[T] {
 	class := int(priority)
 	if f := float64(class); f > priority { // floor for negatives
 		class--
 	}
-	fifo, ok := q.queues[class]
-	if !ok {
-		fifo = NewFIFO[T]()
-		q.queues[class] = fifo
-		q.insertClass(class)
-	}
-	fifo.Push(item, priority)
-	q.n++
-	if q.n > q.maxN {
-		q.maxN = q.n
-	}
-}
-
-func (q *Bucket[T]) insertClass(class int) {
-	// Insertion sort into the descending class list; class counts are
-	// tiny (2 for soft-focused, N+1 for limited-distance).
+	// A linear scan: class counts are tiny (2 for soft-focused, N+1 for
+	// limited-distance).
 	i := 0
 	for i < len(q.classes) && q.classes[i] > class {
 		i++
 	}
-	q.classes = append(q.classes, 0)
-	copy(q.classes[i+1:], q.classes[i:])
-	q.classes[i] = class
+	if i == len(q.classes) || q.classes[i] != class {
+		q.classes = slices.Insert(q.classes, i, class)
+		q.fifos = slices.Insert(q.fifos, i, FIFO[T]{})
+	}
+	q.top = min(q.top, i)
+	return &q.fifos[i]
 }
 
 // Pop removes and returns the next item from the highest non-empty class.
 func (q *Bucket[T]) Pop() (T, bool) {
-	var zero T
-	for len(q.classes) > 0 {
-		class := q.classes[0]
-		fifo := q.queues[class]
-		if item, ok := fifo.Pop(); ok {
+	for ; q.top < len(q.fifos); q.top++ {
+		if item, ok := q.fifos[q.top].Pop(); ok {
 			q.n--
 			return item, true
 		}
-		// Class drained: drop it; it is re-created on demand.
-		q.classes = q.classes[1:]
-		delete(q.queues, class)
 	}
+	var zero T
 	return zero, false
 }
 

@@ -141,6 +141,54 @@ func TestFIFORingWrapAround(t *testing.T) {
 	}
 }
 
+// TestFIFOGrowWrapped grows the ring while its items wrap past the end
+// (head after tail), by Push and by PushAll: both runs must move, in
+// order, and PushAll's own copy must wrap too.
+func TestFIFOGrowWrapped(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		q := NewFIFO[int]()
+		next, want := 0, 0
+		push := func(k int) {
+			items := make([]int, k)
+			for i := range items {
+				items[i] = next
+				next++
+			}
+			if batched {
+				q.PushAll(items, 0)
+				return
+			}
+			for _, it := range items {
+				q.Push(it, 0)
+			}
+		}
+		pop := func(k int) {
+			for ; k > 0; k-- {
+				if v, ok := q.Pop(); !ok || v != want {
+					t.Fatalf("batched=%v: popped (%d, %v), want %d", batched, v, ok, want)
+				}
+				want++
+			}
+		}
+		push(4) // ring of 4, full
+		pop(3)  // head at slot 3
+		push(3) // wraps: slots 3, 0, 1, 2 hold 3..6, head > tail
+		if q.n != len(q.buf) || q.head+q.n <= len(q.buf) {
+			t.Fatalf("batched=%v: ring not full and wrapped before growing (head %d, n %d, cap %d)", batched, q.head, q.n, len(q.buf))
+		}
+		push(6) // grows past 8 with the ring wrapped
+		if len(q.buf) != 16 {
+			t.Fatalf("batched=%v: ring of %d slots, want 16", batched, len(q.buf))
+		}
+		pop(5)
+		push(11) // fills the grown ring, wrapping it
+		pop(next - want)
+		if q.Len() != 0 || q.MaxLen() != 16 || len(q.buf) != 16 {
+			t.Fatalf("batched=%v: Len/MaxLen %d/%d, want 0/16", batched, q.Len(), q.MaxLen())
+		}
+	}
+}
+
 func TestBucketFractionalPrioritiesShareClass(t *testing.T) {
 	q := NewBucket[int]()
 	q.Push(1, 0.9) // class 0
@@ -165,6 +213,10 @@ func TestBucketNegativeFractionalFloors(t *testing.T) {
 	}
 }
 
+// TestBucketClassReuseAfterDrain drains a class and refills it, by Push
+// and by PushAll, interleaved with a lower class: pop order is class
+// then FIFO, and Len and MaxLen follow the items, whatever the class
+// bookkeeping keeps.
 func TestBucketClassReuseAfterDrain(t *testing.T) {
 	q := NewBucket[int]()
 	q.Push(1, 1)
@@ -174,6 +226,42 @@ func TestBucketClassReuseAfterDrain(t *testing.T) {
 	got := drain(q)
 	if len(got) != 2 || got[0] != 3 || got[1] != 2 {
 		t.Fatalf("order after class reuse = %v", got)
+	}
+
+	q = NewBucket[int]()
+	q.PushAll([]int{10, 11, 12}, 1)
+	q.Push(0, 0)
+	for _, want := range []int{10, 11, 12} {
+		if v, _ := q.Pop(); v != want {
+			t.Fatalf("popped %d, want %d", v, want)
+		}
+	}
+	if q.Len() != 1 || q.MaxLen() != 4 {
+		t.Fatalf("after draining class 1: Len/MaxLen %d/%d, want 1/4", q.Len(), q.MaxLen())
+	}
+	q.Push(13, 1.5)
+	q.PushAll([]int{14, 15}, 1)
+	q.Push(1, 0)
+	q.PushAll([]int{20, 21}, 2)
+	if q.Len() != 7 || q.MaxLen() != 7 {
+		t.Fatalf("after refilling: Len/MaxLen %d/%d, want 7/7", q.Len(), q.MaxLen())
+	}
+	got = drain(q)
+	want := []int{20, 21, 13, 14, 15, 0, 1}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
+		}
+	}
+	if q.Len() != 0 || q.MaxLen() != 7 {
+		t.Fatalf("drained: Len/MaxLen %d/%d, want 0/7", q.Len(), q.MaxLen())
+	}
+	q.Push(30, 1)
+	if v, ok := q.Pop(); !ok || v != 30 {
+		t.Fatalf("refilled after a full drain: popped (%d, %v), want 30", v, ok)
 	}
 }
 

@@ -21,11 +21,15 @@ import (
 //
 // Input encoding: byte 0 picks the kind (mod 3); each later byte is one
 // op: high bit clear = push an item whose priority derives from the
-// value (whole and quarter steps in [-3, 3.75]), high bit set = pop.
+// value (whole and quarter steps in [-3, 3.75]); top bits 10 = pop; top
+// bits 11 = push a batch of 1–8 items (low 3 bits) at one priority
+// (bits 3–5: half steps in [-2, 1.5]) through PushAll, which the model
+// takes as that many single pushes.
 func FuzzFrontierOps(f *testing.F) {
 	f.Add([]byte{byte(KindHeap), 10, 20, 0x85, 30, 0x81})
 	f.Add([]byte{byte(KindBucket), 1, 2, 3, 4, 5, 0x1A, 0x90, 0x91, 0x92})
 	f.Add([]byte{byte(KindFIFO), 0x7F, 0x00, 0xFF, 0x40, 0x80})
+	f.Add([]byte{byte(KindBucket), 0xC7, 0x05, 0x80, 0xE3, 0xDF, 0x85, 0x86, 0xC0, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -54,14 +58,27 @@ func FuzzFrontierOps(f *testing.F) {
 		}
 		high := 0
 
+		var batch []string
 		for i, op := range ops {
-			if op&0x80 == 0 {
+			switch {
+			case op&0x80 == 0:
 				item := fmt.Sprintf("p%d", i)
 				prio := float64(int(op%7)-3) + float64((op>>3)%4)/4
 				q.Push(item, prio)
 				model = append(model, live{item, prio})
 				high = max(high, len(model))
-			} else {
+			case op&0xC0 == 0xC0:
+				prio := float64((op>>3)&7)/2 - 2
+				batch = batch[:0]
+				for k := 0; k <= int(op&7); k++ {
+					batch = append(batch, fmt.Sprintf("p%d.%d", i, k))
+				}
+				q.PushAll(batch, prio)
+				for _, item := range batch {
+					model = append(model, live{item, prio})
+				}
+				high = max(high, len(model))
+			default:
 				item, ok := q.Pop()
 				if len(model) == 0 {
 					if ok {

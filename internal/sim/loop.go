@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"langcrawl/internal/charset"
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/core"
 	"langcrawl/internal/faults"
@@ -31,7 +32,7 @@ type loop struct {
 	res      *Result
 	fr       frontier.Queue[entry]
 	fs       *telemetry.FrontierStats // nil when telemetry is off
-	visited  []bool
+	visited  bitset
 	tel      *telemetry.SimStats
 	every    int // sample stride, in crawled pages
 	needBody bool
@@ -58,6 +59,8 @@ type loop struct {
 	// body is regenerated in place for each page; the classifier consumes
 	// it before the next visit (see core.Visit.Body's ownership note).
 	body []byte
+	// fresh collects a page's admitted out-links for one PushAll.
+	fresh []entry
 
 	// Engine hooks, nil for Run: restore and save carry the incremental
 	// engine's revisit ledger and freshness curve through a checkpoint;
@@ -102,7 +105,7 @@ func newLoop(space *webgraph.Space, cfg Config, res *Result) (*loop, error) {
 		res:      res,
 		fr:       frontier.New[entry](cfg.Strategy.QueueKind()),
 		fs:       cfg.Telemetry.FrontierStats(),
-		visited:  make([]bool, n),
+		visited:  newBitset(n),
 		tel:      cfg.Telemetry,
 		every:    cfg.SampleEvery,
 		needBody: cfg.Classifier.NeedsBody(),
@@ -165,7 +168,7 @@ func (l *loop) start() (bool, error) {
 			seeds = l.space.Seeds
 		}
 		for _, seed := range seeds {
-			if int(seed) >= len(l.visited) {
+			if int(seed) >= l.space.N() {
 				return false, fmt.Errorf("sim: seed %d out of range", seed)
 			}
 			// Seeds are enqueued as if referred by a relevant page, at the
@@ -185,8 +188,8 @@ func (l *loop) resume(st *checkpoint.State) error {
 	if st.Strategy != l.res.Strategy {
 		return fmt.Errorf("sim: checkpoint strategy %q does not match configured %q", st.Strategy, l.res.Strategy)
 	}
-	if st.VisitedN != len(l.visited) {
-		return fmt.Errorf("sim: checkpoint covers %d pages, space has %d", st.VisitedN, len(l.visited))
+	if n := l.space.N(); st.VisitedN != n {
+		return fmt.Errorf("sim: checkpoint covers %d pages, space has %d", st.VisitedN, n)
 	}
 	// Only the incremental engine writes a freshness curve, and it always
 	// holds at least the point sampled at the start of the crawl.
@@ -194,7 +197,7 @@ func (l *loop) resume(st *checkpoint.State) error {
 		writer := map[bool]string{false: "one-shot", true: "incremental"}[inc]
 		return fmt.Errorf("sim: checkpoint in %s was written by the %s engine", dir, writer)
 	}
-	bits, err := checkpoint.UnpackBits(st.VisitedBits, st.VisitedN)
+	bits, err := loadBitset(st.VisitedBits, st.VisitedN)
 	if err != nil {
 		return err
 	}
@@ -316,7 +319,7 @@ func (l *loop) drive(p pace) error {
 			if !ok {
 				break
 			}
-			if l.visited[it.id] {
+			if l.visited.has(it.id) {
 				continue
 			}
 			if flt != nil && !flt.Allow(l.space.Site(it.id).Host, l.now) {
@@ -324,7 +327,7 @@ func (l *loop) drive(p pace) error {
 				// entry can still reach the page once the host recovers.
 				continue
 			}
-			l.visited[it.id] = true
+			l.visited.set(it.id)
 			events.Schedule(p.done(it.id, l.now), job{entry: it, attempt: 1})
 		}
 		e, ok := events.Next()
@@ -435,8 +438,8 @@ func (l *loop) checkpoint() error {
 		Dropped:     r.DroppedPages,
 		MaxQueue:    max(r.MaxQueueLen, l.fr.MaxLen()),
 		Frontier:    entries,
-		VisitedBits: checkpoint.PackBits(l.visited),
-		VisitedN:    len(l.visited),
+		VisitedBits: l.visited.bytes(l.space.N()),
+		VisitedN:    l.space.N(),
 		Breakers:    l.flt.Snapshot(),
 		Faults:      r.Faults,
 		VTime:       l.now,
@@ -458,6 +461,18 @@ func (l *loop) push(id webgraph.PageID, dist int32, prio float64) {
 	if l.fr.Len() > n {
 		l.fs.Pushed()
 	}
+}
+
+// pushAll queues the discoveries es, all at prio, counting the entries
+// it adds as push does.
+func (l *loop) pushAll(es []entry, prio float64) {
+	if l.fs == nil {
+		l.fr.PushAll(es, prio)
+		return
+	}
+	n := l.fr.Len()
+	l.fr.PushAll(es, prio)
+	l.fs.Pushes.Add(int64(l.fr.Len() - n))
 }
 
 // pop takes the next frontier entry, counting it.
@@ -508,38 +523,40 @@ func (l *loop) budgetLeft() bool {
 
 // relevant is the ground truth harvest and coverage count against: an
 // explicit RelevantFn wins (multi-language truth), then the evolving
-// view's current language, then the snapshot's.
-func (l *loop) relevant(id webgraph.PageID) bool {
+// view's current language, then lang, the snapshot's.
+func (l *loop) relevant(id webgraph.PageID, lang charset.Language) bool {
 	if l.cfg.RelevantFn != nil {
 		return l.cfg.RelevantFn(l.space, id)
 	}
 	if l.ev != nil {
 		return l.ev.IsRelevant(id)
 	}
-	return l.space.IsRelevant(id)
+	return lang == l.space.Target
 }
 
 // visitPage handles one fetched page: it builds the core.Visit, counts
 // relevance, reports the page to OnVisit when observe is set, classifies
 // it, asks the strategy, and enqueues the out-links the decision admits
-// or counts the page as dropped.
+// or counts the page as dropped. The page's properties and links come
+// from one read of its page word (webgraph.Space.Page).
 func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool) {
 	sp := l.space
+	pg := sp.Page(id)
 	l.visit = core.Visit{
-		Status:      int(sp.Status[id]),
-		Declared:    sp.Declared[id],
-		TrueCharset: sp.Charset[id],
+		Status:      int(pg.Status),
+		Declared:    pg.Declared,
+		TrueCharset: pg.Charset,
 		Truncated:   truncated,
 	}
 	v := &l.visit
 	if l.ev != nil {
 		// The evolving view serves the page: dead or unborn pages answer
 		// 404, and a drifted body is regenerated in UTF-8 and declares it.
-		if sp.IsOK(id) && !l.ev.Alive(id) {
+		if pg.Status == 200 && !l.ev.Alive(id) {
 			v.Status = 404
 		}
 		v.TrueCharset = l.ev.Charset(id)
-		if l.ev.Lang(id) != sp.Lang[id] {
+		if l.ev.Lang(id) != pg.Lang {
 			v.Declared = v.TrueCharset
 		}
 	}
@@ -556,7 +573,7 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 		}
 		l.tel.Parse.Observe(int64(len(v.Body)), reused, 0, false)
 	}
-	if v.Status == 200 && l.relevant(id) {
+	if v.Status == 200 && l.relevant(id, pg.Lang) {
 		l.res.RelevantCrawled++
 		l.tel.Relevant.Inc()
 	}
@@ -578,14 +595,15 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 	dec := l.cfg.Strategy.Decide(score, int(dist))
 	if v.Status == 200 {
 		if dec.Follow {
-			visited := l.visited
-			for _, t := range sp.Outlinks(id) {
-				if visited[t] {
-					continue
+			visited, fresh := l.visited, l.fresh[:0]
+			for _, t := range pg.Links {
+				if !visited.has(t) {
+					fresh = append(fresh, entry{id: t, dist: int32(dec.Dist), prio: dec.Priority})
 				}
-				l.push(t, int32(dec.Dist), dec.Priority)
 			}
-		} else if sp.OutDegree(id) > 0 {
+			l.fresh = fresh
+			l.pushAll(fresh, dec.Priority)
+		} else if len(pg.Links) > 0 {
 			l.res.DroppedPages++
 		}
 	}
@@ -607,7 +625,7 @@ func (l *loop) finish() error {
 		}
 	}
 	if l.cfg.KeepVisited {
-		l.res.Visited = l.visited
+		l.res.Visited = l.visited.bools(l.space.N())
 	}
 	return nil
 }

@@ -212,6 +212,13 @@ func (q *upgradeQueue) Push(e entry, prio float64) {
 	q.queued[e.id] = e
 }
 
+// PushAll pushes each of es at prio, in order.
+func (q *upgradeQueue) PushAll(es []entry, prio float64) {
+	for _, e := range es {
+		q.Push(e, prio)
+	}
+}
+
 // Pop removes and returns the highest-priority entry.
 func (q *upgradeQueue) Pop() (entry, bool) {
 	id, ok := q.IndexedHeap.Pop()

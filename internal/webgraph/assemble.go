@@ -56,15 +56,15 @@ func Assemble(raw RawSpace) (*Space, error) {
 			total += len(links)
 		}
 	}
-	s.linkOff = make([]uint64, n+1)
+	s.words = make([]uint64, n+1)
 	s.links = make([]PageID, 0, total)
 	for id := 0; id < n; id++ {
-		s.linkOff[id] = uint64(len(s.links))
+		s.words[id] = pageWord(uint64(len(s.links)), s.Status[id], s.Charset[id], s.Declared[id], s.Lang[id])
 		if raw.Status[id] == 200 {
 			s.links = append(s.links, raw.Outlinks[id]...)
 		}
 	}
-	s.linkOff[n] = uint64(len(s.links))
+	s.words[n] = uint64(len(s.links))
 
 	for _, seed := range raw.Seeds {
 		if int(seed) < n && s.Status[seed] == 200 && s.Lang[seed] == s.Target {

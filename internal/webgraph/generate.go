@@ -534,13 +534,13 @@ func Generate(cfg Config) (*Space, error) {
 			okPages++
 		}
 	}
-	s.linkOff = make([]uint64, n+1)
+	s.words = make([]uint64, n+1)
 	s.links = make([]PageID, 0, int(float64(okPages)*min(cfg.MeanOutDegree, 200))+len(bbTgt))
 	degMu := math.Log(cfg.MeanOutDegree) - cfg.OutDegreeSigma*cfg.OutDegreeSigma/2
 	var bbLo uint32
 	for id := 0; id < n; id++ {
 		start := len(s.links)
-		s.linkOff[id] = uint64(start)
+		s.words[id] = pageWord(uint64(start), s.Status[id], s.Charset[id], s.Declared[id], s.Lang[id])
 		s.links = append(s.links, bbTgt[bbLo:bbEnd[id]]...)
 		bbLo = bbEnd[id]
 		if s.Status[id] == 200 { // error pages contribute no random outlinks
@@ -589,7 +589,7 @@ func Generate(cfg Config) (*Space, error) {
 		slices.Sort(seg)
 		s.links = s.links[:start+len(slices.Compact(seg))]
 	}
-	s.linkOff[n] = uint64(len(s.links))
+	s.words[n] = uint64(len(s.links))
 	if cap(s.links) != len(s.links) {
 		// The space keeps s.links for its lifetime: hold no spare tail.
 		s.links = append(make([]PageID, 0, len(s.links)), s.links...)

@@ -40,6 +40,15 @@ type Site struct {
 // Space is an immutable synthetic web snapshot. Page properties are
 // struct-of-arrays; links are CSR. Content bytes are not stored — they
 // are regenerated deterministically per page on demand.
+//
+// Beside the exported arrays, each page has one private 64-bit page
+// word: its CSR link offset in the low 36 bits, and above it its
+// status, true charset, declared charset and language (see PageInfo).
+// It takes the place of a plain offset array, so it costs no extra
+// bytes, and a crawl step reads every property it needs in one load.
+// The word is written when the space is built, so the exported arrays
+// must not be mutated after construction: the page word would no
+// longer agree with them.
 type Space struct {
 	Seed   uint64
 	Target charset.Language
@@ -55,15 +64,59 @@ type Space struct {
 	Status   []uint16          // HTTP status code
 	Size     []uint32          // synthetic transfer size in bytes
 
-	// CSR adjacency.
-	linkOff []uint64
-	links   []PageID
+	// CSR adjacency: page id's links are links[off(id):off(id+1)], where
+	// off is the low bits of the page word. words has N()+1 entries;
+	// the last holds only the total link count.
+	words []uint64
+	links []PageID
 
 	// Seeds are the crawl entry points (home pages of prominent relevant
 	// sites).
 	Seeds []PageID
 
 	relevantOK int // cached count of relevant pages with 200 status
+}
+
+// The page word's layout, from bit 0: link offset, status, true
+// charset, declared charset, language. Four bits hold every Charset and
+// Language; Validate rejects a space whose properties do not fit.
+const (
+	offBits      = 36
+	offMask      = 1<<offBits - 1
+	statusShift  = offBits
+	charsetShift = statusShift + 16
+	declShift    = charsetShift + 4
+	langShift    = declShift + 4
+)
+
+// pageWord packs a page's link offset and properties.
+func pageWord(off uint64, status uint16, cs, declared charset.Charset, lang charset.Language) uint64 {
+	return off | uint64(status)<<statusShift | uint64(cs)<<charsetShift |
+		uint64(declared)<<declShift | uint64(lang)<<langShift
+}
+
+// PageInfo is what a crawl step reads of one page, decoded from its
+// page word.
+type PageInfo struct {
+	Status   uint16
+	Charset  charset.Charset
+	Declared charset.Charset
+	Lang     charset.Language
+	Links    []PageID // aliases the space's storage: do not modify
+}
+
+// Page returns page id's properties and out-links, from one load of
+// its page word (and the next page's, which ends the link segment).
+// The values are those of the exported arrays.
+func (s *Space) Page(id PageID) PageInfo {
+	w := s.words[id]
+	return PageInfo{
+		Status:   uint16(w >> statusShift),
+		Charset:  charset.Charset(w >> charsetShift & 15),
+		Declared: charset.Charset(w >> declShift & 15),
+		Lang:     charset.Language(w >> langShift),
+		Links:    s.links[w&offMask : s.words[id+1]&offMask],
+	}
 }
 
 // N returns the number of pages.
@@ -73,7 +126,7 @@ func (s *Space) N() int { return len(s.SiteOf) }
 // aliases internal storage and must not be modified. Pages with non-200
 // status have no outlinks.
 func (s *Space) Outlinks(id PageID) []PageID {
-	return s.links[s.linkOff[id]:s.linkOff[id+1]]
+	return s.links[s.words[id]&offMask : s.words[id+1]&offMask]
 }
 
 // Links returns the total number of links in the space.
@@ -81,7 +134,7 @@ func (s *Space) Links() int { return len(s.links) }
 
 // OutDegree returns the out-degree of page id.
 func (s *Space) OutDegree(id PageID) int {
-	return int(s.linkOff[id+1] - s.linkOff[id])
+	return int(s.words[id+1]&offMask - s.words[id]&offMask)
 }
 
 // Site returns the site record of page id.
@@ -241,15 +294,22 @@ func (s *Space) Validate() error {
 		len(s.Status) != n || len(s.Size) != n {
 		return fmt.Errorf("webgraph: property array lengths disagree")
 	}
-	if len(s.linkOff) != n+1 {
-		return fmt.Errorf("webgraph: linkOff has %d entries, want %d", len(s.linkOff), n+1)
+	if len(s.words) != n+1 {
+		return fmt.Errorf("webgraph: %d page words, want %d", len(s.words), n+1)
 	}
-	if s.linkOff[0] != 0 || s.linkOff[n] != uint64(len(s.links)) {
+	if uint64(len(s.links)) > offMask {
+		return fmt.Errorf("webgraph: %d links overflow the page word's offset", len(s.links))
+	}
+	if s.words[0]&offMask != 0 || s.words[n] != uint64(len(s.links)) {
 		return fmt.Errorf("webgraph: CSR offsets do not span links")
 	}
 	for i := 0; i < n; i++ {
-		if s.linkOff[i] > s.linkOff[i+1] {
+		if s.words[i]&offMask > s.words[i+1]&offMask {
 			return fmt.Errorf("webgraph: CSR offsets not monotone at %d", i)
+		}
+		p := s.Page(PageID(i))
+		if p.Status != s.Status[i] || p.Charset != s.Charset[i] || p.Declared != s.Declared[i] || p.Lang != s.Lang[i] {
+			return fmt.Errorf("webgraph: page %d's word disagrees with its properties", i)
 		}
 	}
 	for i, t := range s.links {

@@ -97,9 +97,9 @@ func spaceDigest(s *Space) uint64 {
 		d.flush(false)
 	}
 	d.u32s(s.Size)
-	d.u64(uint64(len(s.linkOff)))
-	for _, off := range s.linkOff {
-		d.u64(off)
+	d.u64(uint64(len(s.words))) // the CSR offsets, as the offset array hashed them
+	for _, w := range s.words {
+		d.u64(w & offMask)
 	}
 	d.u32s(s.links)
 	d.u32s(s.Seeds)
