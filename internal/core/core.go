@@ -90,12 +90,20 @@ func (v *Visit) SetDetected(r charset.Result, info charset.ScanInfo) {
 // Classifier judges the relevance of a visited page to the target
 // language, returning a score in [0,1]. The paper's classifiers are
 // binary: 1 if the page's charset maps to the target language, else 0.
+//
+// Both engines score pages off their crawl loop: the live crawler's
+// workers score outside the engine lock, and the simulator's helpers
+// score pages before the loop visits them (internal/sim). So Score must
+// be safe for concurrent use, and it may read only the Visit it is
+// handed: the score is a function of the visit alone. That contract is
+// what makes both moves observation-equivalent.
 type Classifier interface {
 	// Name identifies the classifier in results and logs.
 	Name() string
 	// NeedsBody reports whether Score reads Visit.Body.
 	NeedsBody() bool
-	// Score returns the page's relevance to the target language.
+	// Score returns the page's relevance to the target language. It is
+	// called concurrently and reads only v.
 	Score(v *Visit) float64
 }
 

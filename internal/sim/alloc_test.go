@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"langcrawl/internal/charset"
 	"langcrawl/internal/core"
 	"langcrawl/internal/webgraph"
 )
@@ -12,6 +15,18 @@ import (
 // the per-page link buffer double a couple more times). A bucket class
 // that gets a fresh FIFO each time it drains and refills, or any other
 // per-page allocation, grows with the crawl and fails this.
+//
+// The detector case runs at GOMAXPROCS 2, so one scoring helper
+// synthesizes and scores pages beside the loop (score.go). Its state
+// table, request stack and scratch, and the loop's page buffer, live in
+// a kit that outlives the run, so they too cost nothing per page. The
+// crawl benchmark collects garbage before each sample, which loses what a
+// sync.Pool held on another P; collecting twice before each run here
+// empties every pool. After a warm-up run, a run with the helper still
+// allocates at most 2 B/page more than one without (the least of five
+// runs: the helper's own pooled detector and page scratch are made anew,
+// and which of the two goroutines makes them is up to the scheduler). A
+// per-run scratch, or one kept in a sync.Pool, fails this.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -32,5 +47,44 @@ func TestRunAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocations over %d pages but %.0f over %d: Run allocates per page",
 				st.Name(), a, small.N(), b, large.N())
 		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	detect := Config{Strategy: core.SoftFocused{}, Classifier: core.DetectorClassifier{Target: charset.LangJapanese}}
+	run := func(space *webgraph.Space) {
+		if _, err := Run(space, detect); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jsmall := mustGen(webgraph.JapaneseLike(3000, 5))
+	jlarge := mustGen(webgraph.JapaneseLike(12_000, 5))
+	a := testing.AllocsPerRun(2, func() { run(jsmall) })
+	b := testing.AllocsPerRun(2, func() { run(jlarge) })
+	t.Logf("detector at GOMAXPROCS 2: %.0f allocations over %d pages, %.0f over %d", a, jsmall.N(), b, jlarge.N())
+	if b > a+16 {
+		t.Errorf("detector at GOMAXPROCS 2: %.0f allocations over %d pages but %.0f over %d: Run allocates per page",
+			a, jsmall.N(), b, jlarge.N())
+	}
+
+	bytesPerRun := func(procs int) uint64 {
+		runtime.GOMAXPROCS(procs)
+		run(jlarge)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			run(jlarge)
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least
+	}
+	one, two := bytesPerRun(1), bytesPerRun(2)
+	t.Logf("detector over %d pages: %d B per run at GOMAXPROCS 1, %d at 2", jlarge.N(), one, two)
+	if two > one+2*uint64(jlarge.N()) {
+		t.Errorf("detector over %d pages: %d B per run at GOMAXPROCS 2 against %d at 1: the helper costs more than 2 B/page",
+			jlarge.N(), two, one)
 	}
 }

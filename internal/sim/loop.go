@@ -54,11 +54,17 @@ type loop struct {
 	// runStart dates the wall-clock PagesPerSec gauge (zero: gauge off, or
 	// the engine reports virtual-time throughput).
 	runStart time.Time
+	// nextSample is the lowest crawled count sampleDue has not yet
+	// checked against the stride: sampleDue divides only from there.
+	nextSample int
 
 	visit core.Visit
 	// body is regenerated in place for each page; the classifier consumes
 	// it before the next visit (see core.Visit.Body's ownership note).
+	// It comes from the run's kit, so it keeps its capacity across runs.
 	body []byte
+	// scores is the scoring layer, nil when it is off (score.go).
+	scores *scorer
 	// fresh collects a page's admitted out-links for one PushAll.
 	fresh []entry
 
@@ -176,6 +182,7 @@ func (l *loop) start() (bool, error) {
 			l.push(seed, 0, 1)
 		}
 	}
+	l.nextSample = l.res.Crawled + 1
 	return resumed, nil
 }
 
@@ -295,6 +302,13 @@ type job struct {
 // one step of the sampling stride. drive ends when nothing is left to
 // fetch or halt says stop, and closes the run with finish.
 func (l *loop) drive(p pace) error {
+	if l.needBody {
+		k := takeKit()
+		l.body = k.body
+		defer func() { k.body = l.body; putKit(k) }()
+		l.scores = startScorer(l, k)
+		defer l.scores.stop()
+	}
 	resumed, err := l.start()
 	if err != nil {
 		return err
@@ -503,10 +517,16 @@ func (l *loop) sample() {
 	}
 }
 
-// sampleDue samples when the crawl has reached the next stride.
+// sampleDue samples when the crawled count is on the stride. Retried
+// attempts pass counts by without a call, so a count at or past the mark
+// samples only if it is on the stride itself, and moves the mark to the
+// next count on it.
 func (l *loop) sampleDue() {
-	if l.res.Crawled%l.every == 0 {
-		l.sample()
+	if c := l.res.Crawled; c >= l.nextSample {
+		if c%l.every == 0 {
+			l.sample()
+		}
+		l.nextSample = (c/l.every + 1) * l.every
 	}
 }
 
@@ -560,18 +580,29 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 			v.Declared = v.TrueCharset
 		}
 	}
+	// A helper may have scored the page already (score.go); a truncated
+	// body is scored here, cut.
+	var score float64
+	scored := false
 	if l.needBody && v.Status == 200 {
-		reused := cap(l.body) > 0
-		if l.ev != nil {
-			l.body = l.ev.PageBytesAppend(l.body[:0], id)
+		if score, scored = l.scores.take(id); scored && truncated {
+			scored = false
+		}
+		if scored {
+			l.scores.observe(id, l.tel)
 		} else {
-			l.body = sp.PageBytesAppend(l.body[:0], id)
+			reused := cap(l.body) > 0
+			if l.ev != nil {
+				l.body = l.ev.PageBytesAppend(l.body[:0], id)
+			} else {
+				l.body = sp.PageBytesAppend(l.body[:0], id)
+			}
+			v.Body = l.body
+			if truncated {
+				v.Body = v.Body[:len(v.Body)/2]
+			}
+			l.tel.Parse.Observe(int64(len(v.Body)), reused, 0, false)
 		}
-		v.Body = l.body
-		if truncated {
-			v.Body = v.Body[:len(v.Body)/2]
-		}
-		l.tel.Parse.Observe(int64(len(v.Body)), reused, 0, false)
 	}
 	if v.Status == 200 && l.relevant(id, pg.Lang) {
 		l.res.RelevantCrawled++
@@ -581,16 +612,18 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 		l.cfg.OnVisit(id)
 	}
 
-	var ct0 time.Time
-	if telemetry.Timed(l.tel.ClassifierTime) {
-		ct0 = time.Now()
-	}
-	score := l.cfg.Classifier.Score(v)
-	if !ct0.IsZero() {
-		l.tel.ClassifierTime.ObserveSince(ct0)
-	}
-	if info, ok := v.DetectionInfo(); ok {
-		l.tel.Detect.Observe(info.Scanned, info.EarlyExit, info.PoolHit)
+	if !scored {
+		var ct0 time.Time
+		if telemetry.Timed(l.tel.ClassifierTime) {
+			ct0 = time.Now()
+		}
+		score = l.cfg.Classifier.Score(v)
+		if !ct0.IsZero() {
+			l.tel.ClassifierTime.ObserveSince(ct0)
+		}
+		if info, ok := v.DetectionInfo(); ok {
+			l.tel.Detect.Observe(info.Scanned, info.EarlyExit, info.PoolHit)
+		}
 	}
 	dec := l.cfg.Strategy.Decide(score, int(dist))
 	if v.Status == 200 {
@@ -603,6 +636,7 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 			}
 			l.fresh = fresh
 			l.pushAll(fresh, dec.Priority)
+			l.scores.request(fresh)
 		} else if len(pg.Links) > 0 {
 			l.res.DroppedPages++
 		}

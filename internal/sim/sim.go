@@ -14,6 +14,15 @@
 // second. RunTimed adds the paper's stated future work — concurrent
 // fetches, transfer delays and per-host access intervals — and
 // RunIncremental adds revisits of an evolving space (recrawl.go).
+//
+// Around that one loop sits a scoring layer (score.go). When the
+// classifier reads bodies, the space is static and GOMAXPROCS is above
+// one, GOMAXPROCS-1 helper goroutines synthesize and score discovered
+// pages ahead of the loop, and the visit takes a finished score instead
+// of computing it. A score is a pure function of the page, so the visit
+// order and every result are the same as without helpers. The layer is
+// off for MetaClassifier and OracleClassifier, for evolving spaces and
+// on one P.
 package sim
 
 import (
@@ -33,7 +42,9 @@ type Config struct {
 	// Strategy is the priority-assignment policy under evaluation.
 	Strategy core.Strategy
 	// Classifier scores page relevance. In paper terms: MetaClassifier
-	// for the Thai dataset, DetectorClassifier for the Japanese one.
+	// for the Thai dataset, DetectorClassifier for the Japanese one. A
+	// body-reading classifier may have pages built and scored on other
+	// goroutines than the crawl loop (see the package doc).
 	Classifier core.Classifier
 	// MaxPages bounds the number of fetches; 0 crawls until the queue
 	// empties.
