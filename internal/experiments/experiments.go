@@ -213,9 +213,11 @@ func (r *Runner) Run(id string) (*Outcome, error) {
 // All runs every experiment sequentially, in presentation order.
 func (r *Runner) All() []*Outcome { return r.RunAll(1) }
 
-// RunAll runs every experiment with up to workers running concurrently
-// (the per-experiment simulations remain single-threaded; this
-// parallelizes across experiments). Results come back in presentation
+// RunAll runs every experiment with up to workers running concurrently.
+// Each simulation's loop is single-threaded, but a body-reading one
+// (detector, hybrid) also scores pages on GOMAXPROCS-1 helper goroutines
+// (sim's scoring layer), so workers above one share the cores with those
+// helpers rather than adding cores. Results come back in presentation
 // order regardless of completion order. The adaptive strategy and other
 // stateful pieces are constructed per experiment, so concurrent
 // execution is safe.

@@ -7,6 +7,7 @@ import (
 
 	"langcrawl/internal/charset"
 	"langcrawl/internal/core"
+	"langcrawl/internal/telemetry"
 	"langcrawl/internal/webgraph"
 )
 
@@ -18,15 +19,18 @@ import (
 //
 // The detector case runs at GOMAXPROCS 2, so one scoring helper
 // synthesizes and scores pages beside the loop (score.go). Its state
-// table, request stack and scratch, and the loop's page buffer, live in
-// a kit that outlives the run, so they too cost nothing per page. The
-// crawl benchmark collects garbage before each sample, which loses what a
-// sync.Pool held on another P; collecting twice before each run here
-// empties every pool. After a warm-up run, a run with the helper still
-// allocates at most 2 B/page more than one without (the least of five
-// runs: the helper's own pooled detector and page scratch are made anew,
-// and which of the two goroutines makes them is up to the scheduler). A
-// per-run scratch, or one kept in a sync.Pool, fails this.
+// table, request stack, telemetry observations and scratch, and the
+// loop's page buffer, live in a kit that outlives the run, so they too
+// cost nothing per page. testing.AllocsPerRun would measure at
+// GOMAXPROCS 1, where the helper is off, so the case reads the runtime's
+// counters itself. The crawl benchmark collects garbage before each
+// sample, which loses what a sync.Pool held on another P; collecting
+// twice before each run here empties every pool. After a warm-up run,
+// the least of five runs must allocate about as often over a space four
+// times larger, and at most 2 B/page more than at GOMAXPROCS 1, with
+// telemetry off and on (the helper's own pooled detector and page scratch
+// are made anew, and which of the two goroutines makes them is up to the
+// scheduler). A per-run scratch, or one kept in a sync.Pool, fails this.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -49,42 +53,63 @@ func TestRunAllocs(t *testing.T) {
 		}
 	}
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	kits.Lock()
+	kits.free = nil // so that a kit with a helper below is this test's
+	kits.Unlock()
 	detect := Config{Strategy: core.SoftFocused{}, Classifier: core.DetectorClassifier{Target: charset.LangJapanese}}
-	run := func(space *webgraph.Space) {
-		if _, err := Run(space, detect); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jsmall := mustGen(webgraph.JapaneseLike(3000, 5))
-	jlarge := mustGen(webgraph.JapaneseLike(12_000, 5))
-	a := testing.AllocsPerRun(2, func() { run(jsmall) })
-	b := testing.AllocsPerRun(2, func() { run(jlarge) })
-	t.Logf("detector at GOMAXPROCS 2: %.0f allocations over %d pages, %.0f over %d", a, jsmall.N(), b, jlarge.N())
-	if b > a+16 {
-		t.Errorf("detector at GOMAXPROCS 2: %.0f allocations over %d pages but %.0f over %d: Run allocates per page",
-			a, jsmall.N(), b, jlarge.N())
-	}
-
-	bytesPerRun := func(procs int) uint64 {
+	observed := detect
+	observed.Telemetry = telemetry.NewSimStats(telemetry.NewRegistry())
+	perRun := func(procs int, space *webgraph.Space, cfg Config) (allocs, bytes uint64) {
 		runtime.GOMAXPROCS(procs)
-		run(jlarge)
-		least := uint64(math.MaxUint64)
+		run := func() {
+			if _, err := Run(space, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		allocs, bytes = math.MaxUint64, math.MaxUint64
 		for range 5 {
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
-			run(jlarge)
+			run()
 			runtime.ReadMemStats(&m1)
-			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+			allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+			bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
 		}
-		return least
+		return allocs, bytes
 	}
-	one, two := bytesPerRun(1), bytesPerRun(2)
-	t.Logf("detector over %d pages: %d B per run at GOMAXPROCS 1, %d at 2", jlarge.N(), one, two)
-	if two > one+2*uint64(jlarge.N()) {
-		t.Errorf("detector over %d pages: %d B per run at GOMAXPROCS 2 against %d at 1: the helper costs more than 2 B/page",
-			jlarge.N(), two, one)
+	jsmall := mustGen(webgraph.JapaneseLike(3000, 5))
+	jlarge := mustGen(webgraph.JapaneseLike(12_000, 5))
+	a, _ := perRun(2, jsmall, detect)
+	b, _ := perRun(2, jlarge, detect)
+	t.Logf("detector at GOMAXPROCS 2: %d allocations over %d pages, %d over %d", a, jsmall.N(), b, jlarge.N())
+	if b > a+16 {
+		t.Errorf("detector at GOMAXPROCS 2: %d allocations over %d pages but %d over %d: Run allocates per page",
+			a, jsmall.N(), b, jlarge.N())
 	}
+	for _, cfg := range []Config{detect, observed} {
+		name := "detector"
+		if cfg.Telemetry != nil {
+			name += " with telemetry"
+		}
+		_, one := perRun(1, jlarge, cfg)
+		_, two := perRun(2, jlarge, cfg)
+		t.Logf("%s over %d pages: %d B per run at GOMAXPROCS 1, %d at 2", name, jlarge.N(), one, two)
+		if two > one+2*uint64(jlarge.N()) {
+			t.Errorf("%s over %d pages: %d B per run at GOMAXPROCS 2 against %d at 1: the helper costs more than 2 B/page",
+				name, jlarge.N(), two, one)
+		}
+	}
+
+	kits.Lock()
+	defer kits.Unlock()
+	for _, k := range kits.free {
+		if len(k.helpers) > 0 {
+			return
+		}
+	}
+	t.Error("no run at GOMAXPROCS 2 started a scoring helper")
 }

@@ -562,13 +562,10 @@ func (l *loop) relevant(id webgraph.PageID, lang charset.Language) bool {
 func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool) {
 	sp := l.space
 	pg := sp.Page(id)
-	l.visit = core.Visit{
-		Status:      int(pg.Status),
-		Declared:    pg.Declared,
-		TrueCharset: pg.Charset,
-		Truncated:   truncated,
-	}
+	l.visit = pageVisit(pg)
 	v := &l.visit
+	v.Truncated = truncated
+	var src pageSource = sp
 	if l.ev != nil {
 		// The evolving view serves the page: dead or unborn pages answer
 		// 404, and a drifted body is regenerated in UTF-8 and declares it.
@@ -579,30 +576,7 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 		if l.ev.Lang(id) != pg.Lang {
 			v.Declared = v.TrueCharset
 		}
-	}
-	// A helper may have scored the page already (score.go); a truncated
-	// body is scored here, cut.
-	var score float64
-	scored := false
-	if l.needBody && v.Status == 200 {
-		if score, scored = l.scores.take(id); scored && truncated {
-			scored = false
-		}
-		if scored {
-			l.scores.observe(id, l.tel)
-		} else {
-			reused := cap(l.body) > 0
-			if l.ev != nil {
-				l.body = l.ev.PageBytesAppend(l.body[:0], id)
-			} else {
-				l.body = sp.PageBytesAppend(l.body[:0], id)
-			}
-			v.Body = l.body
-			if truncated {
-				v.Body = v.Body[:len(v.Body)/2]
-			}
-			l.tel.Parse.Observe(int64(len(v.Body)), reused, 0, false)
-		}
+		src = l.ev
 	}
 	if v.Status == 200 && l.relevant(id, pg.Lang) {
 		l.res.RelevantCrawled++
@@ -612,18 +586,21 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 		l.cfg.OnVisit(id)
 	}
 
-	if !scored {
-		var ct0 time.Time
-		if telemetry.Timed(l.tel.ClassifierTime) {
-			ct0 = time.Now()
-		}
-		score = l.cfg.Classifier.Score(v)
-		if !ct0.IsZero() {
-			l.tel.ClassifierTime.ObserveSince(ct0)
-		}
-		if info, ok := v.DetectionInfo(); ok {
-			l.tel.Detect.Observe(info.Scanned, info.EarlyExit, info.PoolHit)
-		}
+	// A helper may have scored the page already (score.go); a truncated
+	// visit leaves that score alone and its body is scored here, cut.
+	var score float64
+	scored := false
+	if !l.needBody || v.Status != 200 {
+		src = nil
+	} else if !truncated {
+		score, scored = l.scores.take(id)
+	}
+	if scored {
+		l.scores.observe(id, l.tel)
+	} else {
+		var o scoreObs
+		score, o = scoreVisit(l.cfg.Classifier, v, id, src, &l.body, telemetry.Timed(l.tel.ClassifierTime))
+		o.record(l.tel)
 	}
 	dec := l.cfg.Strategy.Decide(score, int(dist))
 	if v.Status == 200 {

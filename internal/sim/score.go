@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,20 +35,21 @@ const (
 	score1              // a helper scored it 1
 )
 
-// maxRequests bounds the request stack. A full stack drops its oldest
-// half: those are the pages the loop reaches first, and it scores them
-// itself.
-const maxRequests = 1 << 14
-
 // kit is the memory a body-reading run works in: the loop's page buffer
-// and the scoring layer's state table, request stack and helper scratch.
-// Kits outlive their run on a small free list, so a run after the first
-// allocates none of this. A sync.Pool would not do: one collection between
-// runs loses what it holds for another P, and a second one the rest.
+// and the scoring layer's state table, request stack, telemetry
+// observations and helper scratch. Kits outlive their run on a small
+// free list, so a run after the first allocates none of this. A
+// sync.Pool would not do: one collection between runs loses what it
+// holds for another P, and a second one the rest.
 type kit struct {
-	body    []byte
-	state   []atomic.Uint32
-	stack   []webgraph.PageID // pending requests, newest last
+	body  []byte
+	state []atomic.Uint32
+	// stack holds pending requests, newest last. A page is requested
+	// only from idle, and goes idle again only when visited or when a
+	// helper's score is not 0 or 1, so the stack never holds more than
+	// one entry per page.
+	stack   []webgraph.PageID
+	obs     []scoreObs // per page, while telemetry is on
 	helpers []*helper
 }
 
@@ -86,13 +88,86 @@ func putKit(k *kit) {
 	}
 }
 
-// scoreObs is what a helper's scoring of one page would have recorded
-// in the run's telemetry; the loop records it when it takes the score,
-// so a page scored but never visited records nothing.
+// scoreObs is what scoring one page records in the run's telemetry. A
+// helper keeps it in the kit until the loop takes the page's score, so a
+// page scored but never visited records nothing.
 type scoreObs struct {
-	bytes, scanned                      int64
-	took                                time.Duration
-	reused, detected, earlyExit, pooled bool
+	bytes, scanned, ns uint32 // body length, bytes detected, classifier time
+	flags              uint8
+}
+
+// scoreObs flags.
+const (
+	obsParsed    uint8 = 1 << iota // a body was synthesized (bytes)
+	obsReused                      // into a buffer that had capacity
+	obsDetected                    // the detector ran (scanned)
+	obsEarlyExit                   // and concluded early
+	obsPooled                      // on a pooled detector
+	obsTimed                       // ns holds the classifier time
+)
+
+// record records o in tel.
+func (o scoreObs) record(tel *telemetry.SimStats) {
+	if o.flags&obsParsed != 0 {
+		tel.Parse.Observe(int64(o.bytes), o.flags&obsReused != 0, 0, false)
+	}
+	if o.flags&obsTimed != 0 {
+		tel.ClassifierTime.Observe(time.Duration(o.ns).Seconds())
+	}
+	if o.flags&obsDetected != 0 {
+		tel.Detect.Observe(int64(o.scanned), o.flags&obsEarlyExit != 0, o.flags&obsPooled != 0)
+	}
+}
+
+// pageVisit is the visit page pg answers with in the static space.
+func pageVisit(pg webgraph.PageInfo) core.Visit {
+	return core.Visit{Status: int(pg.Status), Declared: pg.Declared, TrueCharset: pg.Charset}
+}
+
+// pageSource synthesizes page bodies: the space, or its evolving view.
+type pageSource interface {
+	PageBytesAppend(dst []byte, id webgraph.PageID) []byte
+}
+
+// scoreVisit scores v, page id's visit, and returns what the scoring
+// observed. With a source, it first synthesizes the body into *buf and
+// hands it over, cut in half when the visit was truncated; timed says
+// whether to time the classifier. The loop and the helpers both score
+// through here.
+func scoreVisit(cls core.Classifier, v *core.Visit, id webgraph.PageID, src pageSource, buf *[]byte, timed bool) (float64, scoreObs) {
+	var o scoreObs
+	if src != nil {
+		o.flags = obsParsed
+		if cap(*buf) > 0 {
+			o.flags |= obsReused
+		}
+		*buf = src.PageBytesAppend((*buf)[:0], id)
+		v.Body = *buf
+		if v.Truncated {
+			v.Body = v.Body[:len(v.Body)/2]
+		}
+		o.bytes = uint32(len(v.Body))
+	}
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	score := cls.Score(v)
+	if timed {
+		o.flags |= obsTimed
+		o.ns = uint32(min(time.Since(t0), math.MaxUint32))
+	}
+	if info, ok := v.DetectionInfo(); ok {
+		o.flags |= obsDetected
+		o.scanned = uint32(info.Scanned)
+		if info.EarlyExit {
+			o.flags |= obsEarlyExit
+		}
+		if info.PoolHit {
+			o.flags |= obsPooled
+		}
+	}
+	return score, o
 }
 
 // scorer is one run's scoring layer.
@@ -100,10 +175,9 @@ type scorer struct {
 	space *webgraph.Space
 	cls   core.Classifier
 	kit   *kit
-	// obs holds per-page telemetry, nil when telemetry is off; timed
-	// says whether classifier time is recorded.
-	obs   []scoreObs
-	timed bool
+	// obs says whether telemetry is on, timed whether it times the
+	// classifier.
+	obs, timed bool
 
 	mu          sync.Mutex
 	work, ready sync.Cond // on mu: a request arrived; a score was published
@@ -133,8 +207,10 @@ func startScorer(l *loop, k *kit) *scorer {
 		clear(k.state)
 	}
 	if l.cfg.Telemetry != nil {
-		s.obs = make([]scoreObs, l.space.N())
-		s.timed = telemetry.Timed(l.tel.ClassifierTime)
+		s.obs, s.timed = true, telemetry.Timed(l.tel.ClassifierTime)
+		if cap(k.obs) < l.space.N() {
+			k.obs = make([]scoreObs, l.space.N())
+		}
 	}
 	for len(k.helpers) < n {
 		k.helpers = append(k.helpers, &helper{})
@@ -193,15 +269,7 @@ func (s *scorer) request(es []entry) {
 			s.mu.Lock()
 		}
 		added++
-		k := s.kit
-		if len(k.stack) == maxRequests {
-			half := maxRequests / 2
-			for _, id := range k.stack[:half] {
-				s.swap(id, queued, idle)
-			}
-			k.stack = k.stack[:copy(k.stack, k.stack[half:])]
-		}
-		k.stack = append(k.stack, e.id)
+		s.kit.stack = append(s.kit.stack, e.id)
 	}
 	if added > 0 {
 		for i := min(added, s.sleeping); i > 0; i-- {
@@ -243,19 +311,11 @@ func (s *scorer) take(id webgraph.PageID) (float64, bool) {
 	}
 }
 
-// observe records in tel what the helper's scoring of id would have,
-// had the loop scored the page itself.
+// observe records in tel what the helper's scoring of page id observed,
+// as the loop would have had it scored the page itself.
 func (s *scorer) observe(id webgraph.PageID, tel *telemetry.SimStats) {
-	if s.obs == nil {
-		return
-	}
-	o := &s.obs[id]
-	tel.Parse.Observe(o.bytes, o.reused, 0, false)
-	if s.timed {
-		tel.ClassifierTime.Observe(o.took.Seconds())
-	}
-	if o.detected {
-		tel.Detect.Observe(o.scanned, o.earlyExit, o.pooled)
+	if s.obs {
+		s.kit.obs[id].record(tel)
 	}
 }
 
@@ -284,19 +344,12 @@ func (s *scorer) help(h *helper) {
 	}
 }
 
-// score builds the visit the loop would build for page id, untruncated,
-// scores it and publishes the score. A score other than 0 or 1 is not
-// published: the page goes back to idle and the loop scores it.
+// score scores page id as the loop would, untruncated, and publishes the
+// score. A score other than 0 or 1 is not published: the page goes back
+// to idle and the loop scores it.
 func (s *scorer) score(h *helper, id webgraph.PageID) {
-	pg := s.space.Page(id)
-	reused := cap(h.body) > 0
-	h.body = s.space.PageBytesAppend(h.body[:0], id)
-	h.visit = core.Visit{Status: int(pg.Status), Declared: pg.Declared, TrueCharset: pg.Charset, Body: h.body}
-	var t0 time.Time
-	if s.timed {
-		t0 = time.Now()
-	}
-	score := s.cls.Score(&h.visit)
+	h.visit = pageVisit(s.space.Page(id))
+	score, o := scoreVisit(s.cls, &h.visit, id, s.space, &h.body, s.timed)
 	st := idle
 	switch score {
 	case 0:
@@ -304,15 +357,8 @@ func (s *scorer) score(h *helper, id webgraph.PageID) {
 	case 1:
 		st = score1
 	}
-	if s.obs != nil && st != idle {
-		o := &s.obs[id]
-		*o = scoreObs{bytes: int64(len(h.body)), reused: reused}
-		if s.timed {
-			o.took = time.Since(t0)
-		}
-		if info, ok := h.visit.DetectionInfo(); ok {
-			o.detected, o.scanned, o.earlyExit, o.pooled = true, info.Scanned, info.EarlyExit, info.PoolHit
-		}
+	if s.obs && st != idle {
+		s.kit.obs[id] = o
 	}
 	s.swap(id, busy, st)
 	if s.waitFor.Load() == int64(id) {
