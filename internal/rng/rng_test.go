@@ -430,3 +430,69 @@ func TestWeightedGuideEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamGolden pins the generator's stream and the samplers built on
+// it to recorded values: pages and spaces are regenerated from seeds,
+// so any change here moves every recorded crawl. It covers raw draws of
+// New and New2 and a mixed run of Float64 (as its 53 bits), Intn,
+// IntRange, Bool and Weighted.Sample over textgen's inventories.
+func TestStreamGolden(t *testing.T) {
+	raw := []struct {
+		r    *RNG
+		want [16]uint64
+	}{
+		{New(1), [16]uint64{
+			0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7,
+			0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d,
+			0xddfdb48ab9ed4a21, 0x8d3cdb8c3aa5b1d0, 0xeebd114bd87226d1, 0xf50c3ff1e7d7e8a6,
+			0xeeca3115e23bc8f1, 0xab49ed3db4c66435, 0x99953c6c57808dd7, 0xe3fa941b05219325,
+		}},
+		{New2(3, 5), [16]uint64{
+			0xb6f08d9e6f10dfd2, 0xb42826889fa55a17, 0x95aaf5e0aef5708c, 0x1d89bca8ad5de290,
+			0xddfb3b458864d270, 0x2327a75020e33147, 0xeb5589c9c2450b7b, 0x65076518cff01c14,
+			0xca880dcdaa3a20fc, 0xcfa42ef3b382a166, 0x512577eda9b0477a, 0xef9ef0e5c5ecbefb,
+			0xb60560ac70c37b3c, 0x6d6abfcad4693324, 0x1dd2f328f08792e8, 0x177997b53fa98ace,
+		}},
+	}
+	for s, c := range raw {
+		for i, want := range c.want {
+			if got := c.r.Uint64(); got != want {
+				t.Fatalf("stream %d draw %d: Uint64 = %#016x, want %#016x", s, i, got, want)
+			}
+		}
+	}
+
+	mixed := []uint64{
+		1663553631218410, 646, 2, 1, 8, 30, 760300472034359, 355, 3, 0, 2, 35,
+		5570135246149101, 859, 6, 0, 19, 8, 415995796345869, 407, 5, 1, 0, 23,
+		6617671775373116, 775, 5, 1, 5, 6, 1282716200350051, 826, 4, 1, 2, 5,
+		6433690984142656, 258, 6, 0, 14, 18, 3113551662181789, 353, 6, 0, 2, 21,
+		6907518882805238, 384, 3, 0, 10, 12, 7094686467275683, 115, 6, 0, 2, 34,
+		6499878568108323, 464, 4, 0,
+	}
+	ws := make([]*Weighted, len(textgenWeights))
+	for i, w := range textgenWeights {
+		ws[i] = NewWeighted(w)
+	}
+	r := New2(41, 7)
+	for i, want := range mixed {
+		var got uint64
+		switch i % 6 {
+		case 0:
+			got = uint64(r.Float64() * (1 << 53))
+		case 1:
+			got = uint64(r.Intn(1000 + i))
+		case 2:
+			got = uint64(r.IntRange(2, 6))
+		case 3:
+			if r.Bool(0.5) {
+				got = 1
+			}
+		default:
+			got = uint64(ws[i%4].Sample(r))
+		}
+		if got != want {
+			t.Fatalf("mixed draw %d: got %d, want %d", i, got, want)
+		}
+	}
+}
