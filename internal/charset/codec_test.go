@@ -256,6 +256,22 @@ func TestSjisJisFoldInverse(t *testing.T) {
 			}
 		}
 	}
+	// The other way round: every valid pair is a cell's image, so
+	// sjisToJis needs no range check past the lead and trail tests.
+	for s1 := 0; s1 < 256; s1++ {
+		for s2 := 0; s2 < 256; s2++ {
+			h, l, ok := sjisToJis(byte(s1), byte(s2))
+			if ok != (sjisLead(byte(s1)) && sjisTrail(byte(s2))) {
+				t.Fatalf("sjisToJis(%X,%X) ok = %v", s1, s2, ok)
+			}
+			if !ok {
+				continue
+			}
+			if b1, b2 := jisToSjis(h, l); h < 0x21 || h > 0x7E || l < 0x21 || l > 0x7E || b1 != byte(s1) || b2 != byte(s2) {
+				t.Fatalf("sjisToJis(%X,%X) = (%X,%X), which folds back to (%X,%X)", s1, s2, h, l, b1, b2)
+			}
+		}
+	}
 }
 
 func TestParseNames(t *testing.T) {

@@ -101,30 +101,34 @@ func jisToSjis(h, l byte) (byte, byte) {
 }
 
 // sjisToJis is the inverse of jisToSjis. ok is false when the byte pair
-// is outside the valid double-byte ranges.
+// is outside the valid double-byte ranges; every pair inside them is the
+// image of a JIS X 0208 cell (TestSjisJisFoldInverse).
 func sjisToJis(s1, s2 byte) (h, l byte, ok bool) {
 	if !sjisLead(s1) || !sjisTrail(s2) {
 		return 0, 0, false
 	}
+	switch {
+	case s2 >= 0x9F:
+		l = s2 - 0x7E
+	case s2 >= 0x80:
+		l = s2 - 0x20
+	default:
+		l = s2 - 0x1F
+	}
+	return sjisRow(s1, s2), l, true
+}
+
+// sjisRow returns the JIS X 0208 row byte of a valid Shift_JIS pair:
+// the lead picks two rows, and a trail from 0x9F up the even one.
+func sjisRow(s1, s2 byte) byte {
 	if s1 >= 0xE0 {
 		s1 -= 0x40
 	}
+	h := (s1-0x81)*2 + 0x21
 	if s2 >= 0x9F {
-		// Even JIS row.
-		h = (s1-0x81)*2 + 0x22
-		l = s2 - 0x7E
-	} else {
-		h = (s1-0x81)*2 + 0x21
-		if s2 >= 0x80 {
-			l = s2 - 0x20
-		} else {
-			l = s2 - 0x1F
-		}
+		h++
 	}
-	if h < 0x21 || h > 0x7E || l < 0x21 || l > 0x7E {
-		return 0, 0, false
-	}
-	return h, l, true
+	return h
 }
 
 func sjisLead(b byte) bool {
@@ -227,12 +231,12 @@ func (iso2022JPCodec) AppendEncode(dst []byte, s string) []byte {
 // the shifted mode, and '?' (in ASCII mode) for a rune with no mapping.
 func iso2022JPRune(r rune) RuneCode {
 	if r < 0x80 {
-		return RuneCode{b: [4]byte{byte(r)}, n: 1}
+		return RuneCode{b: uint32(r), n: 1}
 	}
 	if k, ok := jisKuten(r); ok {
-		return RuneCode{b: [4]byte{0x20 + k.row, 0x20 + k.cell}, n: 2, jis: true}
+		return RuneCode{b: uint32(0x20+k.row) | uint32(0x20+k.cell)<<8, n: 2, jis: true}
 	}
-	return RuneCode{b: [4]byte{'?'}, n: 1}
+	return RuneCode{b: '?', n: 1}
 }
 
 func (c iso2022JPCodec) Decode(b []byte) string {

@@ -169,29 +169,34 @@ type eucJPProber struct {
 }
 
 func (p *eucJPProber) feed(b []byte) {
-	for i := 0; i < len(b) && p.state == probing; i++ {
+	// The loop keeps the prober's fields in locals and makes no call, so
+	// they stay in registers; it stores them back once. weight adds the
+	// same terms in the same order.
+	state, lead, chars, weight := p.state, p.lead, p.chars, p.weight
+	for i := 0; i < len(b) && state == probing; i++ {
 		c := b[i]
-		if p.lead != 0 {
+		if lead != 0 {
 			if c < 0xA1 || c > 0xFE {
-				p.state = notMe
-				return
+				state = notMe
+				break
 			}
-			p.chars++
-			p.weight += jisRowWeight(p.lead - 0xA0)
-			p.lead = 0
+			chars++
+			weight += jisRowWeight(lead - 0xA0)
+			lead = 0
 			continue
 		}
 		switch {
 		case c < 0x80:
 			i += asciiWords(b[i+1:])
 		case c == 0x8E: // code set 2 lead: one katakana byte follows
-			p.lead = 0x8E
+			lead = 0x8E
 		case c >= 0xA1 && c <= 0xFE:
-			p.lead = c
+			lead = c
 		default:
-			p.state = notMe
+			state = notMe
 		}
 	}
+	p.state, p.lead, p.chars, p.weight = state, lead, chars, weight
 }
 
 func (p *eucJPProber) confidence() float64 {
@@ -223,18 +228,20 @@ type sjisProber struct {
 }
 
 func (p *sjisProber) feed(b []byte) {
-	for i := 0; i < len(b) && p.state == probing; i++ {
+	// On locals, as eucJPProber.feed. A lead is only ever a valid one,
+	// so the pair is valid exactly when the trail is (sjisToJis).
+	state, lead, chars, dbl, weight := p.state, p.lead, p.chars, p.dbl, p.weight
+	for i := 0; i < len(b) && state == probing; i++ {
 		c := b[i]
-		if p.lead != 0 {
-			h, _, ok := sjisToJis(p.lead, c)
-			if !ok {
-				p.state = notMe
-				return
+		if lead != 0 {
+			if !sjisTrail(c) {
+				state = notMe
+				break
 			}
-			p.chars++
-			p.dbl++
-			p.weight += jisRowWeight(h - 0x20)
-			p.lead = 0
+			chars++
+			dbl++
+			weight += jisRowWeight(sjisRow(lead, c) - 0x20)
+			lead = 0
 			continue
 		}
 		switch {
@@ -243,14 +250,15 @@ func (p *sjisProber) feed(b []byte) {
 		case c >= 0xA1 && c <= 0xDF:
 			// Half-width katakana: weak Japanese evidence, but also the
 			// core Thai byte range. Count as a low-weight character.
-			p.chars++
-			p.weight += 0.3
+			chars++
+			weight += 0.3
 		case sjisLead(c):
-			p.lead = c
+			lead = c
 		default:
-			p.state = notMe
+			state = notMe
 		}
 	}
+	p.state, p.lead, p.chars, p.dbl, p.weight = state, lead, chars, dbl, weight
 }
 
 func (p *sjisProber) confidence() float64 {

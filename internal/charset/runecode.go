@@ -1,5 +1,7 @@
 package charset
 
+import "encoding/binary"
+
 // Rune-at-a-time encoding. A writer that produces text one rune at a
 // time — the page generator — looks each rune's bytes up in a table
 // built once with EncodeRune, and keeps in a Shift the only state an
@@ -8,9 +10,11 @@ package charset
 // to Encode over the whole text. Invalid UTF-8 is not: the UTF-8 codec
 // passes its bytes through, and no rune stands for them.
 
-// RuneCode is one rune encoded in one charset.
+// RuneCode is one rune encoded in one charset. Its bytes are packed in
+// a word, the first in the low byte, so AppendRune writes them with one
+// store rather than a copy.
 type RuneCode struct {
-	b   [4]byte
+	b   uint32
 	n   uint8
 	jis bool // b holds JIS X 0208 bytes, written in ISO-2022-JP's shifted mode
 }
@@ -31,8 +35,29 @@ func EncodeRune(c Charset, r rune) (rc RuneCode, ok bool) {
 	}
 	// The other codecs are stateless: a rune's bytes do not depend on
 	// its neighbours.
-	rc.n = uint8(copy(rc.b[:], codec.Encode(string(r))))
-	return rc, true
+	return pack(codec.Encode(string(r))), true
+}
+
+// ASCIICode returns ASCII text of at most four bytes as one code, which
+// AppendRune writes as AppendASCII writes the text. A writer keeps short
+// ASCII units, such as syllables, in a table beside its runes.
+func ASCIICode(text string) RuneCode {
+	if len(text) > 4 {
+		panic("charset: ASCIICode text longer than four bytes")
+	}
+	for i := 0; i < len(text); i++ {
+		if text[i] >= 0x80 {
+			panic("charset: ASCIICode text not ASCII")
+		}
+	}
+	return pack([]byte(text))
+}
+
+// pack returns the (at most four) bytes b as an ASCII-mode RuneCode.
+func pack(b []byte) RuneCode {
+	var w [4]byte
+	n := copy(w[:], b)
+	return RuneCode{b: binary.LittleEndian.Uint32(w[:]), n: uint8(n)}
 }
 
 // Shift is the encoder state of text written rune by rune: whether an
@@ -41,7 +66,9 @@ func EncodeRune(c Charset, r rune) (rc RuneCode, ok bool) {
 type Shift struct{ jis bool }
 
 // AppendRune appends rc, preceded by the escape sequence that switches
-// the stream's mode when rc is written in the other one.
+// the stream's mode when rc is written in the other one. It writes all
+// four bytes of rc's word and keeps rc.n of them, so it may overwrite up
+// to three bytes of dst's capacity past the slice it returns.
 func (s *Shift) AppendRune(dst []byte, rc RuneCode) []byte {
 	if rc.jis != s.jis {
 		if rc.jis {
@@ -51,7 +78,8 @@ func (s *Shift) AppendRune(dst []byte, rc RuneCode) []byte {
 		}
 		s.jis = rc.jis
 	}
-	return append(dst, rc.b[:rc.n]...)
+	dst = binary.LittleEndian.AppendUint32(dst, rc.b)
+	return dst[:len(dst)-4+int(rc.n)]
 }
 
 // AppendASCII appends ASCII text, returning the stream to ASCII mode

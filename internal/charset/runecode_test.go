@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestEncodeRuneMatchesEncode: text written rune by rune from EncodeRune
-// through a Shift — ASCII through AppendASCII or AppendRune alike — is
+// through a Shift — runs of up to four ASCII bytes through AppendASCII,
+// through AppendRune of their ASCIICode or rune by rune alike — is
 // byte-identical to the codec's Encode of the whole (valid UTF-8) text in
 // every charset EncodeRune serves. UTF-16 is the one it refuses.
 func TestEncodeRuneMatchesEncode(t *testing.T) {
@@ -25,13 +27,30 @@ func TestEncodeRuneMatchesEncode(t *testing.T) {
 			s := randomText(r)
 			var sh Shift
 			got := []byte("prefix")
-			for _, c := range s {
-				if c < 0x80 && r.Intn(2) == 0 {
-					got = sh.AppendASCII(got, string(c))
+			for j := 0; j < len(s); {
+				if s[j] >= 0x80 {
+					c, size := utf8.DecodeRuneInString(s[j:])
+					rc, _ := EncodeRune(cs, c)
+					got = sh.AppendRune(got, rc)
+					j += size
 					continue
 				}
-				rc, _ := EncodeRune(cs, c)
-				got = sh.AppendRune(got, rc)
+				k, most := j, j+1+r.Intn(4)
+				for k < len(s) && k < most && s[k] < 0x80 {
+					k++
+				}
+				switch unit := s[j:k]; r.Intn(3) {
+				case 0:
+					got = sh.AppendASCII(got, unit)
+				case 1:
+					got = sh.AppendRune(got, ASCIICode(unit))
+				default:
+					for _, c := range unit {
+						rc, _ := EncodeRune(cs, c)
+						got = sh.AppendRune(got, rc)
+					}
+				}
+				j = k
 			}
 			got = sh.AppendASCII(got, "")
 			if want := append([]byte("prefix"), codec.Encode(s)...); !bytes.Equal(got, want) {
@@ -55,5 +74,20 @@ func TestISO2022JPShiftEscapes(t *testing.T) {
 		if got := string(CodecFor(ISO2022JP).Encode(s)); got != want {
 			t.Errorf("Encode(%q) = %q, want %q", s, got, want)
 		}
+	}
+}
+
+// TestASCIICodeRefuses: ASCIICode takes only ASCII text of at most four
+// bytes.
+func TestASCIICodeRefuses(t *testing.T) {
+	for _, text := range []string{"abcde", "日", "a\x80"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ASCIICode(%q) did not panic", text)
+				}
+			}()
+			ASCIICode(text)
+		}()
 	}
 }

@@ -64,9 +64,6 @@ func (db *DB) Get(url string) (*crawlog.Record, error) {
 	return rec, nil
 }
 
-// Has reports whether url has been recorded.
-func (db *DB) Has(url string) bool { return db.store.Has(url) }
-
 // Delete removes url's record.
 func (db *DB) Delete(url string) error { return db.store.Delete(url) }
 

@@ -41,9 +41,6 @@ func TestPutGet(t *testing.T) {
 	if _, err := db.Get("http://absent/"); err != ErrNotFound {
 		t.Errorf("absent URL error = %v", err)
 	}
-	if !db.Has("http://a.co.th/") || db.Has("http://absent/") {
-		t.Error("Has is wrong")
-	}
 }
 
 func TestPutEmptyURLRejected(t *testing.T) {
@@ -64,8 +61,8 @@ func TestOverwriteAndDelete(t *testing.T) {
 		t.Errorf("overwrite lost: %+v", got)
 	}
 	db.Delete("http://x/")
-	if db.Has("http://x/") {
-		t.Error("Delete failed")
+	if _, err := db.Get("http://x/"); err != ErrNotFound {
+		t.Errorf("Get after Delete: error = %v, want ErrNotFound", err)
 	}
 }
 

@@ -6,12 +6,18 @@
 // stream is not guaranteed across releases.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** generator seeded via splitmix64. The zero value
 // is not usable; construct with New or seed a declared value with Seed.
+//
+// The state is four scalar fields rather than an array, so Uint64 and
+// the samplers built on it inline and a caller can draw on a local copy.
 type RNG struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a generator seeded from seed. Distinct seeds give
@@ -34,14 +40,19 @@ func New2(seed, stream uint64) *RNG {
 // declare one RNG on the stack and reseed it rather than allocate a
 // generator per page.
 func (r *RNG) Seed(seed uint64) {
-	sm := seed
-	for i := range r.s {
-		sm += 0x9E3779B97F4A7C15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		r.s[i] = z ^ (z >> 31)
-	}
+	r.s0 = splitmix(&seed)
+	r.s1 = splitmix(&seed)
+	r.s2 = splitmix(&seed)
+	r.s3 = splitmix(&seed)
+}
+
+// splitmix advances the splitmix64 state sm and returns its next output.
+func splitmix(sm *uint64) uint64 {
+	*sm += 0x9E3779B97F4A7C15
+	z := *sm
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // Seed2 restarts r as the stream New2(seed, stream) returns.
@@ -49,18 +60,16 @@ func (r *RNG) Seed2(seed, stream uint64) {
 	r.Seed(seed*0x9E3779B97F4A7C15 + stream*0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
 
@@ -77,7 +86,7 @@ func (r *RNG) IntRange(lo, hi int) int {
 	if hi < lo {
 		panic("rng: IntRange with hi < lo")
 	}
-	return lo + r.Intn(hi-lo+1)
+	return lo + int(r.Uint64()%uint64(hi-lo+1))
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -211,21 +220,30 @@ func (z *Zipf) index(u float64) int {
 // smallest index whose cumulative weight reaches the uniform drawn.
 type Weighted struct {
 	cdf []float64
-	// guide[k] is the smallest index whose cumulative weight reaches
-	// k/guideSize: the scan for a uniform in [k/guideSize, (k+1)/guideSize)
-	// starts there, and with many more buckets than indices it almost
-	// always stops there too, where a binary search would take log n
-	// unpredictable branches to the same index.
+	// guide[k]&guideIndex is the smallest index whose cumulative weight
+	// reaches k/guideSize: the scan for a uniform in [k/guideSize,
+	// (k+1)/guideSize) starts there, and with many more buckets than
+	// indices it almost always stops there too, where a binary search
+	// would take log n unpredictable branches to the same index.
+	// guide[k]&guideExact marks a bucket where every uniform stops
+	// there — that index's cumulative weight reaches the bucket's
+	// largest uniform — so Pick answers it from the bucket alone.
 	guide [guideSize]uint16
 }
 
-// guideSize is a power of two, so u*guideSize and k/guideSize are exact.
-const guideSize = 1024
+const (
+	// guideSize is a power of two, so u*guideSize and k/guideSize are
+	// exact, and the bucket of a raw draw is its top guideBits bits.
+	guideSize  = 1 << guideBits
+	guideBits  = 10
+	guideExact = 1 << 15
+	guideIndex = guideExact - 1
+)
 
-// NewWeighted builds a sampler from weights. At least one weight must be
-// positive.
+// NewWeighted builds a sampler from at most 1<<15 weights. At least one
+// weight must be positive.
 func NewWeighted(weights []float64) *Weighted {
-	if len(weights) > 1<<16 {
+	if len(weights) > guideIndex+1 {
 		panic("rng: too many weights")
 	}
 	cdf := make([]float64, len(weights))
@@ -244,6 +262,12 @@ func NewWeighted(weights []float64) *Weighted {
 		cdf[i] /= sum
 	}
 	cdf[len(cdf)-1] = 1
+	return weightedFromCDF(cdf)
+}
+
+// weightedFromCDF builds the guide table over a non-decreasing cdf
+// ending in 1.
+func weightedFromCDF(cdf []float64) *Weighted {
 	w := &Weighted{cdf: cdf}
 	i := 0
 	for k := range w.guide {
@@ -251,16 +275,33 @@ func NewWeighted(weights []float64) *Weighted {
 			i++
 		}
 		w.guide[k] = uint16(i)
+		// The largest uniform Float64 returns in bucket k.
+		last := float64(uint64(k+1)<<(53-guideBits)-1) / (1 << 53)
+		if cdf[i] >= last {
+			w.guide[k] |= guideExact
+		}
 	}
 	return w
 }
 
 // Sample draws one index using r.
-func (w *Weighted) Sample(r *RNG) int { return w.index(r.Float64()) }
+func (w *Weighted) Sample(r *RNG) int { return w.Pick(r.Uint64()) }
+
+// Pick returns the index Sample returns when r.Uint64() is x, whose
+// uniform is Float64's float64(x>>11)/2⁵³ and whose bucket
+// ⌊u·guideSize⌋ is x's top guideBits bits. A caller drawing on a local
+// copy of its stream samples with Pick(s.Uint64()) and no call. An exact
+// bucket is answered without the uniform; any other is scanned.
+func (w *Weighted) Pick(x uint64) int {
+	if g := w.guide[x>>(64-guideBits)]; g&guideExact != 0 {
+		return int(g &^ guideExact)
+	}
+	return w.index(float64(x>>11) / (1 << 53))
+}
 
 // index returns the smallest index i with cdf[i] >= u, for u in [0, 1).
 func (w *Weighted) index(u float64) int {
-	i := int(w.guide[int(u*guideSize)])
+	i := int(w.guide[int(u*guideSize)] & guideIndex)
 	for w.cdf[i] < u {
 		i++
 	}

@@ -378,13 +378,11 @@ var textgenWeights = [][]float64{
 	{9, 8, 8, 7, 7, 6, 6, 6, 5, 5, 5, 5, 5, 4, 4, 4, 4, 4, 6, 6, 6, 5, 4, 3, 3, 2, 2, 3, 2, 2, 3, 3, 2, 2, 3, 3, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1},
 }
 
-// TestWeightedGuideEdges compares the guided scan with a plain search
-// over the CDF where a guide can go wrong: at every guide edge
-// k/guideSize, at every CDF value, at the float neighbours of both, and
-// at 0 and 1-2⁻⁵³. It covers textgen's inventories, uniform weights
-// whose CDF steps land on guide edges, and random weights — zeros, tiny
-// weights and more indices than buckets included.
-func TestWeightedGuideEdges(t *testing.T) {
+// guideTestSets are the weight sets the guide tests run over:
+// textgen's inventories, uniform weights whose CDF steps land on guide
+// edges, and random weights — zeros, tiny weights and more indices than
+// buckets included.
+func guideTestSets() [][]float64 {
 	sets := append([][]float64{}, textgenWeights...)
 	for _, n := range []int{1, 2, 3, 4, 5, 64, 1000, guideSize, 2 * guideSize, 5000} {
 		w := make([]float64, n)
@@ -404,6 +402,15 @@ func TestWeightedGuideEdges(t *testing.T) {
 		w[gen.Intn(len(w))] += 1
 		sets = append(sets, w)
 	}
+	return sets
+}
+
+// TestWeightedGuideEdges compares the guided scan with a plain search
+// over the CDF where a guide can go wrong: at every guide edge
+// k/guideSize, at every CDF value, at the float neighbours of both, and
+// at 0 and 1-2⁻⁵³, over every guideTestSets set.
+func TestWeightedGuideEdges(t *testing.T) {
+	sets := guideTestSets()
 	for set, weights := range sets {
 		w := NewWeighted(weights)
 		check := func(u float64) {
@@ -493,6 +500,52 @@ func TestStreamGolden(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("mixed draw %d: got %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestWeightedPickMatchesIndex holds Pick, which answers an exact
+// bucket from a raw draw's top bits, to the guided scan over the
+// uniform Float64 makes of the same draw: at the first and last draw of
+// every bucket and at random low bits in it. It runs over every
+// guideTestSets set and over CDFs whose steps sit on a bucket's last
+// uniform or one float either side of it, where a bucket is exact or
+// not by one ulp.
+func TestWeightedPickMatchesIndex(t *testing.T) {
+	var ws []*Weighted
+	for _, weights := range guideTestSets() {
+		ws = append(ws, NewWeighted(weights))
+	}
+	for n := 2; n <= 64; n++ {
+		for shift := 0; shift < 3; shift++ {
+			cdf := make([]float64, n)
+			for i := range cdf {
+				// Bucket edge b: the step lands on the last uniform of
+				// bucket b-1, one ulp below it, or on the edge itself.
+				b := uint64((i + 1) * guideSize / n)
+				cdf[i] = float64(b<<(53-guideBits)-1+uint64((i+shift)%3)-1) / (1 << 53)
+			}
+			cdf[n-1] = 1
+			ws = append(ws, weightedFromCDF(cdf))
+		}
+	}
+	gen := New(54)
+	for set, w := range ws {
+		exact := 0
+		for k := uint64(0); k < guideSize; k++ {
+			if w.guide[k]&guideExact != 0 {
+				exact++
+			}
+			hi := k << (64 - guideBits)
+			for _, x := range []uint64{hi, hi | (1<<(64-guideBits) - 1),
+				hi | gen.Uint64()>>guideBits, hi | gen.Uint64()>>guideBits} {
+				if got, want := w.Pick(x), w.index(float64(x>>11)/(1<<53)); got != want {
+					t.Fatalf("set %d (%d weights): x=%#016x: Pick %d, guided scan %d", set, len(w.cdf), x, got, want)
+				}
+			}
+		}
+		if set < len(textgenWeights) && exact < guideSize*9/10 {
+			t.Errorf("set %d (%d weights): %d of %d buckets exact", set, len(w.cdf), exact, guideSize)
 		}
 	}
 }

@@ -138,8 +138,15 @@ func (sc *scratch) appendHref(dst []byte, codec charset.Codec) []byte {
 }
 
 // appendEscapedAttr appends s as the value of a double-quoted attribute.
+// The bytes before the first that needs escaping — all of a typical
+// href — are appended in one copy.
 func appendEscapedAttr(dst, s []byte) []byte {
-	for _, c := range s {
+	i := 0
+	for i < len(s) && s[i] != '&' && s[i] != '"' && s[i] != '<' {
+		i++
+	}
+	dst = append(dst, s[:i]...)
+	for _, c := range s[i:] {
 		switch c {
 		case '&':
 			dst = append(dst, "&amp;"...)

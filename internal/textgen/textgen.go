@@ -77,13 +77,15 @@ var englishSyllables = []string{
 }
 
 // The samplers over the inventories, built once: a table is a pure
-// function of its inventory.
+// function of its inventory. The syllables are ASCII, the same in every
+// charset, and each fits one code.
 var (
-	hiragana = newInventory(hiraganaCommon)
-	katakana = newInventory(katakanaCommon)
-	kanji    = newInventory(kanjiCommon)
-	thai     = newInventory(thaiCommon)
-	engSyl   = rng.NewWeighted(syllableWeights())
+	hiragana  = newInventory(hiraganaCommon)
+	katakana  = newInventory(katakanaCommon)
+	kanji     = newInventory(kanjiCommon)
+	thai      = newInventory(thaiCommon)
+	engSyl    = rng.NewWeighted(syllableWeights())
+	syllables = syllableCodes()
 )
 
 // inventory pairs a glyph table with its CDF-inversion sampler. The
@@ -102,12 +104,16 @@ func newInventory(tab []glyph) inventory {
 	return inventory{glyphs: tab, cdf: rng.NewWeighted(w)}
 }
 
-// appendN appends n glyphs sampled with r, taking their bytes from codes
-// (the inventory's glyphs in the charset being written).
-func (inv *inventory) appendN(dst []byte, r *rng.RNG, n int, codes []charset.RuneCode, sh *charset.Shift) []byte {
-	for i := 0; i < n; i++ {
-		dst = sh.AppendRune(dst, codes[inv.cdf.Sample(r)])
+// appendN appends n glyphs sampled from cdf with r, taking their bytes
+// from codes (the glyphs in the charset being written). It draws on
+// local copies of the stream and the shift state, which the writes to
+// dst cannot alias, and stores both back after the loop.
+func appendN(dst []byte, r *rng.RNG, n int, cdf *rng.Weighted, codes []charset.RuneCode, sh *charset.Shift) []byte {
+	s, shift := *r, *sh
+	for ; n > 0; n-- {
+		dst = shift.AppendRune(dst, codes[cdf.Pick(s.Uint64())])
 	}
+	*r, *sh = s, shift
 	return dst
 }
 
@@ -164,6 +170,14 @@ func newEncoding(c charset.Charset) *encoding {
 	}
 }
 
+func syllableCodes() []charset.RuneCode {
+	codes := make([]charset.RuneCode, len(englishSyllables))
+	for i, syl := range englishSyllables {
+		codes[i] = charset.ASCIICode(syl)
+	}
+	return codes
+}
+
 func syllableWeights() []float64 {
 	w := make([]float64, len(englishSyllables))
 	for i := range w {
@@ -203,20 +217,16 @@ func (g *Generator) appendWord(dst []byte) []byte {
 		// Occasionally a katakana loanword or a kanji compound.
 		switch g.r.Intn(10) {
 		case 0:
-			return katakana.appendN(dst, g.r, n, g.enc.katakana, &g.sh)
+			return appendN(dst, g.r, n, katakana.cdf, g.enc.katakana, &g.sh)
 		case 1:
-			return kanji.appendN(dst, g.r, 2, g.enc.kanji, &g.sh)
+			return appendN(dst, g.r, 2, kanji.cdf, g.enc.kanji, &g.sh)
 		default:
-			return hiragana.appendN(dst, g.r, n, g.enc.hiragana, &g.sh)
+			return appendN(dst, g.r, n, hiragana.cdf, g.enc.hiragana, &g.sh)
 		}
 	case charset.LangThai:
-		return thai.appendN(dst, g.r, g.r.IntRange(3, 8), g.enc.thai, &g.sh)
+		return appendN(dst, g.r, g.r.IntRange(3, 8), thai.cdf, g.enc.thai, &g.sh)
 	default:
-		n := g.r.IntRange(1, 3)
-		for i := 0; i < n; i++ {
-			dst = g.sh.AppendASCII(dst, englishSyllables[engSyl.Sample(g.r)])
-		}
-		return dst
+		return appendN(dst, g.r, g.r.IntRange(1, 3), engSyl, syllables, &g.sh)
 	}
 }
 
