@@ -54,7 +54,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // tight simulation loops can regenerate page after page without a fresh
 // slice each time. It returns the extended buffer; the bytes appended
 // are identical to HTMLPage's. With dst's capacity warmed it does not
-// allocate.
+// allocate. It may overwrite a few bytes of dst's spare capacity past
+// the page (charset.Shift.AppendRune).
 //
 // The page is written straight in its charset, glyph by glyph from the
 // encoding tables. A UTF-16 page, whose bytes are not ASCII-compatible,
