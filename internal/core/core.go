@@ -92,9 +92,9 @@ func (v *Visit) SetDetected(r charset.Result, info charset.ScanInfo) {
 // binary: 1 if the page's charset maps to the target language, else 0.
 //
 // Both engines score pages off their crawl loop: the live crawler's
-// workers score outside the engine lock, and the simulator's helpers
-// score pages before the loop visits them (internal/sim). So Score must
-// be safe for concurrent use, and it may read only the Visit it is
+// workers score outside the engine lock, and the simulator scores pages
+// on several goroutines before its loop starts (internal/sim). So Score
+// must be safe for concurrent use, and it may read only the Visit it is
 // handed: the score is a function of the visit alone. That contract is
 // what makes both moves observation-equivalent.
 type Classifier interface {

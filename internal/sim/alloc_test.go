@@ -17,20 +17,20 @@ import (
 // that gets a fresh FIFO each time it drains and refills, or any other
 // per-page allocation, grows with the crawl and fails this.
 //
-// The detector case runs at GOMAXPROCS 2, so one scoring helper
-// synthesizes and scores pages beside the loop (score.go). Its state
-// table, request stack, telemetry observations and scratch, and the
-// loop's page buffer, live in a kit that outlives the run, so they too
-// cost nothing per page. testing.AllocsPerRun would measure at
-// GOMAXPROCS 1, where the helper is off, so the case reads the runtime's
-// counters itself. The crawl benchmark collects garbage before each
-// sample, which loses what a sync.Pool held on another P; collecting
-// twice before each run here empties every pool. After a warm-up run,
-// the least of five runs must allocate about as often over a space four
-// times larger, and at most 2 B/page more than at GOMAXPROCS 1, with
-// telemetry off and on (the helper's own pooled detector and page scratch
-// are made anew, and which of the two goroutines makes them is up to the
-// scheduler). A per-run scratch, or one kept in a sync.Pool, fails this.
+// The detector case runs at GOMAXPROCS 2, so the loop's goroutine and
+// one other build the run's score table before the first fetch
+// (score.go). The table, its telemetry observations, the two builders'
+// scratch and the loop's page buffer live in a kit that outlives the
+// run, so they too cost nothing per page. testing.AllocsPerRun would
+// measure at GOMAXPROCS 1, where the table is off, so the case reads the
+// runtime's counters itself. The crawl benchmark collects garbage before
+// each sample, which loses what a sync.Pool held on another P;
+// collecting twice before each run here empties every pool. After a
+// warm-up run, the least of five runs must allocate about as often over
+// a space four times larger, and at most 2 B/page more than at
+// GOMAXPROCS 1, with telemetry off and on (each builder's pooled
+// detector is made anew). A per-run table or scratch, or one kept in a
+// sync.Pool, fails this.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -54,9 +54,7 @@ func TestRunAllocs(t *testing.T) {
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	kits.Lock()
-	kits.free = nil // so that a kit with a helper below is this test's
-	kits.Unlock()
+	drainKits() // so that a kit with builder scratch below is this test's
 	detect := Config{Strategy: core.SoftFocused{}, Classifier: core.DetectorClassifier{Target: charset.LangJapanese}}
 	observed := detect
 	observed.Telemetry = telemetry.NewSimStats(telemetry.NewRegistry())
@@ -99,17 +97,15 @@ func TestRunAllocs(t *testing.T) {
 		_, two := perRun(2, jlarge, cfg)
 		t.Logf("%s over %d pages: %d B per run at GOMAXPROCS 1, %d at 2", name, jlarge.N(), one, two)
 		if two > one+2*uint64(jlarge.N()) {
-			t.Errorf("%s over %d pages: %d B per run at GOMAXPROCS 2 against %d at 1: the helper costs more than 2 B/page",
+			t.Errorf("%s over %d pages: %d B per run at GOMAXPROCS 2 against %d at 1: the table costs more than 2 B/page",
 				name, jlarge.N(), two, one)
 		}
 	}
 
-	kits.Lock()
-	defer kits.Unlock()
-	for _, k := range kits.free {
+	for _, k := range drainKits() {
 		if len(k.helpers) > 0 {
 			return
 		}
 	}
-	t.Error("no run at GOMAXPROCS 2 started a scoring helper")
+	t.Error("no run at GOMAXPROCS 2 built a score table")
 }

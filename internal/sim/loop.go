@@ -63,7 +63,7 @@ type loop struct {
 	// it before the next visit (see core.Visit.Body's ownership note).
 	// It comes from the run's kit, so it keeps its capacity across runs.
 	body []byte
-	// scores is the scoring layer, nil when it is off (score.go).
+	// scores is the run's score table, nil when it is off (score.go).
 	scores *scorer
 	// fresh collects a page's admitted out-links for one PushAll.
 	fresh []entry
@@ -307,7 +307,6 @@ func (l *loop) drive(p pace) error {
 		l.body = k.body
 		defer func() { k.body = l.body; putKit(k) }()
 		l.scores = startScorer(l, k)
-		defer l.scores.stop()
 	}
 	resumed, err := l.start()
 	if err != nil {
@@ -586,7 +585,7 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 		l.cfg.OnVisit(id)
 	}
 
-	// A helper may have scored the page already (score.go); a truncated
+	// The score table may hold the page's score (score.go); a truncated
 	// visit leaves that score alone and its body is scored here, cut.
 	var score float64
 	scored := false
@@ -613,7 +612,6 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 			}
 			l.fresh = fresh
 			l.pushAll(fresh, dec.Priority)
-			l.scores.request(fresh)
 		} else if len(pg.Links) > 0 {
 			l.res.DroppedPages++
 		}

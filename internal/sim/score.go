@@ -12,84 +12,64 @@ import (
 	"langcrawl/internal/webgraph"
 )
 
-// The scoring layer keeps the spare cores busy with the costly part of a
-// body-reading visit: synthesizing the page and running the classifier
-// over it. A page's score is a pure function of (space, page id), since
-// a classifier may read only the visit (core.Classifier), so helper
-// goroutines compute scores ahead of the loop and visitPage, still the
-// one visit path, takes a finished score instead of computing it. The
-// visit order and every result are those of the loop alone.
-//
-// visitPage requests each admitted 200 out-link once. Helpers take
-// requests newest first, while the loop pops the frontier's old end, so
-// the two rarely want the same page at once; the loop waits only for a
-// page a helper is scoring at that moment, and takes back and scores
-// itself a page still queued.
+// The score table keeps every core busy with the costly part of a
+// body-reading run: synthesizing pages and running the classifier over
+// them. A page's score is a pure function of (space, page id), since a
+// classifier may read only the visit (core.Classifier), so before the
+// first fetch the run scores every 200 page of the space on GOMAXPROCS
+// goroutines, and visitPage, still the one visit path, reads a page's
+// score from the table instead of computing it. The visit order and
+// every result are those of the loop alone.
 
-// Page states, one byte per page, four pages to a state word.
+// Table entries, one byte per page.
 const (
-	idle   uint8 = iota // never requested, taken back, or consumed
-	queued              // on the request stack
-	busy                // a helper is scoring it
-	score0              // a helper scored it 0
-	score1              // a helper scored it 1
+	unscored uint8 = iota // the visit scores the page inline
+	score0                // the page scored 0
+	score1                // the page scored 1
 )
 
 // kit is the memory a body-reading run works in: the loop's page buffer
-// and the scoring layer's state table, request stack, telemetry
-// observations and helper scratch. Kits outlive their run on a small
-// free list, so a run after the first allocates none of this. A
-// sync.Pool would not do: one collection between runs loses what it
-// holds for another P, and a second one the rest.
+// and the score table, its telemetry observations and the scratch of the
+// goroutines that build it. Kits outlive their run on a small free list,
+// so a run after the first allocates none of this. A sync.Pool would not
+// do: one collection between runs loses what it holds for another P, and
+// a second one the rest.
 type kit struct {
-	body  []byte
-	state []atomic.Uint32
-	// stack holds pending requests, newest last. A page is requested
-	// only from idle, and goes idle again only when visited or when a
-	// helper's score is not 0 or 1, so the stack never holds more than
-	// one entry per page.
-	stack   []webgraph.PageID
+	body    []byte
+	state   []uint8
 	obs     []scoreObs // per page, while telemetry is on
 	helpers []*helper
 }
 
-// helper is one helper goroutine's scratch: the page buffer and the
-// visit it hands the classifier.
+// helper is one table-building goroutine's scratch: the page buffer and
+// the visit it hands the classifier.
 type helper struct {
 	body  []byte
 	visit core.Visit
 }
 
-// kits is the free list. It keeps at most maxKits, enough for the runs
-// a sweep makes at once (experiments -parallel).
-var kits struct {
-	sync.Mutex
-	free []*kit
-}
-
-const maxKits = 8
+// kits is the free list. It keeps at most 8, enough for the runs a
+// sweep makes at once (experiments -parallel).
+var kits = make(chan *kit, 8)
 
 func takeKit() *kit {
-	kits.Lock()
-	defer kits.Unlock()
-	if n := len(kits.free); n > 0 {
-		k := kits.free[n-1]
-		kits.free = kits.free[:n-1]
+	select {
+	case k := <-kits:
 		return k
+	default:
+		return &kit{}
 	}
-	return &kit{}
 }
 
 func putKit(k *kit) {
-	kits.Lock()
-	defer kits.Unlock()
-	if len(kits.free) < maxKits {
-		kits.free = append(kits.free, k)
+	select {
+	case kits <- k:
+	default:
 	}
 }
 
-// scoreObs is what scoring one page records in the run's telemetry. A
-// helper keeps it in the kit until the loop takes the page's score, so a
+// scoreObs is what scoring one page records in the run's telemetry. The
+// table keeps it in the kit until the loop takes the page's score, so a
 // page scored but never visited records nothing.
 type scoreObs struct {
 	bytes, scanned, ns uint32 // body length, bytes detected, classifier time
@@ -132,7 +112,7 @@ type pageSource interface {
 // scoreVisit scores v, page id's visit, and returns what the scoring
 // observed. With a source, it first synthesizes the body into *buf and
 // hands it over, cut in half when the visit was truncated; timed says
-// whether to time the classifier. The loop and the helpers both score
+// whether to time the classifier. The loop and the table both score
 // through here.
 func scoreVisit(cls core.Classifier, v *core.Visit, id webgraph.PageID, src pageSource, buf *[]byte, timed bool) (float64, scoreObs) {
 	var o scoreObs
@@ -170,7 +150,7 @@ func scoreVisit(cls core.Classifier, v *core.Visit, id webgraph.PageID, src page
 	return score, o
 }
 
-// scorer is one run's scoring layer.
+// scorer is one run's score table.
 type scorer struct {
 	space *webgraph.Space
 	cls   core.Classifier
@@ -178,192 +158,101 @@ type scorer struct {
 	// obs says whether telemetry is on, timed whether it times the
 	// classifier.
 	obs, timed bool
-
-	mu          sync.Mutex
-	work, ready sync.Cond // on mu: a request arrived; a score was published
-	sleeping    int       // helpers waiting on work
-	closed      bool
-	waitFor     atomic.Int64 // the page the loop waits on, -1 for none
-	wg          sync.WaitGroup
+	next       atomic.Int64 // the first page of the next unclaimed chunk
+	wg         sync.WaitGroup
 }
 
-// startScorer starts the scoring layer for l's run in k, or returns nil
-// when it is off: the classifier reads no body, the space evolves (a
-// body then depends on when it is fetched), or there is no spare P. It
-// runs GOMAXPROCS-1 helpers.
+// chunk is how many pages a table-building goroutine claims at once:
+// their entries span one 64-byte cache line, so goroutines seldom write
+// the same line.
+const chunk = 64
+
+// startScorer builds the score table for l's run in k, or returns nil
+// when it is off: the classifier reads no body, the space evolves (a body
+// then depends on when it is fetched), there is no spare P, or the run
+// has a page budget (it would score pages it never visits). The calling
+// goroutine builds it with GOMAXPROCS-1 others and returns once it is
+// complete.
 func startScorer(l *loop, k *kit) *scorer {
-	n := runtime.GOMAXPROCS(0) - 1
-	if !l.needBody || l.ev != nil || n < 1 {
+	procs := runtime.GOMAXPROCS(0)
+	if !l.needBody || l.ev != nil || procs < 2 || l.cfg.MaxPages > 0 {
 		return nil
 	}
 	s := &scorer{space: l.space, cls: l.cfg.Classifier, kit: k}
-	s.work.L, s.ready.L = &s.mu, &s.mu
-	s.waitFor.Store(-1)
-	words := (l.space.N() + 3) / 4
-	if cap(k.state) < words {
-		k.state = make([]atomic.Uint32, words)
+	n := l.space.N()
+	if cap(k.state) < n {
+		k.state = make([]uint8, n)
 	} else {
-		k.state = k.state[:words]
+		k.state = k.state[:n]
 		clear(k.state)
 	}
 	if l.cfg.Telemetry != nil {
 		s.obs, s.timed = true, telemetry.Timed(l.tel.ClassifierTime)
-		if cap(k.obs) < l.space.N() {
-			k.obs = make([]scoreObs, l.space.N())
+		if cap(k.obs) < n {
+			k.obs = make([]scoreObs, n)
 		}
 	}
-	for len(k.helpers) < n {
+	for len(k.helpers) < procs {
 		k.helpers = append(k.helpers, &helper{})
 	}
-	s.wg.Add(n)
-	for _, h := range k.helpers[:n] {
-		go s.help(h)
+	s.wg.Add(procs)
+	for _, h := range k.helpers[1:procs] {
+		go s.fill(h)
 	}
+	s.fill(k.helpers[0])
+	s.wg.Wait()
 	return s
 }
 
-// stop ends the helpers and waits for them; nil-safe.
-func (s *scorer) stop() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.closed = true
-	s.work.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-	s.kit.stack = s.kit.stack[:0]
-}
-
-func (s *scorer) load(id webgraph.PageID) uint8 {
-	return uint8(s.kit.state[id>>2].Load() >> (id & 3 * 8))
-}
-
-// swap moves page id from state from to state to, reporting whether it
-// was in from.
-func (s *scorer) swap(id webgraph.PageID, from, to uint8) bool {
-	w, sh := &s.kit.state[id>>2], id&3*8
+// fill scores chunks of pages into the table until none is left.
+func (s *scorer) fill(h *helper) {
+	defer s.wg.Done()
+	n := int64(s.space.N())
 	for {
-		cur := w.Load()
-		if uint8(cur>>sh) != from {
-			return false
+		lo := s.next.Add(chunk) - chunk
+		if lo >= n {
+			return
 		}
-		if w.CompareAndSwap(cur, cur&^(0xff<<sh)|uint32(to)<<sh) {
-			return true
+		for id := webgraph.PageID(lo); int64(id) < min(lo+chunk, n); id++ {
+			if s.space.IsOK(id) {
+				s.score(h, id)
+			}
 		}
 	}
 }
 
-// request queues the 200 pages among es that were never requested;
-// nil-safe.
-func (s *scorer) request(es []entry) {
-	if s == nil {
+// score scores page id as the loop would, untruncated, and enters the
+// score in the table. A score other than 0 or 1 is not entered: the loop
+// scores the page itself.
+func (s *scorer) score(h *helper, id webgraph.PageID) {
+	h.visit = pageVisit(s.space.Page(id))
+	score, o := scoreVisit(s.cls, &h.visit, id, s.space, &h.body, s.timed)
+	switch score {
+	case 0:
+		s.kit.state[id] = score0
+	case 1:
+		s.kit.state[id] = score1
+	default:
 		return
 	}
-	added := 0
-	for _, e := range es {
-		if !s.space.IsOK(e.id) || !s.swap(e.id, idle, queued) {
-			continue
-		}
-		if added == 0 {
-			s.mu.Lock()
-		}
-		added++
-		s.kit.stack = append(s.kit.stack, e.id)
-	}
-	if added > 0 {
-		for i := min(added, s.sleeping); i > 0; i-- {
-			s.work.Signal()
-		}
-		s.mu.Unlock()
+	if s.obs {
+		s.kit.obs[id] = o
 	}
 }
 
-// take returns page id's score when a helper has published one, and
-// otherwise takes the page back (a queued page is not scored from then
-// on) and reports false, for the loop to score it. It waits only while
-// a helper is scoring the page. A score is taken once; nil-safe.
+// take returns page id's score from the table, or reports false for the
+// loop to score the page itself; nil-safe.
 func (s *scorer) take(id webgraph.PageID) (float64, bool) {
-	if s == nil {
+	if s == nil || s.kit.state[id] == unscored {
 		return 0, false
 	}
-	for {
-		switch st := s.load(id); st {
-		case idle:
-			return 0, false
-		case busy:
-			s.mu.Lock()
-			s.waitFor.Store(int64(id))
-			for s.load(id) == busy {
-				s.ready.Wait()
-			}
-			s.waitFor.Store(-1)
-			s.mu.Unlock()
-		default:
-			if !s.swap(id, st, idle) {
-				continue
-			}
-			if st == queued {
-				return 0, false
-			}
-			return float64(st - score0), true
-		}
-	}
+	return float64(s.kit.state[id] - score0), true
 }
 
-// observe records in tel what the helper's scoring of page id observed,
+// observe records in tel what the table's scoring of page id observed,
 // as the loop would have had it scored the page itself.
 func (s *scorer) observe(id webgraph.PageID, tel *telemetry.SimStats) {
 	if s.obs {
 		s.kit.obs[id].record(tel)
-	}
-}
-
-// help is a helper goroutine: it scores requested pages, newest first,
-// until stop.
-func (s *scorer) help(h *helper) {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for len(s.kit.stack) == 0 && !s.closed {
-			s.sleeping++
-			s.work.Wait()
-			s.sleeping--
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		st := s.kit.stack
-		id := st[len(st)-1]
-		s.kit.stack = st[:len(st)-1]
-		s.mu.Unlock()
-		if s.swap(id, queued, busy) {
-			s.score(h, id)
-		}
-	}
-}
-
-// score scores page id as the loop would, untruncated, and publishes the
-// score. A score other than 0 or 1 is not published: the page goes back
-// to idle and the loop scores it.
-func (s *scorer) score(h *helper, id webgraph.PageID) {
-	h.visit = pageVisit(s.space.Page(id))
-	score, o := scoreVisit(s.cls, &h.visit, id, s.space, &h.body, s.timed)
-	st := idle
-	switch score {
-	case 0:
-		st = score0
-	case 1:
-		st = score1
-	}
-	if s.obs && st != idle {
-		s.kit.obs[id] = o
-	}
-	s.swap(id, busy, st)
-	if s.waitFor.Load() == int64(id) {
-		s.mu.Lock()
-		s.ready.Broadcast()
-		s.mu.Unlock()
 	}
 }

@@ -15,36 +15,49 @@ import (
 	"langcrawl/internal/webgraph"
 )
 
-// visitSet is a classifier wrapper that records which core.Visit each
-// Score call was handed: the loop hands its own, each helper the one in
-// its scratch.
+// visitSet is a classifier wrapper that counts the Score calls made on
+// each core.Visit: the loop hands its own, each goroutine building the
+// score table the one in its scratch.
 type visitSet struct {
 	core.Classifier
 	mu   sync.Mutex
-	seen map[*core.Visit]bool
+	seen map[*core.Visit]int
 }
 
 func (c *visitSet) Score(v *core.Visit) float64 {
 	c.mu.Lock()
-	c.seen[v] = true
+	c.seen[v]++
 	c.mu.Unlock()
 	return c.Classifier.Score(v)
 }
 
-// onHelpers counts the visits seen that belong to a helper of a kit on
-// the free list, where a run leaves its kit.
-func (c *visitSet) onHelpers() int {
-	kits.Lock()
-	defer kits.Unlock()
-	n := 0
-	for _, k := range kits.free {
+// calls counts the Score calls made, all of them and those on the visit
+// of a table builder of a kit on the free list, where a run leaves its
+// kit.
+func (c *visitSet) calls() (all, onHelpers int) {
+	for _, n := range c.seen {
+		all += n
+	}
+	for _, k := range drainKits() {
 		for _, h := range k.helpers {
-			if c.seen[&h.visit] {
-				n++
-			}
+			onHelpers += c.seen[&h.visit]
+		}
+		putKit(k)
+	}
+	return all, onHelpers
+}
+
+// drainKits empties the free list and returns the kits it held.
+func drainKits() []*kit {
+	var ks []*kit
+	for {
+		select {
+		case k := <-kits:
+			ks = append(ks, k)
+		default:
+			return ks
 		}
 	}
-	return n
 }
 
 // helperRun is what one case reports: the OnVisit sequence, a digest of
@@ -157,12 +170,15 @@ func settleGoroutines(t *testing.T, want int) {
 }
 
 // TestScoringHelpersInvisible runs each case at GOMAXPROCS 1, where the
-// scoring layer is off, and at GOMAXPROCS 4, where three helpers score
-// discovered pages ahead of the loop. The OnVisit sequence, the digest of
-// every result and series, and the telemetry counters must match (each
-// visited page is parsed, detected and classified on the record exactly
-// as often), some pages must have been scored on a helper's visit, and
-// no run, the killed one included, may leave a goroutine behind.
+// score table is off, and at GOMAXPROCS 4, where four goroutines build
+// it before the first fetch. The OnVisit sequence, the digest of every
+// result and series, and the telemetry counters must match (each visited
+// page is parsed, detected and classified on the record exactly as
+// often), and no run, the killed one included, may leave a goroutine
+// behind. At GOMAXPROCS 4 the table scores every 200 page exactly once
+// in the plain run, and some pages in the others, except under a page
+// budget, which turns it off: there every page is scored inline, as
+// often as at GOMAXPROCS 1.
 func TestScoringHelpersInvisible(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	spaces := []*webgraph.Space{
@@ -171,6 +187,12 @@ func TestScoringHelpersInvisible(t *testing.T) {
 	}
 	for _, sp := range spaces {
 		lang := sp.Target
+		ok := 0
+		for id := range webgraph.PageID(sp.N()) {
+			if sp.IsOK(id) {
+				ok++
+			}
+		}
 		for _, cls := range []core.Classifier{
 			core.DetectorClassifier{Target: lang},
 			core.HybridClassifier{Target: lang},
@@ -179,14 +201,14 @@ func TestScoringHelpersInvisible(t *testing.T) {
 			for _, c := range helperCases(t) {
 				t.Run(lang.String()+"/"+cls.Name()+"/"+c.name, func(t *testing.T) {
 					var runs [2]helperRun
-					var helpers [2]int
+					var calls, helpers [2]int
 					for i, procs := range []int{1, 4} {
 						runtime.GOMAXPROCS(procs)
-						vs := &visitSet{Classifier: cls, seen: map[*core.Visit]bool{}}
+						vs := &visitSet{Classifier: cls, seen: map[*core.Visit]int{}}
 						before := runtime.NumGoroutine()
 						runs[i] = c.run(sp, Config{Strategy: core.SoftFocused{}, Classifier: vs})
 						settleGoroutines(t, before)
-						helpers[i] = vs.onHelpers()
+						calls[i], helpers[i] = vs.calls()
 					}
 					seq, par := runs[0], runs[1]
 					if len(seq.visits) != len(par.visits) {
@@ -203,9 +225,22 @@ func TestScoringHelpersInvisible(t *testing.T) {
 					if seq.counters != par.counters {
 						t.Errorf("telemetry with helpers: %s\nwithout: %s", par.counters, seq.counters)
 					}
-					if helpers[0] != 0 || helpers[1] == 0 {
-						t.Errorf("Score saw %d helper visits at GOMAXPROCS 1 and %d at 4: want none, then some",
-							helpers[0], helpers[1])
+					switch c.name {
+					case "run":
+						if helpers[0] != 0 || helpers[1] != ok {
+							t.Errorf("Score ran %d times on table visits at GOMAXPROCS 1 and %d at 4: want none, then once per 200 page (%d)",
+								helpers[0], helpers[1], ok)
+						}
+					case "max-pages":
+						if helpers[0] != 0 || helpers[1] != 0 || calls[0] != calls[1] {
+							t.Errorf("Score ran %d times (%d on table visits) at GOMAXPROCS 1 and %d (%d) at 4: want the same count, none on table visits",
+								calls[0], helpers[0], calls[1], helpers[1])
+						}
+					default:
+						if helpers[0] != 0 || helpers[1] == 0 {
+							t.Errorf("Score ran %d times on table visits at GOMAXPROCS 1 and %d at 4: want none, then some",
+								helpers[0], helpers[1])
+						}
 					}
 				})
 			}

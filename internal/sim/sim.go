@@ -15,14 +15,15 @@
 // fetches, transfer delays and per-host access intervals — and
 // RunIncremental adds revisits of an evolving space (recrawl.go).
 //
-// Around that one loop sits a scoring layer (score.go). When the
-// classifier reads bodies, the space is static and GOMAXPROCS is above
-// one, GOMAXPROCS-1 helper goroutines synthesize and score discovered
-// pages ahead of the loop, and the visit takes a finished score instead
-// of computing it. A score is a pure function of the page, so the visit
-// order and every result are the same as without helpers. The layer is
-// off for MetaClassifier and OracleClassifier, for evolving spaces and
-// on one P.
+// Around that one loop sits a score table (score.go). When the
+// classifier reads bodies, the space is static, GOMAXPROCS is above one
+// and the run has no page budget, GOMAXPROCS goroutines synthesize and
+// score every 200 page before the first fetch, and the visit reads its
+// score from the table instead of computing it. A score is a pure
+// function of the page, so the visit order and every result are the
+// same as without the table. It is off for MetaClassifier and
+// OracleClassifier, for evolving spaces, on one P and under MaxPages,
+// where each visit scores its page inline.
 package sim
 
 import (
@@ -43,8 +44,8 @@ type Config struct {
 	Strategy core.Strategy
 	// Classifier scores page relevance. In paper terms: MetaClassifier
 	// for the Thai dataset, DetectorClassifier for the Japanese one. A
-	// body-reading classifier may have pages built and scored on other
-	// goroutines than the crawl loop (see the package doc).
+	// body-reading classifier may score pages on several goroutines at
+	// once, before the crawl loop starts (see the package doc).
 	Classifier core.Classifier
 	// MaxPages bounds the number of fetches; 0 crawls until the queue
 	// empties.
