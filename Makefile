@@ -145,9 +145,11 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDetect$$' -fuzztime=30s ./internal/charset/
 	$(GO) test -fuzz=FuzzDetectOracle -fuzztime=30s ./internal/charset/
 	$(GO) test -fuzz=FuzzSplitEquivalence -fuzztime=30s ./internal/charset/
+	$(GO) test -fuzz=FuzzAppendHTMLPage -fuzztime=30s ./internal/textgen/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/htmlx/
 	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=30s ./internal/parse/
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/crawlog/
+	$(GO) test -fuzz=FuzzHost -fuzztime=30s ./internal/urlutil/
 	$(GO) test -fuzz=FuzzCrawlogRoundTrip -fuzztime=30s ./internal/crawlog/
 	$(GO) test -fuzz=FuzzFrontierOps -fuzztime=30s ./internal/frontier/
 	$(GO) test -fuzz=FuzzCheckpointRecover -fuzztime=30s ./internal/checkpoint/

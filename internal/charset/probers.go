@@ -11,6 +11,10 @@ import (
 // escape, BOM (utf16.go), UTF-8, EUC-JP and Shift_JIS probers. Each
 // skips what it cannot act on — the escape and BOM probers jump to the
 // next ESC or NUL, the multibyte probers skip ASCII a word at a time.
+// The EUC-JP and Shift_JIS probers step a whole double-byte pair per
+// turn, reading the trail right after its lead (only a pair split
+// between feeds carries its lead over), and weigh it with one load from
+// a table built once from jisRowWeight (eucWeight, sjisWeight).
 // The Thai, ASCII and Latin-1 probers only count bytes, so their
 // verdicts are all read off one byteStats pass. Every prober reports a
 // confidence in [0,1]; the composite detector (detect.go) picks the
@@ -140,8 +144,8 @@ func (p *utf8Prober) confidence() float64 {
 
 // --- Japanese multibyte probers -------------------------------------------
 
-// dblFreq classifies a decoded JIS character (by kuten row / lead byte)
-// into a frequency class: how typical it is of running Japanese text.
+// jisRowWeight classifies a decoded JIS character by its kuten row into
+// a frequency class: how typical it is of running Japanese text.
 // Hiragana dominates real Japanese; katakana and level-1 kanji are
 // common; anything else is rare.
 func jisRowWeight(row byte) float64 {
@@ -159,42 +163,85 @@ func jisRowWeight(row byte) float64 {
 	}
 }
 
+// eucWeight is the weight of an EUC-JP pair by its lead byte, the row
+// byte plus 0xA0: jisRowWeight of the row for 0xA1..0xFE, and for the
+// code set 2 lead 0x8E the weight its wrapped row 0x8E−0xA0 gets. Every
+// weight is positive, so a zero entry is exactly a byte ≥ 0x80 that
+// cannot lead a pair.
+var eucWeight = func() (t [256]float64) {
+	for c := 0x8E; c <= 0xFE; c++ {
+		if c == 0x8E || eucTrail(byte(c)) {
+			t[c] = jisRowWeight(byte(c) - 0xA0)
+		}
+	}
+	return t
+}()
+
+// sjisWeight is the weight of a Shift_JIS pair, indexed by whether the
+// trail is ≥ 0x9F (which picks the even of the lead's two rows, see
+// sjisRow) and by the lead byte. Zero exactly off the lead bytes.
+var sjisWeight = func() (t [2][256]float64) {
+	for c := 0; c < 256; c++ {
+		if sjisLead(byte(c)) {
+			t[0][c] = jisRowWeight(sjisRow(byte(c), 0x40) - 0x20)
+			t[1][c] = jisRowWeight(sjisRow(byte(c), 0x9F) - 0x20)
+		}
+	}
+	return t
+}()
+
+// eucTrail reports whether c can end an EUC-JP pair.
+func eucTrail(c byte) bool { return c >= 0xA1 && c <= 0xFE }
+
 // eucJPProber validates EUC-JP byte structure and scores the character
 // distribution of the decoded stream.
 type eucJPProber struct {
 	state  probeState
 	chars  int     // double-byte chars seen
 	weight float64 // accumulated row weights
-	lead   byte    // pending lead byte (0 = none)
+	lead   byte    // lead byte of a pair split by the feed (0 = none)
 }
 
 func (p *eucJPProber) feed(b []byte) {
+	if p.state != probing || len(b) == 0 {
+		return
+	}
 	// The loop keeps the prober's fields in locals and makes no call, so
 	// they stay in registers; it stores them back once. weight adds the
-	// same terms in the same order.
+	// same terms in the same order as a byte-at-a-time walk.
 	state, lead, chars, weight := p.state, p.lead, p.chars, p.weight
-	for i := 0; i < len(b) && state == probing; i++ {
+	i := 0
+	if lead != 0 { // finish the pair the last feed split
+		if !eucTrail(b[0]) {
+			p.state = notMe
+			return
+		}
+		chars++
+		weight += eucWeight[lead]
+		lead, i = 0, 1
+	}
+	for ; i < len(b); i++ {
 		c := b[i]
-		if lead != 0 {
-			if c < 0xA1 || c > 0xFE {
-				state = notMe
-				break
-			}
-			chars++
-			weight += jisRowWeight(lead - 0xA0)
-			lead = 0
+		if c < 0x80 {
+			i += asciiWords(b[i+1:])
 			continue
 		}
-		switch {
-		case c < 0x80:
-			i += asciiWords(b[i+1:])
-		case c == 0x8E: // code set 2 lead: one katakana byte follows
-			lead = 0x8E
-		case c >= 0xA1 && c <= 0xFE:
-			lead = c
-		default:
+		w := eucWeight[c]
+		if w == 0 {
 			state = notMe
+			break
 		}
+		if i+1 == len(b) {
+			lead = c
+			break
+		}
+		i++
+		if !eucTrail(b[i]) {
+			state = notMe
+			break
+		}
+		chars++
+		weight += w
 	}
 	p.state, p.lead, p.chars, p.weight = state, lead, chars, weight
 }
@@ -228,22 +275,26 @@ type sjisProber struct {
 }
 
 func (p *sjisProber) feed(b []byte) {
+	if p.state != probing || len(b) == 0 {
+		return
+	}
 	// On locals, as eucJPProber.feed. A lead is only ever a valid one,
 	// so the pair is valid exactly when the trail is (sjisToJis).
 	state, lead, chars, dbl, weight := p.state, p.lead, p.chars, p.dbl, p.weight
-	for i := 0; i < len(b) && state == probing; i++ {
-		c := b[i]
-		if lead != 0 {
-			if !sjisTrail(c) {
-				state = notMe
-				break
-			}
-			chars++
-			dbl++
-			weight += jisRowWeight(sjisRow(lead, c) - 0x20)
-			lead = 0
-			continue
+	i := 0
+	if lead != 0 { // finish the pair the last feed split
+		if !sjisTrail(b[0]) {
+			p.state = notMe
+			return
 		}
+		chars++
+		dbl++
+		weight += sjisWeight[sjisEven(b[0])][lead]
+		lead, i = 0, 1
+	}
+loop:
+	for ; i < len(b); i++ {
+		c := b[i]
 		switch {
 		case c < 0x80:
 			i += asciiWords(b[i+1:])
@@ -252,14 +303,29 @@ func (p *sjisProber) feed(b []byte) {
 			// core Thai byte range. Count as a low-weight character.
 			chars++
 			weight += 0.3
-		case sjisLead(c):
+		case sjisWeight[0][c] == 0:
+			state = notMe
+			break loop
+		case i+1 == len(b):
 			lead = c
 		default:
-			state = notMe
+			i++
+			t := b[i]
+			if !sjisTrail(t) {
+				state = notMe
+				break loop
+			}
+			chars++
+			dbl++
+			weight += sjisWeight[sjisEven(t)][c]
 		}
 	}
 	p.state, p.lead, p.chars, p.dbl, p.weight = state, lead, chars, dbl, weight
 }
+
+// sjisEven is sjisWeight's first index for trail byte t: 1 when t is
+// ≥ 0x9F, which puts the pair on its lead's even row.
+func sjisEven(t byte) int { return (int(t) + 0x100 - 0x9F) >> 8 }
 
 func (p *sjisProber) confidence() float64 {
 	if p.state == notMe || p.chars == 0 {

@@ -123,31 +123,39 @@ func writePage(b []byte, spec PageSpec, r *rng.RNG, enc *encoding, sc *scratch) 
 	return g.sh.AppendASCII(b, "</body>\n</html>\n")
 }
 
-// appendHref appends sc.href as the value of a double-quoted attribute,
-// in ASCII mode and leaving the stream in it. An ASCII href is the same
-// in every charset written here; any other is escaped after itself in
-// sc.href and encoded by codec from ASCII mode, invalid UTF-8 included.
-func (sc *scratch) appendHref(dst []byte, codec charset.Codec) []byte {
-	n := len(sc.href)
-	for _, c := range sc.href {
-		if c >= 0x80 {
-			sc.href = appendEscapedAttr(sc.href, sc.href[:n])
-			return charset.AppendEncodeBytes(codec, dst, sc.href[n:])
-		}
+// hrefStop marks the bytes an href scan stops at: the three a
+// double-quoted attribute escapes, and every non-ASCII byte.
+var hrefStop = func() (t [256]bool) {
+	t['&'], t['"'], t['<'] = true, true, true
+	for c := 0x80; c < 0x100; c++ {
+		t[c] = true
 	}
-	return appendEscapedAttr(dst, sc.href)
-}
+	return t
+}()
 
-// appendEscapedAttr appends s as the value of a double-quoted attribute.
-// The bytes before the first that needs escaping — all of a typical
-// href — are appended in one copy.
-func appendEscapedAttr(dst, s []byte) []byte {
+// appendHref appends sc.href as the value of a double-quoted attribute,
+// in ASCII mode and leaving the stream in it. One scan finds the first
+// byte to escape or encode; a plain href, which has neither, is one
+// copy and is the same in every charset written here. Any other is
+// escaped after itself in sc.href and encoded by codec from ASCII mode,
+// invalid UTF-8 included; every codec writes ASCII as itself.
+func (sc *scratch) appendHref(dst []byte, codec charset.Codec) []byte {
+	s := sc.href
 	i := 0
-	for i < len(s) && s[i] != '&' && s[i] != '"' && s[i] != '<' {
+	for i < len(s) && !hrefStop[s[i]] {
 		i++
 	}
-	dst = append(dst, s[:i]...)
-	for _, c := range s[i:] {
+	if i == len(s) {
+		return append(dst, s...)
+	}
+	sc.href = appendEscapedAttr(append(sc.href, s[:i]...), s[i:])
+	return charset.AppendEncodeBytes(codec, dst, sc.href[len(s):])
+}
+
+// appendEscapedAttr appends s, escaped as the value of a double-quoted
+// attribute.
+func appendEscapedAttr(dst, s []byte) []byte {
+	for _, c := range s {
 		switch c {
 		case '&':
 			dst = append(dst, "&amp;"...)
