@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,62 +110,152 @@ func TestCheckpointUpgradeModeTransparent(t *testing.T) {
 		core.LimitedDistance{N: 3, Prioritized: true},
 	} {
 		t.Run(strat.Name(), func(t *testing.T) {
-			cfg := func(visits *[]webgraph.PageID) Config {
-				return Config{
-					Strategy: strat, Classifier: metaThai(), QueueMode: QueueUpgrade,
-					OnVisit: func(id webgraph.PageID) { *visits = append(*visits, id) },
-				}
-			}
-			same := func(what string, got, want []webgraph.PageID) {
-				t.Helper()
-				for i := range min(len(got), len(want)) {
-					if got[i] != want[i] {
-						t.Errorf("%s: visit %d is page %d, checkpoint-free run's is %d", what, i+1, got[i], want[i])
-						return
-					}
-				}
-				if len(got) != len(want) {
-					t.Errorf("%s: %d visits, checkpoint-free run %d", what, len(got), len(want))
-				}
-			}
-
-			var ref, ck, killed []webgraph.PageID
-			if _, err := Run(ckSpace, cfg(&ref)); err != nil {
-				t.Fatal(err)
-			}
-			c := cfg(&ck)
-			c.CheckpointDir, c.CheckpointEvery = t.TempDir(), 50
-			if _, err := Run(ckSpace, c); err != nil {
-				t.Fatal(err)
-			}
-			same("checkpoint every 50", ck, ref)
-
-			c = cfg(&killed)
-			c.CheckpointDir, c.CheckpointEvery = t.TempDir(), 50
-			for kills := 0; ; kills++ {
-				c.StopAfter += 37
-				_, err := Run(ckSpace, c)
-				if errors.Is(err, checkpoint.ErrKilled) && kills < 1000 {
-					continue
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				break
-			}
-			// Pages crawled between the last checkpoint and a kill are
-			// crawled again on resume; the first occurrences are the crawl.
-			seen := make([]bool, ckSpace.N())
-			deduped := killed[:0:0]
-			for _, id := range killed {
-				if !seen[id] {
-					seen[id] = true
-					deduped = append(deduped, id)
-				}
-			}
-			same("kill every 37", deduped, ref)
+			checkpointTransparent(t, Config{Strategy: strat, Classifier: metaThai(), QueueMode: QueueUpgrade})
 		})
 	}
+}
+
+// TestCheckpointDecayingBestFirstTransparent: the heap strategy with
+// continuous priorities checkpoints and resumes without moving a visit.
+// Its entries re-enter at the exact float64 priorities they were queued
+// at, so a priority rounded anywhere on the way reorders the heap.
+func TestCheckpointDecayingBestFirstTransparent(t *testing.T) {
+	checkpointTransparent(t, Config{Strategy: core.DecayingBestFirst{Decay: 0.3}, Classifier: metaThai()})
+}
+
+// checkpointTransparent runs base over ckSpace three ways — without
+// checkpoints, checkpointing every 50 pages, and killed every 37 pages
+// and resumed — and fails unless all three visit the same pages in the
+// same order.
+func checkpointTransparent(t *testing.T, base Config) {
+	t.Helper()
+	cfg := func(visits *[]webgraph.PageID) Config {
+		c := base
+		c.OnVisit = func(id webgraph.PageID) { *visits = append(*visits, id) }
+		return c
+	}
+	same := func(what string, got, want []webgraph.PageID) {
+		t.Helper()
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Errorf("%s: visit %d is page %d, checkpoint-free run's is %d", what, i+1, got[i], want[i])
+				return
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d visits, checkpoint-free run %d", what, len(got), len(want))
+		}
+	}
+
+	var ref, ck, killed []webgraph.PageID
+	if _, err := Run(ckSpace, cfg(&ref)); err != nil {
+		t.Fatal(err)
+	}
+	c := cfg(&ck)
+	c.CheckpointDir, c.CheckpointEvery = t.TempDir(), 50
+	if _, err := Run(ckSpace, c); err != nil {
+		t.Fatal(err)
+	}
+	same("checkpoint every 50", ck, ref)
+
+	c = cfg(&killed)
+	c.CheckpointDir, c.CheckpointEvery = t.TempDir(), 50
+	for kills := 0; ; kills++ {
+		c.StopAfter += 37
+		_, err := Run(ckSpace, c)
+		if errors.Is(err, checkpoint.ErrKilled) && kills < 1000 {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	// Pages crawled between the last checkpoint and a kill are
+	// crawled again on resume; the first occurrences are the crawl.
+	seen := make([]bool, ckSpace.N())
+	deduped := killed[:0:0]
+	for _, id := range killed {
+		if !seen[id] {
+			seen[id] = true
+			deduped = append(deduped, id)
+		}
+	}
+	same("kill every 37", deduped, ref)
+}
+
+const checkpointDigestFile = "testdata/checkpoint.digest"
+
+// TestCheckpointDigest freezes the bytes of every state file a run
+// commits, checkpointing every 500 pages, for a heap strategy with
+// continuous priorities, an adaptive and a layered bucket strategy, and
+// an upgrade-mode queue. The frontier snapshot in each carries every
+// queued entry's distance and priority, so a change to how entries hold
+// them that rounds or reorders either shows here. Re-record with
+// -update only when the checkpoint format or a crawl is meant to change.
+func TestCheckpointDigest(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"decaying-best-first(0.3)", func() Config { return Config{Strategy: core.DecayingBestFirst{Decay: 0.3}} }},
+		{"adaptive(1000,8)", func() Config { return Config{Strategy: core.NewAdaptiveLimitedDistance(1000, 8)} }},
+		{"context-layers(3)", func() Config { return Config{Strategy: core.ContextLayers{Layers: 3}} }},
+		{"soft-focused/upgrade", func() Config { return Config{Strategy: core.SoftFocused{}, QueueMode: QueueUpgrade} }},
+	}
+	var got bytes.Buffer
+	for _, c := range cases {
+		fsys := &digestFS{}
+		cfg := c.cfg()
+		cfg.Classifier = metaThai()
+		cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointFS = t.TempDir(), 500, fsys
+		if _, err := Run(ckSpace, cfg); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(fsys.sums) < 2 {
+			t.Fatalf("%s: %d state files committed, want a stride's and the final one", c.name, len(fsys.sums))
+		}
+		for i, sum := range fsys.sums {
+			fmt.Fprintf(&got, "%s state %d sha256=%s\n", c.name, i+1, sum)
+		}
+	}
+	if *updateResults {
+		if err := os.WriteFile(checkpointDigestFile, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(checkpointDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("line %d: got %q, recorded %q", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("got %d lines, recorded %d", len(gl), len(wl))
+	}
+}
+
+// digestFS is the real filesystem, hashing each checkpoint state file as
+// it is renamed into place.
+type digestFS struct {
+	checkpoint.OSFS
+	sums []string
+}
+
+func (f *digestFS) Rename(oldpath, newpath string) error {
+	if name := filepath.Base(newpath); strings.HasPrefix(name, "state-") && strings.HasSuffix(name, ".ckpt") {
+		data, err := f.ReadFile(oldpath)
+		if err != nil {
+			return err
+		}
+		f.sums = append(f.sums, fmt.Sprintf("%x", sha256.Sum256(data)))
+	}
+	return f.OSFS.Rename(oldpath, newpath)
 }
 
 // TestCheckpointGracefulStop: a closed Stop channel ends the run at the

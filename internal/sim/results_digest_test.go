@@ -21,7 +21,7 @@ import (
 	"langcrawl/internal/webgraph"
 )
 
-var updateResults = flag.Bool("update", false, "rewrite testdata/results.digest and testdata/frontier.digest from this tree's engines")
+var updateResults = flag.Bool("update", false, "rewrite testdata/results.digest, frontier.digest and checkpoint.digest from this tree's engines")
 
 const resultsDigestFile = "testdata/results.digest"
 
