@@ -67,6 +67,8 @@ type loop struct {
 	scores *scorer
 	// fresh collects a page's admitted out-links for one PushAll.
 	fresh []entry
+	// marks interns the (dist, prio) pairs the run queues entries at.
+	marks markTable
 
 	// Engine hooks, nil for Run: restore and save carry the incremental
 	// engine's revisit ledger and freshness curve through a checkpoint;
@@ -116,6 +118,7 @@ func newLoop(space *webgraph.Space, cfg Config, res *Result) (*loop, error) {
 		every:    cfg.SampleEvery,
 		needBody: cfg.Classifier.NeedsBody(),
 	}
+	l.marks.pairs = l.marks.inline[:0]
 	if cfg.QueueMode == QueueUpgrade {
 		l.fr = &upgradeQueue{frontier.NewIndexedHeap[webgraph.PageID](), make([]entry, n)}
 	}
@@ -286,8 +289,9 @@ type pace struct {
 }
 
 // job is one fetch in flight: the frontier entry and which attempt at
-// it this is. It holds no pointer, so queued events cost the collector
-// nothing; the host is looked up again from the id where it is needed.
+// it this is, 12 bytes. It holds no pointer, so queued events cost the
+// collector nothing; the host is looked up again from the id where it
+// is needed.
 type job struct {
 	entry
 	attempt int32
@@ -397,10 +401,11 @@ func (l *loop) drive(p pace) error {
 		if flt != nil {
 			flt.Succeeded(host, truncated, l.now)
 		}
+		dist := l.marks.dist(j.mark)
 		if p.discovered != nil {
-			p.discovered(j.id, j.dist, l.now)
+			p.discovered(j.id, dist, l.now)
 		}
-		l.visitPage(j.id, j.dist, truncated, true)
+		l.visitPage(j.id, dist, truncated, true)
 		l.sampleDue()
 	}
 	return l.finish()
@@ -427,15 +432,14 @@ func (l *loop) checkpoint() error {
 	var entries []checkpoint.Entry
 	if u, ok := l.fr.(*upgradeQueue); ok {
 		for _, id := range u.Keys() {
-			e := u.queued[id]
-			entries = append(entries, checkpoint.Entry{ID: id, Dist: e.dist, Prio: e.prio})
+			entries = append(entries, l.marks.snapshot(u.queued[id]))
 		}
 	} else {
 		for it, ok := l.fr.Pop(); ok; it, ok = l.fr.Pop() {
-			entries = append(entries, checkpoint.Entry{ID: it.id, Dist: it.dist, Prio: it.prio})
+			entries = append(entries, l.marks.snapshot(it))
 		}
 		for _, e := range entries {
-			l.fr.Push(entry{id: e.ID, dist: e.Dist, prio: e.Prio}, e.Prio)
+			l.fr.Push(entry{id: e.ID, mark: l.marks.intern(e.Dist, e.Prio)}, e.Prio)
 		}
 	}
 	var inc checkpoint.State
@@ -465,12 +469,13 @@ func (l *loop) checkpoint() error {
 // push queues a discovery of id; the push counter counts it only when
 // it adds an entry, so pushes minus pops stays the queue's depth.
 func (l *loop) push(id webgraph.PageID, dist int32, prio float64) {
+	e := entry{id: id, mark: l.marks.intern(dist, prio)}
 	if l.fs == nil {
-		l.fr.Push(entry{id: id, dist: dist, prio: prio}, prio)
+		l.fr.Push(e, prio)
 		return
 	}
 	n := l.fr.Len()
-	l.fr.Push(entry{id: id, dist: dist, prio: prio}, prio)
+	l.fr.Push(e, prio)
 	if l.fr.Len() > n {
 		l.fs.Pushed()
 	}
@@ -605,9 +610,10 @@ func (l *loop) visitPage(id webgraph.PageID, dist int32, truncated, observe bool
 	if v.Status == 200 {
 		if dec.Follow {
 			visited, fresh := l.visited, l.fresh[:0]
+			mark := l.marks.intern(int32(dec.Dist), dec.Priority)
 			for _, t := range pg.Links {
 				if !visited.has(t) {
-					fresh = append(fresh, entry{id: t, dist: int32(dec.Dist), prio: dec.Priority})
+					fresh = append(fresh, entry{id: t, mark: mark})
 				}
 			}
 			l.fresh = fresh

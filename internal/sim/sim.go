@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/core"
@@ -196,15 +197,68 @@ func Run(space *webgraph.Space, cfg Config) (*Result, error) {
 	return result(res, l.drive(pace{conns: 1, done: unit}))
 }
 
-// entry is one frontier element: a page plus the crawl-path distance
-// state attached when it was enqueued.
+// entry is one frontier element: a page and the mark of the (dist,
+// prio) pair it was queued at — its crawl-path distance state and its
+// effective priority, which a checkpoint needs to snapshot the frontier
+// in re-pushable form. Every link a page pushes shares that page's
+// decision, so a run queues at only a handful of distinct pairs (at
+// most 9 for core's strategies on a 1 M-page ThaiLike space); the loop
+// interns them in its markTable and the entry carries the index, which
+// halves it from 16 bytes to 8. The queues, the event heap's jobs and
+// the upgrade queue's per-page array all hold entries.
 type entry struct {
 	id   webgraph.PageID
+	mark uint32 // index of the entry's pair in the run's markTable
+}
+
+// pair is one interned (dist, prio) pair, the priority kept as its
+// float64 bits: equal pairs are equal structs, and every priority comes
+// back bit for bit, -0 and NaN included. The priority is interned
+// rather than reduced to a bucket class because a heap orders on it and
+// a checkpoint stores it: DecayingBestFirst's priorities are continuous.
+type pair struct {
 	dist int32
-	// prio is the effective priority the entry was queued at, carried in
-	// the entry so a checkpoint can snapshot the frontier in re-pushable
-	// form.
-	prio float64
+	prio uint64 // math.Float64bits of the priority
+}
+
+// markTable interns a run's (dist, prio) pairs; a pair's mark is its
+// index in pairs. The first 16 live in the table itself, so a run that
+// needs no more allocates nothing for them; past those, pairs spills to
+// a slice. The scan in intern is linear in the pairs, which is cheap for
+// the few a strategy in core queues at, but would not be for one that
+// gave every page its own priority. pairs must start as inline[:0].
+type markTable struct {
+	pairs  []pair
+	inline [16]pair
+	last   uint32 // the mark intern returned last
+}
+
+// intern returns the mark of (dist, prio), adding the pair if it is new.
+// Consecutive calls mostly repeat a pair, so the last mark is checked
+// first, then the pairs in turn.
+func (t *markTable) intern(dist int32, prio float64) uint32 {
+	p := pair{dist, math.Float64bits(prio)}
+	if int(t.last) < len(t.pairs) && t.pairs[t.last] == p {
+		return t.last
+	}
+	for m, q := range t.pairs {
+		if q == p {
+			t.last = uint32(m)
+			return t.last
+		}
+	}
+	t.last = uint32(len(t.pairs))
+	t.pairs = append(t.pairs, p)
+	return t.last
+}
+
+// dist returns the distance state of mark m.
+func (t *markTable) dist(m uint32) int32 { return t.pairs[m].dist }
+
+// snapshot returns e as a checkpoint stores it.
+func (t *markTable) snapshot(e entry) checkpoint.Entry {
+	p := t.pairs[e.mark]
+	return checkpoint.Entry{ID: e.id, Dist: p.dist, Prio: math.Float64frombits(p.prio)}
 }
 
 // upgradeQueue is QueueUpgrade's frontier: an IndexedHeap of pages,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"langcrawl/internal/charset"
@@ -345,5 +346,37 @@ func TestContextLayersFullCoverageCompactEarlyQueue(t *testing.T) {
 	res := run(t, thaiSpace, core.ContextLayers{Layers: 4}, metaThai())
 	if res.FinalCoverage() < 99.9 {
 		t.Errorf("context-layers coverage = %.2f%%", res.FinalCoverage())
+	}
+}
+
+// TestMarkTable: interning gives each distinct (dist, prio) pair one
+// mark, before and after the table spills past its inline slots, and
+// every pair comes back bit for bit — -0 apart from 0, NaN included.
+func TestMarkTable(t *testing.T) {
+	var tab markTable
+	tab.pairs = tab.inline[:0]
+	prios := []float64{1, 0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), 0.3, 0.09, 1e-12}
+	marks := map[[2]uint64]uint32{}
+	for round := range 3 {
+		for dist := int32(0); dist < 5; dist++ {
+			for _, prio := range prios {
+				m := tab.intern(dist, prio)
+				key := [2]uint64{uint64(dist), math.Float64bits(prio)}
+				if want, ok := marks[key]; ok && m != want {
+					t.Fatalf("round %d: (%d, %v) interned as %d, earlier as %d", round, dist, prio, m, want)
+				}
+				marks[key] = m
+				e := tab.snapshot(entry{id: 7, mark: m})
+				if e.ID != 7 || e.Dist != dist || tab.dist(m) != dist || math.Float64bits(e.Prio) != math.Float64bits(prio) {
+					t.Fatalf("(%d, %v) came back as (%d, %v)", dist, prio, e.Dist, e.Prio)
+				}
+			}
+		}
+	}
+	if n := 5 * len(prios); len(tab.pairs) != n || len(marks) != n {
+		t.Fatalf("%d pairs interned, %d marks handed out, want %d", len(tab.pairs), len(marks), n)
+	}
+	if n := len(tab.pairs); n <= len(tab.inline) {
+		t.Fatalf("%d pairs never spilled past the table's %d inline slots", n, len(tab.inline))
 	}
 }
