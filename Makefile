@@ -151,6 +151,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/crawlog/
 	$(GO) test -fuzz=FuzzHost -fuzztime=30s ./internal/urlutil/
 	$(GO) test -fuzz=FuzzCrawlogRoundTrip -fuzztime=30s ./internal/crawlog/
+	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/crawlog/
 	$(GO) test -fuzz=FuzzFrontierOps -fuzztime=30s ./internal/frontier/
 	$(GO) test -fuzz=FuzzCheckpointRecover -fuzztime=30s ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzLeaseWireCodec -fuzztime=30s ./internal/dist/

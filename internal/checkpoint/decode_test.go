@@ -6,8 +6,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"langcrawl/internal/binfmt"
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/faults"
 )
@@ -21,37 +23,66 @@ func craft(payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-func TestDecodeMalformedPayloads(t *testing.T) {
-	u := func(vs ...uint64) []byte {
-		var b []byte
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
+// u appends each value as a uvarint.
+func u(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
 	}
-	// A minimal valid header: kind byte, empty strategy, five zero
-	// counters — the prefix every structural case below builds on.
-	head := append([]byte{0}, u(0, 0, 0, 0, 0, 0)...)
+	return b
+}
 
+// stateHead is a minimal valid header: kind byte, empty strategy, the six
+// zero counters Crawled through MaxQueue — the prefix every structural
+// case below builds on, ending right before the frontier count.
+func stateHead() []byte { return append([]byte{0}, u(0, 0, 0, 0, 0, 0, 0)...) }
+
+func TestDecodeMalformedPayloads(t *testing.T) {
 	cases := []struct {
 		name    string
 		payload []byte
+		want    error // the field-level failure under ErrCorruptState; nil for none
 	}{
-		{"empty payload", nil},
-		{"kind byte only", []byte{0}},
-		{"truncated varint", append([]byte{0}, 0x80)}, // continuation bit, no next byte
-		{"string length past end", append([]byte{0}, u(5, 'a', 'b')...)},
-		{"frontier count absurd", append(head, u(1<<30)...)},
-		{"frontier entry missing float", append(append(head, u(1)...), u(1, 'x', 7, 4)...)},
-		{"visited bits length past end", append(append(head, u(0, 0, 9)...), u(1<<20)...)},
-		{"trailing garbage after valid state", append(stripFrame(sampleState(5).Encode()), 0)},
+		{"empty payload", nil, nil}, // refused by the framing check
+		{"kind byte only", []byte{0}, binfmt.ErrTruncated},
+		{"truncated varint", append([]byte{0}, 0x80), binfmt.ErrTruncated}, // continuation bit, no next byte
+		{"string length past end", append([]byte{0}, u(5, 'a', 'b')...), binfmt.ErrCount},
+		{"frontier count absurd", append(stateHead(), u(1<<30)...), binfmt.ErrCount},
+		// A 9-byte URL brings the entry to the 12 bytes the frontier count
+		// asks of one entry, so the read fails at the priority itself.
+		{"frontier entry missing float", append(append(stateHead(), u(1, 9)...), "xxxxxxxxx\x07\x04"...), binfmt.ErrTruncated},
+		{"visited bits length past end", append(stateHead(), u(0, 0, 9, 1<<20)...), binfmt.ErrCount},
+		{"overlong counter", append([]byte{0, 0}, 0x80, 0x00), binfmt.ErrVarint},
+		{"bool byte 2", append(append(stateHead(), u(1, 0, 7, 4)...), 0, 0, 0, 0, 0, 0, 0, 0, 2), binfmt.ErrBool},
+		{"trailing garbage after valid state", append(stripFrame(sampleState(5).Encode()), 0), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := checkpoint.Decode(craft(tc.payload)); !errors.Is(err, checkpoint.ErrCorruptState) {
+			_, err := checkpoint.Decode(craft(tc.payload))
+			if !errors.Is(err, checkpoint.ErrCorruptState) {
 				t.Fatalf("Decode accepted malformed payload (err=%v)", err)
 			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Decode failed with %v, want %v", err, tc.want)
+			}
 		})
+	}
+}
+
+// TestDecodeBoundsAllocation: a 23-byte state with a valid CRC whose
+// frontier count claims 1<<20 entries is refused before the frontier is
+// sized from the claim.
+func TestDecodeBoundsAllocation(t *testing.T) {
+	enc := craft(append(stateHead(), u(1<<20)...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := checkpoint.Decode(enc)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("Decode of a %d-byte state allocated %d bytes", len(enc), n)
+	}
+	if !errors.Is(err, checkpoint.ErrCorruptState) {
+		t.Errorf("Decode accepted a frontier of 1<<20 entries in 3 bytes (err=%v)", err)
 	}
 }
 

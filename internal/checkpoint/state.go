@@ -3,9 +3,10 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
-	"math"
 
+	"langcrawl/internal/binfmt"
 	"langcrawl/internal/metrics"
 )
 
@@ -157,11 +158,12 @@ type Point struct {
 	X, Y float64
 }
 
-// Encode serializes s: magic, payload, CRC32 trailer.
+// Encode serializes s: magic, payload, CRC32 trailer. Fields use
+// binfmt's encoding.
 func (s *State) Encode() []byte {
 	b := append([]byte(nil), stateMagic...)
 	b = append(b, byte(s.Kind))
-	b = appendStr(b, s.Strategy)
+	b = binfmt.AppendString(b, s.Strategy)
 	b = binary.AppendUvarint(b, uint64(s.Crawled))
 	b = binary.AppendUvarint(b, uint64(s.Relevant))
 	b = binary.AppendUvarint(b, uint64(s.Dropped))
@@ -171,41 +173,41 @@ func (s *State) Encode() []byte {
 
 	b = binary.AppendUvarint(b, uint64(len(s.Frontier)))
 	for _, e := range s.Frontier {
-		b = appendStr(b, e.URL)
+		b = binfmt.AppendString(b, e.URL)
 		b = binary.AppendUvarint(b, uint64(e.ID))
-		b = binary.AppendUvarint(b, zigzag(e.Dist))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Prio))
-		b = append(b, boolByte(e.Revisit))
+		b = binary.AppendVarint(b, int64(e.Dist))
+		b = binfmt.AppendFloat64(b, e.Prio)
+		b = binfmt.AppendBool(b, e.Revisit)
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(s.VisitedURLs)))
 	for _, u := range s.VisitedURLs {
-		b = appendStr(b, u)
+		b = binfmt.AppendString(b, u)
 	}
 	b = binary.AppendUvarint(b, uint64(s.VisitedN))
-	b = appendBytes(b, s.VisitedBits)
+	b = binfmt.AppendBytes(b, s.VisitedBits)
 	// The slot a Bloom filter's bytes once filled stays in the format,
 	// written empty, so older state files still decode.
-	b = appendBytes(b, nil)
+	b = binfmt.AppendBytes(b, nil)
 
 	b = binary.AppendUvarint(b, uint64(len(s.Breakers)))
 	for _, br := range s.Breakers {
-		b = appendStr(b, br.Host)
-		b = append(b, br.State, boolByte(br.Probing))
+		b = binfmt.AppendString(b, br.Host)
+		b = binfmt.AppendBool(append(b, br.State), br.Probing)
 		b = binary.AppendUvarint(b, uint64(br.Failures))
 		b = binary.AppendUvarint(b, uint64(br.Successes))
 		b = binary.AppendUvarint(b, uint64(br.Trips))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(br.OpenedAt))
+		b = binfmt.AppendFloat64(b, br.OpenedAt)
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(s.HostUsage)))
 	for _, hu := range s.HostUsage {
-		b = appendStr(b, hu.Host)
+		b = binfmt.AppendString(b, hu.Host)
 		b = binary.AppendUvarint(b, uint64(hu.Pages))
 		b = binary.AppendUvarint(b, uint64(hu.URLs))
 		b = binary.AppendUvarint(b, uint64(hu.Bytes))
 		b = binary.AppendUvarint(b, uint64(hu.Traps))
-		b = append(b, boolByte(hu.Quarantined))
+		b = binfmt.AppendBool(b, hu.Quarantined)
 	}
 
 	f := s.Faults
@@ -217,7 +219,7 @@ func (s *State) Encode() []byte {
 	b = binary.AppendUvarint(b, uint64(s.DBPos))
 
 	b = binary.AppendUvarint(b, uint64(s.Pass))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.VTime))
+	b = binfmt.AppendFloat64(b, s.VTime)
 	fr := s.Fresh
 	for _, v := range []int{fr.Revisits, fr.Unchanged, fr.Changed, fr.Deleted, fr.Born, fr.CondHits} {
 		b = binary.AppendUvarint(b, uint64(v))
@@ -225,24 +227,24 @@ func (s *State) Encode() []byte {
 
 	b = binary.AppendUvarint(b, uint64(len(s.Revisit)))
 	for _, r := range s.Revisit {
-		b = appendStr(b, r.URL)
+		b = binfmt.AppendString(b, r.URL)
 		b = binary.AppendUvarint(b, uint64(r.ID))
-		b = binary.AppendUvarint(b, zigzag(r.Dist))
+		b = binary.AppendVarint(b, int64(r.Dist))
 		b = binary.AppendUvarint(b, uint64(r.Version))
 		b = binary.AppendUvarint(b, uint64(r.Visits))
 		b = binary.AppendUvarint(b, uint64(r.Changes))
 		b = binary.LittleEndian.AppendUint64(b, r.Hash)
-		b = appendStr(b, r.ETag)
-		b = appendStr(b, r.LastMod)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.LastVisit))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Due))
-		b = append(b, boolByte(r.Dead), boolByte(r.Held))
+		b = binfmt.AppendString(b, r.ETag)
+		b = binfmt.AppendString(b, r.LastMod)
+		b = binfmt.AppendFloat64(b, r.LastVisit)
+		b = binfmt.AppendFloat64(b, r.Due)
+		b = binfmt.AppendBool(binfmt.AppendBool(b, r.Dead), r.Held)
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(s.FreshCurve)))
 	for _, p := range s.FreshCurve {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y))
+		b = binfmt.AppendFloat64(b, p.X)
+		b = binfmt.AppendFloat64(b, p.Y)
 	}
 
 	crc := crc32.ChecksumIEEE(b[len(stateMagic):])
@@ -263,114 +265,77 @@ func Decode(b []byte) (*State, error) {
 	if crc32.ChecksumIEEE(payload) != want {
 		return nil, ErrCorruptState
 	}
-	d := &decoder{b: payload}
+	d := binfmt.NewReader(payload)
 	var s State
-	s.Kind = Kind(d.byte())
-	s.Strategy = d.str()
-	s.Crawled = d.int()
-	s.Relevant = d.int()
-	s.Dropped = d.int()
-	s.Errors = d.int()
-	s.RobotsBlocked = d.int()
-	s.MaxQueue = d.int()
+	s.Kind = Kind(d.Byte())
+	s.Strategy = d.Str()
+	s.Crawled = int(d.Uvarint())
+	s.Relevant = int(d.Uvarint())
+	s.Dropped = int(d.Uvarint())
+	s.Errors = int(d.Uvarint())
+	s.RobotsBlocked = int(d.Uvarint())
+	s.MaxQueue = int(d.Uvarint())
 
-	nf := d.count(1 << 26)
-	s.Frontier = make([]Entry, 0, min(nf, 1<<20))
-	for i := 0; i < nf && d.err == nil; i++ {
-		var e Entry
-		e.URL = d.str()
-		e.ID = uint32(d.uint())
-		e.Dist = unzigzag(d.uint())
-		e.Prio = d.float()
-		e.Revisit = d.byte() != 0
-		s.Frontier = append(s.Frontier, e)
-	}
+	// Each list's minimum element size is the sum of its fields'
+	// smallest encodings: 1 byte per varint, string, bool or byte, 8 per
+	// float64 or hash. Each composite literal lists its fields in wire
+	// order, and Go evaluates the reads left to right.
+	s.Frontier = binfmt.List(d, 12, func(d *binfmt.Reader) Entry {
+		return Entry{URL: d.Str(), ID: uint32(d.Uvarint()), Dist: int32(d.Varint()), Prio: d.Float64(), Revisit: d.Bool()}
+	})
 
-	nv := d.count(1 << 26)
-	s.VisitedURLs = make([]string, 0, min(nv, 1<<20))
-	for i := 0; i < nv && d.err == nil; i++ {
-		s.VisitedURLs = append(s.VisitedURLs, d.str())
-	}
-	s.VisitedN = d.int()
-	s.VisitedBits = d.bytes()
-	d.bytes() // the retired Bloom slot
+	s.VisitedURLs = binfmt.List(d, 1, (*binfmt.Reader).Str)
+	s.VisitedN = int(d.Uvarint())
+	s.VisitedBits = d.Bytes()
+	d.Bytes() // the retired Bloom slot
 
-	nb := d.count(1 << 26)
-	s.Breakers = make([]Breaker, 0, min(nb, 1<<20))
-	for i := 0; i < nb && d.err == nil; i++ {
-		var br Breaker
-		br.Host = d.str()
-		br.State = d.byte()
-		br.Probing = d.byte() != 0
-		br.Failures = int32(d.uint())
-		br.Successes = int32(d.uint())
-		br.Trips = int32(d.uint())
-		br.OpenedAt = d.float()
-		s.Breakers = append(s.Breakers, br)
-	}
+	s.Breakers = binfmt.List(d, 14, func(d *binfmt.Reader) Breaker {
+		return Breaker{
+			Host: d.Str(), State: d.Byte(), Probing: d.Bool(),
+			Failures: int32(d.Uvarint()), Successes: int32(d.Uvarint()), Trips: int32(d.Uvarint()),
+			OpenedAt: d.Float64(),
+		}
+	})
 
-	nu := d.count(1 << 26)
-	s.HostUsage = make([]HostUsage, 0, min(nu, 1<<20))
-	for i := 0; i < nu && d.err == nil; i++ {
-		var hu HostUsage
-		hu.Host = d.str()
-		hu.Pages = d.int()
-		hu.URLs = d.int()
-		hu.Bytes = int64(d.uint())
-		hu.Traps = d.int()
-		hu.Quarantined = d.byte() != 0
-		s.HostUsage = append(s.HostUsage, hu)
-	}
+	s.HostUsage = binfmt.List(d, 6, func(d *binfmt.Reader) HostUsage {
+		return HostUsage{
+			Host: d.Str(), Pages: int(d.Uvarint()), URLs: int(d.Uvarint()),
+			Bytes: int64(d.Uvarint()), Traps: int(d.Uvarint()), Quarantined: d.Bool(),
+		}
+	})
 
 	f := &s.Faults
 	for _, p := range []*int{&f.Attempts, &f.Retries, &f.Failures, &f.Truncated, &f.BreakerTrips, &f.BreakerSkips, &f.WastedFetches} {
-		*p = d.int()
+		*p = int(d.Uvarint())
 	}
-	s.LogPos = int64(d.uint())
-	s.DBPos = int64(d.uint())
+	s.LogPos = int64(d.Uvarint())
+	s.DBPos = int64(d.Uvarint())
 
-	s.Pass = d.int()
-	s.VTime = d.float()
+	s.Pass = int(d.Uvarint())
+	s.VTime = d.Float64()
 	fr := &s.Fresh
 	for _, p := range []*int{&fr.Revisits, &fr.Unchanged, &fr.Changed, &fr.Deleted, &fr.Born, &fr.CondHits} {
-		*p = d.int()
+		*p = int(d.Uvarint())
 	}
 
-	nr := d.count(1 << 26)
-	if nr > 0 {
-		s.Revisit = make([]RevisitRec, 0, min(nr, 1<<20))
-	}
-	for i := 0; i < nr && d.err == nil; i++ {
-		var r RevisitRec
-		r.URL = d.str()
-		r.ID = uint32(d.uint())
-		r.Dist = unzigzag(d.uint())
-		r.Version = uint32(d.uint())
-		r.Visits = uint32(d.uint())
-		r.Changes = uint32(d.uint())
-		r.Hash = d.fixed64()
-		r.ETag = d.str()
-		r.LastMod = d.str()
-		r.LastVisit = d.float()
-		r.Due = d.float()
-		r.Dead = d.byte() != 0
-		r.Held = d.byte() != 0
-		s.Revisit = append(s.Revisit, r)
-	}
+	s.Revisit = binfmt.List(d, 34, func(d *binfmt.Reader) RevisitRec {
+		return RevisitRec{
+			URL: d.Str(), ID: uint32(d.Uvarint()), Dist: int32(d.Varint()),
+			Version: uint32(d.Uvarint()), Visits: uint32(d.Uvarint()), Changes: uint32(d.Uvarint()),
+			Hash: d.Fixed64(), ETag: d.Str(), LastMod: d.Str(),
+			LastVisit: d.Float64(), Due: d.Float64(), Dead: d.Bool(), Held: d.Bool(),
+		}
+	})
 
-	nc := d.count(1 << 26)
-	if nc > 0 {
-		s.FreshCurve = make([]Point, 0, min(nc, 1<<20))
-	}
-	for i := 0; i < nc && d.err == nil; i++ {
-		var p Point
-		p.X = d.float()
-		p.Y = d.float()
-		s.FreshCurve = append(s.FreshCurve, p)
-	}
+	s.FreshCurve = binfmt.List(d, 16, func(d *binfmt.Reader) Point {
+		return Point{X: d.Float64(), Y: d.Float64()}
+	})
 
-	if d.err != nil || len(d.b) != 0 {
-		return nil, ErrCorruptState
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptState, d.Err())
+	}
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptState, d.Len())
 	}
 	return &s, nil
 }
@@ -382,117 +347,3 @@ func CRC(encoded []byte) uint32 {
 	}
 	return binary.LittleEndian.Uint32(encoded[len(encoded)-4:])
 }
-
-// decoder is a cursor over the payload with a sticky error, so field
-// reads chain without per-call checks; any malformation surfaces as
-// ErrCorruptState from Decode.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrCorruptState
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) uint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) int() int { return int(d.uint()) }
-
-// count reads a collection length, rejecting absurd values so corrupt
-// lengths can't drive huge allocations.
-func (d *decoder) count(maxN int) int {
-	v := d.uint()
-	if v > uint64(maxN) {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) str() string {
-	n := d.count(1 << 20)
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.count(1 << 28)
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	v := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) fixed64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) float() float64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, v []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// zigzag maps signed to unsigned so small negatives stay small varints.
-func zigzag(v int32) uint64 { return uint64(uint32(v<<1) ^ uint32(v>>31)) }
-
-func unzigzag(u uint64) int32 { return int32(uint32(u)>>1) ^ -int32(uint32(u)&1) }

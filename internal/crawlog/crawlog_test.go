@@ -2,8 +2,10 @@ package crawlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -104,12 +106,39 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{0xFF},
 		{0x05, 'a', 'b'},                 // truncated string
 		EncodeRecord(sampleRecord())[:5], // truncated record
-		append(EncodeRecord(sampleRecord()), 0x00), // trailing bytes
+		append(EncodeRecord(sampleRecord()), 0x00),                          // trailing bytes
+		{0, '0', '0', '0', 0xFF, 0x00, 0x00},                                // overlong size varint
+		append(binary.AppendUvarint([]byte{0, 0xC8, 0x01, 0, 0}, 1<<32), 0), // size past uint32
 	} {
 		if _, err := DecodeRecord(b); err == nil {
 			t.Errorf("DecodeRecord(% X) accepted garbage", b)
 		}
 	}
+}
+
+// TestDecodeRecordBoundsAllocation: a record whose link count claims
+// more links than its bytes can hold is refused before the link slice is
+// sized from the claim.
+func TestDecodeRecordBoundsAllocation(t *testing.T) {
+	// Empty URL, status 200, two charset bytes, size 0, 1<<20 links: 9 bytes.
+	b := binary.AppendUvarint([]byte{0, 0xC8, 0x01, 0, 0, 0}, 1<<20)
+	var err error
+	if n := bytesAllocated(func() { _, err = DecodeRecord(b) }); n >= 64<<10 {
+		t.Errorf("DecodeRecord of a %d-byte record allocated %d bytes", len(b), n)
+	}
+	if err == nil {
+		t.Error("DecodeRecord accepted 1<<20 links in 3 bytes")
+	}
+}
+
+// bytesAllocated returns the bytes f allocates, read from the
+// runtime.MemStats TotalAlloc delta.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // Property: the record codec round-trips arbitrary field values.

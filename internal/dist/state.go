@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"langcrawl/internal/binfmt"
 	"langcrawl/internal/checkpoint"
 )
 
@@ -37,41 +38,34 @@ const (
 
 // encodeState serializes the coordinator under c.mu.
 func (c *Coordinator) encodeState() []byte {
-	w := &wbuf{}
-	w.raw([]byte(stateMagic))
-	w.u64(stateVersion)
-	w.u64(uint64(len(c.pts)))
-	w.u64(c.next)
-	w.u64(uint64(c.ack))
+	b := append([]byte(nil), stateMagic...)
+	b = binary.AppendUvarint(b, stateVersion)
+	b = binary.AppendUvarint(b, uint64(len(c.pts)))
+	b = binary.AppendUvarint(b, c.next)
+	b = binary.AppendUvarint(b, uint64(c.ack))
 	for i := range c.pts {
 		pt := &c.pts[i]
-		w.u64(pt.epoch)
-		w.str(pt.lastOwner)
+		b = binary.AppendUvarint(b, pt.epoch)
+		b = binfmt.AppendString(b, pt.lastOwner)
 		n := len(pt.pending)
-		for _, b := range pt.inflight {
-			n += len(b.Links)
+		for _, bt := range pt.inflight {
+			n += len(bt.Links)
 		}
-		w.u64(uint64(n))
+		b = binary.AppendUvarint(b, uint64(n))
 		// Inflight first, in batch-ID order — the same front-of-queue
 		// position expiry gives redelivered work.
-		for _, b := range inflightByID(pt.inflight) {
-			for _, l := range b.Links {
-				w.link(l)
+		for _, bt := range inflightByID(pt.inflight) {
+			for _, l := range bt.Links {
+				b = appendLink(b, l)
 			}
 		}
 		for _, l := range pt.pending {
-			w.link(l)
+			b = appendLink(b, l)
 		}
 	}
-	urls := c.seen.URLs()
-	w.u64(uint64(len(urls)))
-	for _, u := range urls {
-		w.str(u)
-	}
-	w.u64(0) // the retired Bloom slot, kept empty so older snapshots still restore
-	sum := crc32.ChecksumIEEE(w.b)
-	w.b = binary.LittleEndian.AppendUint32(w.b, sum)
-	return w.b
+	b = binfmt.AppendList(b, c.seen.URLs(), binfmt.AppendString)
+	b = binfmt.AppendBytes(b, nil) // the retired Bloom slot, kept empty so older snapshots still restore
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // snapshotLocked writes the current state to CheckpointPath.
@@ -100,37 +94,27 @@ func (c *Coordinator) restore() error {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return fmt.Errorf("dist: snapshot %s: CRC mismatch", c.opt.CheckpointPath)
 	}
-	r := &rbuf{b: body[len(stateMagic):]}
-	if v := r.u64(); r.err == nil && v != stateVersion {
+	r := binfmt.NewReader(body[len(stateMagic):])
+	if v := r.Uvarint(); r.Err() == nil && v != stateVersion {
 		return fmt.Errorf("dist: snapshot %s: unsupported version %d", c.opt.CheckpointPath, v)
 	}
-	nparts := r.count(r.u64(), 1)
-	next := r.u64()
-	acked := r.u64()
+	nparts := r.Count(r.Uvarint(), 1)
+	next := r.Uvarint()
+	acked := r.Uvarint()
 	pts := make([]partition, nparts)
 	for i := range pts {
 		pts[i].inflight = make(map[uint64]*Batch)
-		pts[i].epoch = r.u64()
-		pts[i].lastOwner = r.str()
-		n := r.count(r.u64(), minLinkBytes)
-		if n > 0 {
-			pts[i].pending = make([]Link, n)
-			for j := range pts[i].pending {
-				pts[i].pending[j] = r.link()
-			}
-		}
+		pts[i].epoch = r.Uvarint()
+		pts[i].lastOwner = r.Str()
+		pts[i].pending = readLinks(r)
 	}
-	nurls := r.count(r.u64(), 1)
-	urls := make([]string, nurls)
-	for i := range urls {
-		urls[i] = r.str()
+	urls := binfmt.List(r, 1, (*binfmt.Reader).Str)
+	r.Bytes() // the retired Bloom slot
+	if r.Err() != nil {
+		return fmt.Errorf("dist: snapshot %s: %v", c.opt.CheckpointPath, r.Err())
 	}
-	r.off += r.count(r.u64(), 1) // skip the retired Bloom slot
-	if r.err != nil {
-		return fmt.Errorf("dist: snapshot %s: %v", c.opt.CheckpointPath, r.err)
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("dist: snapshot %s: %d trailing bytes", c.opt.CheckpointPath, len(r.b)-r.off)
+	if r.Len() != 0 {
+		return fmt.Errorf("dist: snapshot %s: %d trailing bytes", c.opt.CheckpointPath, r.Len())
 	}
 	for i := range pts {
 		pts[i].epoch += restartEpochJump

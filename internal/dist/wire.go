@@ -5,17 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
+
+	"langcrawl/internal/binfmt"
 )
 
 // Wire codec for the coordinator↔worker protocol. Every message is one
-// self-contained frame — magic, kind byte, varint-encoded fields, and a
-// CRC32 trailer over everything before it — carried as the body of an
-// HTTP POST (see server.go/client.go). The format mirrors the
-// checkpoint state codec's conventions: uvarints for counts and
+// self-contained frame — magic, kind byte, fields, and a CRC32 trailer
+// over everything before it — carried as the body of an HTTP POST (see
+// server.go/client.go). Fields use binfmt's encoding, the one the
+// checkpoint state file and crawl log use too: uvarints for counts and
 // unsigned fields, zigzag varints for signed ones, fixed 8-byte IEEE
-// bits for float64, length-prefixed strings, and a sticky-error reader
-// whose allocation guards are fuzzed by FuzzLeaseWireCodec.
+// bits for float64, length-prefixed strings, read through binfmt's
+// bounded cursor, which FuzzLeaseWireCodec fuzzes.
 
 const (
 	wireMagic = "LCW1"
@@ -45,8 +46,8 @@ const (
 // Message is one coordinator↔worker protocol message.
 type Message interface {
 	kind() msgKind
-	enc(*wbuf)
-	dec(*rbuf)
+	enc([]byte) []byte
+	dec(*binfmt.Reader)
 }
 
 // Lease identifies one partition lease epoch. The epoch is the fencing
@@ -137,13 +138,9 @@ type HeartbeatResp struct {
 
 // Marshal frames m for the wire.
 func Marshal(m Message) []byte {
-	w := &wbuf{}
-	w.raw([]byte(wireMagic))
-	w.raw([]byte{byte(m.kind())})
-	m.enc(w)
-	sum := crc32.ChecksumIEEE(w.b)
-	w.b = binary.LittleEndian.AppendUint32(w.b, sum)
-	return w.b
+	b := append([]byte(wireMagic), byte(m.kind()))
+	b = m.enc(b)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // Unmarshal decodes one frame, verifying magic, kind, CRC, and that the
@@ -187,326 +184,165 @@ func Unmarshal(data []byte) (Message, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrWire, data[len(wireMagic)])
 	}
-	r := &rbuf{b: body[len(wireMagic)+1:]}
+	r := binfmt.NewReader(body[len(wireMagic)+1:])
 	m.dec(r)
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrWire, r.err)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("%w: %w", ErrWire, r.Err())
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrWire, len(r.b)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrWire, r.Len())
 	}
 	return m, nil
 }
 
-// wbuf is the append-only encoder.
-type wbuf struct{ b []byte }
-
-func (w *wbuf) raw(p []byte)  { w.b = append(w.b, p...) }
-func (w *wbuf) u64(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) i64(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) f64(v float64) { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v)) }
-func (w *wbuf) boolean(v bool) {
-	if v {
-		w.raw([]byte{1})
-	} else {
-		w.raw([]byte{0})
-	}
-}
-func (w *wbuf) str(s string) {
-	w.u64(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *wbuf) link(l Link) {
-	w.str(l.URL)
-	w.i64(int64(l.Dist))
-	w.f64(l.Prio)
-}
-func (w *wbuf) links(ls []Link) {
-	w.u64(uint64(len(ls)))
-	for _, l := range ls {
-		w.link(l)
-	}
-}
-func (w *wbuf) lease(l Lease) {
-	w.i64(int64(l.Partition))
-	w.u64(l.Epoch)
-}
-func (w *wbuf) leases(ls []Lease) {
-	w.u64(uint64(len(ls)))
-	for _, l := range ls {
-		w.lease(l)
-	}
-}
-func (w *wbuf) ints(vs []int) {
-	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.i64(int64(v))
-	}
+func appendLink(b []byte, l Link) []byte {
+	b = binfmt.AppendString(b, l.URL)
+	b = binary.AppendVarint(b, int64(l.Dist))
+	return binfmt.AppendFloat64(b, l.Prio)
 }
 
-// rbuf is the sticky-error decoder: the first failure poisons every
-// later read, so message dec methods read unconditionally and check err
-// once at the end (Unmarshal does).
-type rbuf struct {
-	b   []byte
-	off int
-	err error
+func appendLease(b []byte, l Lease) []byte {
+	b = binary.AppendVarint(b, int64(l.Partition))
+	return binary.AppendUvarint(b, l.Epoch)
 }
 
-func (r *rbuf) fail(msg string) {
-	if r.err == nil {
-		r.err = errors.New(msg)
-	}
-}
-
-func (r *rbuf) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *rbuf) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *rbuf) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail("truncated float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *rbuf) boolean() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.b) {
-		r.fail("truncated bool")
-		return false
-	}
-	v := r.b[r.off]
-	r.off++
-	if v > 1 {
-		r.fail("bad bool")
-		return false
-	}
-	return v == 1
-}
-
-func (r *rbuf) str() string {
-	n := r.u64()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("string length exceeds payload")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// count validates a decoded element count against the bytes actually
-// remaining — the allocation guard that keeps a hostile length prefix
-// from reserving gigabytes. minBytes is the smallest possible encoded
-// element.
-func (r *rbuf) count(n uint64, minBytes int) int {
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64((len(r.b)-r.off)/minBytes) {
-		r.fail("element count exceeds payload")
-		return 0
-	}
-	return int(n)
-}
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
 
 // minLinkBytes is the smallest encoded Link: empty URL (1 byte length),
 // 1-byte dist varint, 8-byte priority.
 const minLinkBytes = 10
 
-func (r *rbuf) link() Link {
-	return Link{URL: r.str(), Dist: int32(r.i64()), Prio: r.f64()}
+func readLink(r *binfmt.Reader) Link {
+	return Link{URL: r.Str(), Dist: int32(r.Varint()), Prio: r.Float64()}
 }
 
-func (r *rbuf) links() []Link {
-	n := r.count(r.u64(), minLinkBytes)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Link, n)
-	for i := range out {
-		out[i] = r.link()
-	}
-	return out
+func readLinks(r *binfmt.Reader) []Link { return binfmt.List(r, minLinkBytes, readLink) }
+
+func readLeases(r *binfmt.Reader) []Lease {
+	return binfmt.List(r, 2, func(r *binfmt.Reader) Lease {
+		return Lease{Partition: int(r.Varint()), Epoch: r.Uvarint()}
+	})
 }
 
-func (r *rbuf) lease() Lease {
-	return Lease{Partition: int(r.i64()), Epoch: r.u64()}
+func readInts(r *binfmt.Reader) []int {
+	return binfmt.List(r, 1, func(r *binfmt.Reader) int { return int(r.Varint()) })
 }
 
-func (r *rbuf) leases() []Lease {
-	n := r.count(r.u64(), 2)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Lease, n)
-	for i := range out {
-		out[i] = r.lease()
-	}
-	return out
-}
-
-func (r *rbuf) ints() []int {
-	n := r.count(r.u64(), 1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.i64())
-	}
-	return out
-}
-
-func (m *RegisterReq) kind() msgKind { return kindRegisterReq }
-func (m *RegisterReq) enc(w *wbuf)   { w.str(m.Worker) }
-func (m *RegisterReq) dec(r *rbuf)   { m.Worker = r.str() }
+func (m *RegisterReq) kind() msgKind        { return kindRegisterReq }
+func (m *RegisterReq) enc(b []byte) []byte  { return binfmt.AppendString(b, m.Worker) }
+func (m *RegisterReq) dec(r *binfmt.Reader) { m.Worker = r.Str() }
 
 func (m *RegisterResp) kind() msgKind { return kindRegisterResp }
-func (m *RegisterResp) enc(w *wbuf) {
-	w.i64(int64(m.Partitions))
-	w.i64(m.TTLMillis)
-	w.i64(int64(m.MaxBatch))
+func (m *RegisterResp) enc(b []byte) []byte {
+	b = appendInt(b, m.Partitions)
+	b = binary.AppendVarint(b, m.TTLMillis)
+	return appendInt(b, m.MaxBatch)
 }
-func (m *RegisterResp) dec(r *rbuf) {
-	m.Partitions = int(r.i64())
-	m.TTLMillis = r.i64()
-	m.MaxBatch = int(r.i64())
+func (m *RegisterResp) dec(r *binfmt.Reader) {
+	m.Partitions = int(r.Varint())
+	m.TTLMillis = r.Varint()
+	m.MaxBatch = int(r.Varint())
 }
 
 func (m *PullReq) kind() msgKind { return kindPullReq }
-func (m *PullReq) enc(w *wbuf) {
-	w.str(m.Worker)
-	w.i64(int64(m.Max))
+func (m *PullReq) enc(b []byte) []byte {
+	b = binfmt.AppendString(b, m.Worker)
+	return appendInt(b, m.Max)
 }
-func (m *PullReq) dec(r *rbuf) {
-	m.Worker = r.str()
-	m.Max = int(r.i64())
+func (m *PullReq) dec(r *binfmt.Reader) {
+	m.Worker = r.Str()
+	m.Max = int(r.Varint())
 }
 
 func (m *PullResp) kind() msgKind { return kindPullResp }
-func (m *PullResp) enc(w *wbuf) {
-	w.leases(m.Leases)
-	w.boolean(m.Batch != nil)
+func (m *PullResp) enc(b []byte) []byte {
+	b = binfmt.AppendList(b, m.Leases, appendLease)
+	b = binfmt.AppendBool(b, m.Batch != nil)
 	if m.Batch != nil {
-		w.u64(m.Batch.ID)
-		w.i64(int64(m.Batch.Partition))
-		w.u64(m.Batch.Epoch)
-		w.links(m.Batch.Links)
+		b = binary.AppendUvarint(b, m.Batch.ID)
+		b = appendInt(b, m.Batch.Partition)
+		b = binary.AppendUvarint(b, m.Batch.Epoch)
+		b = binfmt.AppendList(b, m.Batch.Links, appendLink)
 	}
-	w.boolean(m.Done)
+	return binfmt.AppendBool(b, m.Done)
 }
-func (m *PullResp) dec(r *rbuf) {
-	m.Leases = r.leases()
-	if r.boolean() {
+func (m *PullResp) dec(r *binfmt.Reader) {
+	m.Leases = readLeases(r)
+	if r.Bool() {
 		m.Batch = &Batch{
-			ID:        r.u64(),
-			Partition: int(r.i64()),
-			Epoch:     r.u64(),
-			Links:     r.links(),
+			ID:        r.Uvarint(),
+			Partition: int(r.Varint()),
+			Epoch:     r.Uvarint(),
+			Links:     readLinks(r),
 		}
 	} else {
 		m.Batch = nil
 	}
-	m.Done = r.boolean()
+	m.Done = r.Bool()
 }
 
 func (m *ForwardReq) kind() msgKind { return kindForwardReq }
-func (m *ForwardReq) enc(w *wbuf) {
-	w.str(m.Worker)
-	w.links(m.Links)
+func (m *ForwardReq) enc(b []byte) []byte {
+	b = binfmt.AppendString(b, m.Worker)
+	return binfmt.AppendList(b, m.Links, appendLink)
 }
-func (m *ForwardReq) dec(r *rbuf) {
-	m.Worker = r.str()
-	m.Links = r.links()
+func (m *ForwardReq) dec(r *binfmt.Reader) {
+	m.Worker = r.Str()
+	m.Links = readLinks(r)
 }
 
 func (m *ForwardResp) kind() msgKind { return kindForwardResp }
-func (m *ForwardResp) enc(w *wbuf) {
-	w.i64(int64(m.Accepted))
-	w.i64(int64(m.Duplicates))
+func (m *ForwardResp) enc(b []byte) []byte {
+	b = appendInt(b, m.Accepted)
+	return appendInt(b, m.Duplicates)
 }
-func (m *ForwardResp) dec(r *rbuf) {
-	m.Accepted = int(r.i64())
-	m.Duplicates = int(r.i64())
+func (m *ForwardResp) dec(r *binfmt.Reader) {
+	m.Accepted = int(r.Varint())
+	m.Duplicates = int(r.Varint())
 }
 
 func (m *AckReq) kind() msgKind { return kindAckReq }
-func (m *AckReq) enc(w *wbuf) {
-	w.str(m.Worker)
-	w.i64(int64(m.Partition))
-	w.u64(m.Epoch)
-	w.u64(m.BatchID)
+func (m *AckReq) enc(b []byte) []byte {
+	b = binfmt.AppendString(b, m.Worker)
+	b = appendInt(b, m.Partition)
+	b = binary.AppendUvarint(b, m.Epoch)
+	return binary.AppendUvarint(b, m.BatchID)
 }
-func (m *AckReq) dec(r *rbuf) {
-	m.Worker = r.str()
-	m.Partition = int(r.i64())
-	m.Epoch = r.u64()
-	m.BatchID = r.u64()
+func (m *AckReq) dec(r *binfmt.Reader) {
+	m.Worker = r.Str()
+	m.Partition = int(r.Varint())
+	m.Epoch = r.Uvarint()
+	m.BatchID = r.Uvarint()
 }
 
 func (m *AckResp) kind() msgKind { return kindAckResp }
-func (m *AckResp) enc(w *wbuf) {
-	w.boolean(m.OK)
-	w.boolean(m.Stale)
+func (m *AckResp) enc(b []byte) []byte {
+	b = binfmt.AppendBool(b, m.OK)
+	return binfmt.AppendBool(b, m.Stale)
 }
-func (m *AckResp) dec(r *rbuf) {
-	m.OK = r.boolean()
-	m.Stale = r.boolean()
+func (m *AckResp) dec(r *binfmt.Reader) {
+	m.OK = r.Bool()
+	m.Stale = r.Bool()
 }
 
 func (m *HeartbeatReq) kind() msgKind { return kindHeartbeatReq }
-func (m *HeartbeatReq) enc(w *wbuf) {
-	w.str(m.Worker)
-	w.leases(m.Leases)
+func (m *HeartbeatReq) enc(b []byte) []byte {
+	b = binfmt.AppendString(b, m.Worker)
+	return binfmt.AppendList(b, m.Leases, appendLease)
 }
-func (m *HeartbeatReq) dec(r *rbuf) {
-	m.Worker = r.str()
-	m.Leases = r.leases()
+func (m *HeartbeatReq) dec(r *binfmt.Reader) {
+	m.Worker = r.Str()
+	m.Leases = readLeases(r)
 }
 
 func (m *HeartbeatResp) kind() msgKind { return kindHeartbeatResp }
-func (m *HeartbeatResp) enc(w *wbuf) {
-	w.ints(m.Renewed)
-	w.ints(m.Lost)
-	w.boolean(m.Done)
+func (m *HeartbeatResp) enc(b []byte) []byte {
+	b = binfmt.AppendList(b, m.Renewed, appendInt)
+	b = binfmt.AppendList(b, m.Lost, appendInt)
+	return binfmt.AppendBool(b, m.Done)
 }
-func (m *HeartbeatResp) dec(r *rbuf) {
-	m.Renewed = r.ints()
-	m.Lost = r.ints()
-	m.Done = r.boolean()
+func (m *HeartbeatResp) dec(r *binfmt.Reader) {
+	m.Renewed = readInts(r)
+	m.Lost = readInts(r)
+	m.Done = r.Bool()
 }

@@ -27,6 +27,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"langcrawl/internal/binfmt"
 )
 
 const header = "LCKV1\n"
@@ -114,13 +116,12 @@ func (s *Store) recover() error {
 	}
 	off := int64(len(magic))
 	for {
-		rec, key, vlen, n, err := readRecord(r)
+		key, vlen, n, err := readRecord(r, info.Size()-off)
 		if err != nil {
 			// Any read error — EOF, short record, CRC mismatch — ends the
 			// valid prefix.
 			break
 		}
-		_ = rec
 		if prev, ok := s.index[key]; ok {
 			s.dead += prev.size
 		}
@@ -144,66 +145,44 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// readRecord reads one record from r, returning the raw value bytes, the
-// key, the value length (-1 for tombstones) and the record's on-disk
-// size. Any malformation is an error.
-func readRecord(r *bufio.Reader) (val []byte, key string, vlen, size int, err error) {
-	var crcBuf [4]byte
-	if _, err = io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, "", 0, 0, err
+// readRecord reads one record from r, which holds left more bytes,
+// returning the key, the value length (-1 for tombstones) and the
+// record's on-disk size. Any malformation is an error, and a header
+// whose lengths run past the bytes left is one before anything is
+// allocated for them.
+func readRecord(r *bufio.Reader, left int64) (key string, vlen, size int, err error) {
+	head, _ := r.Peek(4 + 2*binary.MaxVarintLen64)
+	if len(head) == 0 {
+		return "", 0, 0, io.EOF
 	}
-	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-
-	klen, kn, err := readUvarint(r)
-	if err != nil {
-		return nil, "", 0, 0, err
+	if len(head) < 4 {
+		return "", 0, 0, io.ErrUnexpectedEOF
 	}
-	vfield, vn, err := readUvarint(r)
-	if err != nil {
-		return nil, "", 0, 0, err
+	h := binfmt.NewReader(head[4:])
+	klen, vfield := h.Uvarint(), h.Uvarint()
+	if h.Err() != nil {
+		return "", 0, 0, fmt.Errorf("kvstore: record header: %w", h.Err())
 	}
-	if klen > 1<<20 || vfield > 1<<28 {
-		return nil, "", 0, 0, errors.New("kvstore: implausible record header")
+	hn := h.Offset()
+	// The peeked header lies within the left bytes, so rest cannot wrap.
+	rest := uint64(left) - uint64(4+hn)
+	if klen > 1<<20 || vfield > 1<<28 || klen+max(vfield, 1)-1 > rest {
+		return "", 0, 0, errors.New("kvstore: implausible record header")
 	}
 	vlen = int(vfield) - 1 // 0 means tombstone
+	wantCRC := binary.LittleEndian.Uint32(head)
+	crc := crc32.ChecksumIEEE(head[4 : 4+hn])
+	if _, err = r.Discard(4 + hn); err != nil {
+		return "", 0, 0, err
+	}
 	body := make([]byte, int(klen)+max(vlen, 0))
 	if _, err = io.ReadFull(r, body); err != nil {
-		return nil, "", 0, 0, err
+		return "", 0, 0, err
 	}
-	crc := crc32.NewIEEE()
-	var hdr [2 * binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], klen)
-	hn += binary.PutUvarint(hdr[hn:], vfield)
-	crc.Write(hdr[:hn])
-	crc.Write(body)
-	if crc.Sum32() != wantCRC {
-		return nil, "", 0, 0, errors.New("kvstore: crc mismatch")
+	if crc32.Update(crc, crc32.IEEETable, body) != wantCRC {
+		return "", 0, 0, errors.New("kvstore: crc mismatch")
 	}
-	key = string(body[:klen])
-	if vlen >= 0 {
-		val = body[klen:]
-	}
-	size = 4 + kn + vn + len(body)
-	return val, key, vlen, size, nil
-}
-
-// readUvarint reads a uvarint from r, returning the value and the byte
-// count consumed.
-func readUvarint(r *bufio.Reader) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, 0, err
-		}
-		if b < 0x80 {
-			return x | uint64(b)<<s, i + 1, nil
-		}
-		x |= uint64(b&0x7F) << s
-		s += 7
-	}
-	return 0, 0, errors.New("kvstore: varint overflow")
+	return string(body[:klen]), vlen, 4 + hn + len(body), nil
 }
 
 // appendRecord writes one record through the buffered writer and returns
@@ -477,7 +456,7 @@ func (s *Store) Offset() int64 {
 func ScanTail(data []byte) (records, validBytes int) {
 	r := bufio.NewReader(bytes.NewReader(data))
 	for {
-		_, _, _, n, err := readRecord(r)
+		_, _, n, err := readRecord(r, int64(len(data)-validBytes))
 		if err != nil {
 			return records, validBytes
 		}

@@ -2,9 +2,11 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +163,49 @@ func TestTornTailRecovery(t *testing.T) {
 	if s3.Len() != 3 {
 		t.Errorf("Len after second reopen = %d, want 3", s3.Len())
 	}
+}
+
+// TestHeaderPastEndBoundsAllocation: a torn tail whose record header
+// claims a 256 MiB value in a 10-byte file tail (CRC 0, key length 0,
+// value field 1<<28) is refused before the body is sized from the claim,
+// both by ScanTail and by the recovery scan Open runs.
+func TestHeaderPastEndBoundsAllocation(t *testing.T) {
+	tail := binary.AppendUvarint([]byte{0, 0, 0, 0, 0}, 1<<28)
+	var records, valid int
+	if n := bytesAllocated(func() { records, valid = ScanTail(tail) }); n >= 64<<10 {
+		t.Errorf("ScanTail of a %d-byte tail allocated %d bytes", len(tail), n)
+	}
+	if records != 0 || valid != 0 {
+		t.Errorf("ScanTail = %d records, %d bytes; want none", records, valid)
+	}
+
+	path := filepath.Join(t.TempDir(), "s.kv")
+	if err := os.WriteFile(path, append([]byte(header), tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var s *Store
+	var err error
+	// Open's own reader and writer buffers take 64 KiB each.
+	if n := bytesAllocated(func() { s, err = Open(path, Options{}) }); n >= 256<<10 {
+		t.Errorf("Open over a %d-byte torn tail allocated %d bytes", len(tail), n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 0 || s.Offset() != int64(HeaderSize) {
+		t.Errorf("recovered %d keys up to offset %d, want none up to %d", s.Len(), s.Offset(), HeaderSize)
+	}
+}
+
+// bytesAllocated returns the bytes f allocates, read from the
+// runtime.MemStats TotalAlloc delta.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestCorruptMiddleRecordTruncates(t *testing.T) {
