@@ -140,22 +140,25 @@ bench-baseline:
 		-note "full incremental crawl (discovery + churn + revisit sweeps) over an evolving 4000-page space per iteration; min of 5 runs"
 
 # Short fuzzing passes over the parsers and concurrent structures;
-# extend -fuzztime for real runs.
+# extend -fuzztime for real runs. -fuzzminimizetime=100x keeps a pass
+# fuzzing instead of spending it minimising new inputs (the default
+# allows 60 s each); the last "fuzz: elapsed" line of each pass prints
+# its execs.
 fuzz:
-	$(GO) test -fuzz='^FuzzDetect$$' -fuzztime=30s ./internal/charset/
-	$(GO) test -fuzz=FuzzDetectOracle -fuzztime=30s ./internal/charset/
-	$(GO) test -fuzz=FuzzSplitEquivalence -fuzztime=30s ./internal/charset/
-	$(GO) test -fuzz=FuzzAppendHTMLPage -fuzztime=30s ./internal/textgen/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/htmlx/
-	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=30s ./internal/parse/
-	$(GO) test -fuzz=FuzzReader -fuzztime=30s ./internal/crawlog/
-	$(GO) test -fuzz=FuzzHost -fuzztime=30s ./internal/urlutil/
-	$(GO) test -fuzz=FuzzCrawlogRoundTrip -fuzztime=30s ./internal/crawlog/
-	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s ./internal/crawlog/
-	$(GO) test -fuzz=FuzzFrontierOps -fuzztime=30s ./internal/frontier/
-	$(GO) test -fuzz=FuzzCheckpointRecover -fuzztime=30s ./internal/checkpoint/
-	$(GO) test -fuzz=FuzzLeaseWireCodec -fuzztime=30s ./internal/dist/
-	$(GO) test -fuzz=FuzzJobSpecDecode -fuzztime=30s ./internal/jobs/
+	$(GO) test -fuzz='^FuzzDetect$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/charset/
+	$(GO) test -fuzz=FuzzDetectOracle -fuzztime=30s -fuzzminimizetime=100x ./internal/charset/
+	$(GO) test -fuzz=FuzzSplitEquivalence -fuzztime=30s -fuzzminimizetime=100x ./internal/charset/
+	$(GO) test -fuzz=FuzzAppendHTMLPage -fuzztime=30s -fuzzminimizetime=100x ./internal/textgen/
+	$(GO) test -fuzz=FuzzParse -fuzztime=30s -fuzzminimizetime=100x ./internal/htmlx/
+	$(GO) test -fuzz=FuzzParsePipeline -fuzztime=30s -fuzzminimizetime=100x ./internal/parse/
+	$(GO) test -fuzz=FuzzReader -fuzztime=30s -fuzzminimizetime=100x ./internal/crawlog/
+	$(GO) test -fuzz=FuzzHost -fuzztime=30s -fuzzminimizetime=100x ./internal/urlutil/
+	$(GO) test -fuzz=FuzzCrawlogRoundTrip -fuzztime=30s -fuzzminimizetime=100x ./internal/crawlog/
+	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=30s -fuzzminimizetime=100x ./internal/crawlog/
+	$(GO) test -fuzz=FuzzFrontierOps -fuzztime=30s -fuzzminimizetime=100x ./internal/frontier/
+	$(GO) test -fuzz=FuzzCheckpointRecover -fuzztime=30s -fuzzminimizetime=100x ./internal/checkpoint/
+	$(GO) test -fuzz=FuzzLeaseWireCodec -fuzztime=30s -fuzzminimizetime=100x ./internal/dist/
+	$(GO) test -fuzz=FuzzJobSpecDecode -fuzztime=30s -fuzzminimizetime=100x ./internal/jobs/
 
 # Crash-safety suite: kill-resume equivalence against every golden
 # trace, crash-at-every-op/byte checkpoint sweeps on the injectable
@@ -164,7 +167,7 @@ fuzz:
 crash-suite:
 	$(GO) test -count=1 -run 'KillResume|CheckpointEnabled|Crash|Checkpoint|Recover|Seen|State' \
 		./internal/conformance ./internal/checkpoint ./internal/faults \
-		./internal/crawler ./internal/sim ./internal/kvstore ./internal/linkdb
+		./internal/crawler ./internal/sim ./internal/linkdb
 
 # Distributed-crawl suite: coordinator/worker protocol units, the wire
 # codec, and multi-worker kill-resume / lease-migration / coordinator-

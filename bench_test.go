@@ -3,15 +3,13 @@ package langcrawl
 // One benchmark per table and figure of the paper (via the experiments
 // harness at reduced scale), plus micro-benchmarks for the components
 // those experiments lean on: charset detection, page synthesis, frontier
-// operations, graph generation, log and store I/O.
+// operations, graph generation, crawl-log I/O.
 //
 // Run everything:   go test -bench=. -benchmem
 // Full-scale runs belong to cmd/experiments, not the benchmarks.
 
 import (
 	"bytes"
-	"fmt"
-	"path/filepath"
 	"testing"
 
 	"langcrawl/internal/charset"
@@ -20,7 +18,6 @@ import (
 	"langcrawl/internal/experiments"
 	"langcrawl/internal/frontier"
 	"langcrawl/internal/htmlx"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/rng"
 	"langcrawl/internal/sim"
 	"langcrawl/internal/textgen"
@@ -246,41 +243,6 @@ func BenchmarkCrawlogReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := crawlog.BuildSpace(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKVStorePut(b *testing.B) {
-	st, err := kvstore.Open(filepath.Join(b.TempDir(), "bench.kv"), kvstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	val := bytes.Repeat([]byte("v"), 256)
-	b.SetBytes(int64(len(val)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Put(fmt.Sprintf("http://site%d.example/p%d", i%512, i), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKVStoreGet(b *testing.B) {
-	st, err := kvstore.Open(filepath.Join(b.TempDir(), "bench.kv"), kvstore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	val := bytes.Repeat([]byte("v"), 256)
-	const keys = 4096
-	for i := 0; i < keys; i++ {
-		st.Put(fmt.Sprintf("key-%d", i), val)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Get(fmt.Sprintf("key-%d", i%keys)); err != nil {
 			b.Fatal(err)
 		}
 	}

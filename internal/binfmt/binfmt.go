@@ -1,6 +1,6 @@
 // Package binfmt is the primitive binary encoding shared by checkpoint
-// state files, the dist wire and coordinator snapshot, crawl-log records
-// and kvstore record headers:
+// state files, the dist wire and coordinator snapshot, and crawl-log
+// records:
 //
 //   - a uvarint for a count or an unsigned field, a zigzag varint for a
 //     signed one, each in its shortest form;

@@ -8,11 +8,11 @@ import (
 
 // TailScan counts the complete records in raw post-checkpoint bytes of
 // an append-only file, returning how many there are and how many bytes
-// they span. crawlog.CountTail and kvstore.ScanTail implement it; the
-// indirection keeps this package free of format dependencies (faults
-// imports checkpoint for the FS interface, and the format packages'
-// tests reach faults through the engines — a direct import here would
-// close that loop into a cycle).
+// they span. crawlog.CountTail implements it for the crawl log and the
+// link DB, which share one format; the indirection keeps this package
+// free of format dependencies (faults imports checkpoint for the FS
+// interface, and the format packages' tests reach faults through the
+// engines — a direct import here would close that loop into a cycle).
 type TailScan func(tail []byte) (records, validBytes int)
 
 // TailFile names one append-only file recovery must make consistent

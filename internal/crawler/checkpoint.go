@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"langcrawl/internal/checkpoint"
 	"langcrawl/internal/crawlog"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 )
 
@@ -48,7 +46,7 @@ func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkp
 	if man.LogPos == 0 && logHoldsRecord(fsys, logPath) {
 		return nil, nil, unvouched(logPath)
 	}
-	if man.DBPos == 0 && dbHoldsRecord(dbPath) {
+	if man.DBPos == 0 && logHoldsRecord(checkpoint.OSFS{}, dbPath) {
 		return nil, nil, unvouched(dbPath)
 	}
 	cfg.resumed = nil
@@ -56,7 +54,7 @@ func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkp
 		var err error
 		if rec, err = checkpoint.RecoverCrawl(cfg.CheckpointDir, fsys, cfg.Telemetry.Checkpoint(),
 			checkpoint.TailFile{Path: logPath, Pos: man.LogPos, Scan: crawlog.CountTail},
-			checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: kvstore.ScanTail}); err != nil {
+			checkpoint.TailFile{Path: dbPath, Pos: man.DBPos, Scan: crawlog.CountTail}); err != nil {
 			return nil, nil, fmt.Errorf("crawler: %w", err)
 		}
 		cfg.resumed = &resumedState{st: rec.State}
@@ -102,9 +100,10 @@ func OpenSinks(cfg *Config, logPath, dbPath string, hdr crawlog.Header) (*checkp
 	return rec, closeSinks, nil
 }
 
-// logHoldsRecord reports whether the crawl log at path holds anything
-// but a complete header: a record, a torn one, or bytes that are not a
-// crawl log at all. An absent or empty file (or no path) holds nothing.
+// logHoldsRecord reports whether the crawl log at path — or the link
+// DB, a file in the same format — holds anything but a complete
+// header: a record, a torn one, or bytes that are not a crawl log at
+// all. An absent or empty file (or no path) holds nothing.
 func logHoldsRecord(fsys checkpoint.FS, path string) bool {
 	data, err := fsys.ReadFile(path)
 	if err != nil || len(data) == 0 {
@@ -116,13 +115,6 @@ func logHoldsRecord(fsys checkpoint.FS, path string) bool {
 	}
 	_, err = r.Next()
 	return err != io.EOF
-}
-
-// dbHoldsRecord reports whether the link DB at path is longer than its
-// header.
-func dbHoldsRecord(path string) bool {
-	info, err := os.Stat(path)
-	return err == nil && info.Size() > int64(kvstore.HeaderSize)
 }
 
 // ckState is the crawl loop's view of checkpointing for one run: the writer,

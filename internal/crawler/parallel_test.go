@@ -17,7 +17,6 @@ import (
 	"langcrawl/internal/core"
 	"langcrawl/internal/crawlog"
 	"langcrawl/internal/frontier"
-	"langcrawl/internal/kvstore"
 	"langcrawl/internal/linkdb"
 )
 
@@ -234,8 +233,8 @@ func TestSinkWriteErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Run(context.Background()); !errors.Is(err, kvstore.ErrClosed) {
-				t.Fatalf("Run returned %v, want kvstore.ErrClosed", err)
+			if _, err := c.Run(context.Background()); !errors.Is(err, linkdb.ErrClosed) {
+				t.Fatalf("Run returned %v, want linkdb.ErrClosed", err)
 			}
 		})
 	}

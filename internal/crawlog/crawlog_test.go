@@ -3,9 +3,11 @@ package crawlog
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +258,45 @@ func TestReaderTornTail(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Errorf("salvaged %d records after bit flip, want 1", len(recs))
+	}
+}
+
+// TestWriterRefusesOversizedRecord: the writer refuses a record its
+// reader would refuse (300 000 links, 17 MiB encoded), writes nothing
+// for it, and the records on either side read back.
+func TestWriterRefusesOversizedRecord(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := &Record{URL: "http://huge/", Status: 200, Links: make([]string, 300_000)}
+	for i := range huge.Links {
+		huge.Links[i] = fmt.Sprintf("http://host%06d.example/%s", i, strings.Repeat("p", 33))
+	}
+	if n := len(EncodeRecord(huge)); n <= maxRecord {
+		t.Fatalf("test record is %d bytes, not over the %d-byte cap", n, maxRecord)
+	}
+	if err := w.Write(&Record{URL: "http://a/", Status: 200}); err != nil {
+		t.Fatal(err)
+	}
+	off := w.Offset()
+	if err := w.Write(huge); err == nil {
+		t.Error("Write acknowledged a record over the cap")
+	}
+	if w.Offset() != off || w.Count() != 1 {
+		t.Errorf("refused Write moved the writer to offset %d, count %d", w.Offset(), w.Count())
+	}
+	if err := w.Write(&Record{URL: "http://b/", Status: 200}); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := r.ReadAll()
+	if err != nil || len(recs) != 2 || recs[0].URL != "http://a/" || recs[1].URL != "http://b/" {
+		t.Errorf("ReadAll = %d records, %v; want a and b", len(recs), err)
 	}
 }

@@ -1,6 +1,7 @@
 package linkdb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,9 +14,9 @@ import (
 // TestCrashAtEveryByte cuts a link database at every byte offset and
 // reopens it: every cut must either recover cleanly (a record-prefix of
 // the original contents, still writable) or fail with an error — never
-// panic, and never hand back a record that was not put. This is the
-// linkdb-level half of the kvstore sweep: it additionally proves the
-// record codec round-trips through a torn store.
+// panic, and never hand back a record that was not put. A cut header is
+// the one error; past it, the recovered offset agrees byte for byte
+// with crawlog.CountTail's valid prefix.
 func TestCrashAtEveryByte(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.db")
@@ -23,6 +24,7 @@ func TestCrashAtEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	head := db.Offset()
 	put := map[string]*crawlog.Record{}
 	for _, rec := range []*crawlog.Record{
 		{URL: "http://h0/a", Status: 200, TrueCharset: charset.TIS620, Size: 1234,
@@ -51,8 +53,22 @@ func TestCrashAtEveryByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		db, err := Open(cut)
+		if n > 0 && int64(n) < head {
+			// A partial header is damage, not a torn tail: the header is
+			// written once at create time, so losing it means the file
+			// was never a link DB.
+			if err == nil {
+				db.Close()
+				t.Fatalf("cut at %d: partial header accepted", n)
+			}
+			continue
+		}
 		if err != nil {
-			continue // partial header: damage is allowed to be an error
+			t.Fatalf("cut at %d: %v", n, err)
+		}
+		_, valid := crawlog.CountTail(data[head:max(int64(n), head)])
+		if want := head + int64(valid); db.Offset() != want {
+			t.Fatalf("cut at %d: recovered offset %d, want %d", n, db.Offset(), want)
 		}
 		// Whatever survived must be records we actually put, intact.
 		if err := db.ForEach(func(rec *crawlog.Record) error {
@@ -88,5 +104,113 @@ func TestCrashAtEveryByte(t *testing.T) {
 	}
 	if !sawFull {
 		t.Fatal("no cut recovered the complete database — even the uncut file failed")
+	}
+}
+
+// TestCrashAtEveryByteNewestWins cuts a log in which a URL is put twice
+// at every byte offset: each cut recovers exactly the records of its
+// complete frames, and where both of a URL's frames survive the newer
+// one is read.
+func TestCrashAtEveryByteNewestWins(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.db")
+	db, err := Open(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := db.Offset()
+	steps := []*crawlog.Record{
+		{URL: "http://a/", Status: 1},
+		{URL: "http://b/", Status: 2, Links: []string{"http://a/"}},
+		{URL: "http://a/", Status: 3, Links: []string{"http://b/", "http://c/"}}, // supersedes
+		{URL: "http://c/", Status: 4, Size: 4096},
+	}
+	for _, rec := range steps {
+		if err := db.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cut := filepath.Join(dir, "cut.db")
+	for n := int(head); n <= len(data); n++ {
+		if err := os.WriteFile(cut, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(cut)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", n, err)
+		}
+		frames, _ := crawlog.CountTail(data[head:n])
+		want := map[string]uint16{} // URL → status of its newest surviving frame
+		for _, rec := range steps[:frames] {
+			want[rec.URL] = rec.Status
+		}
+		if db.Len() != len(want) {
+			t.Fatalf("cut at %d: Len = %d, want %d", n, db.Len(), len(want))
+		}
+		for url, status := range want {
+			got, err := db.Get(url)
+			if err != nil || got.Status != status {
+				t.Fatalf("cut at %d: %s = %+v, %v; want status %d", n, url, got, err, status)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("cut at %d: close: %v", n, err)
+		}
+	}
+}
+
+// TestCrashLoopReopen crashes the same DB file repeatedly — cut a few
+// bytes, reopen, append, cut again — verifying each generation of
+// recovery composes with the last instead of compounding damage.
+func TestCrashLoopReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loop.db")
+	for gen := 0; gen < 12; gen++ {
+		db, err := Open(path)
+		if err != nil {
+			t.Fatalf("gen %d: %v", gen, err)
+		}
+		if err := db.Put(&crawlog.Record{URL: fmt.Sprintf("http://gen-%d/", gen), Status: 200}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Tear off a generation-dependent sliver of the tail, never more
+		// than the record just written.
+		if tear := gen % 5; tear > 0 {
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, info.Size()-int64(tear)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// A generation torn by its own tail cut is legitimately lost; every
+	// untorn generation must read back — recovery never eats an intact
+	// record, however many crashes compound.
+	for gen := 0; gen < 12; gen++ {
+		_, err := db.Get(fmt.Sprintf("http://gen-%d/", gen))
+		torn := gen%5 != 0
+		if !torn && err != nil {
+			t.Errorf("generation %d was written intact but lost: %v", gen, err)
+		}
+		if torn && err != ErrNotFound {
+			t.Errorf("generation %d had its record torn yet reads back (%v)", gen, err)
+		}
 	}
 }

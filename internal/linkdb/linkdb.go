@@ -1,38 +1,100 @@
 // Package linkdb is the simulator's link database (the "LinkDB" box in
-// the paper's Fig 2 architecture): a persistent URL → page-record map
-// layered on the embedded kvstore. The live crawler writes one record
-// per fetched page as it goes; a crashed crawl reopens the database and
-// resumes with everything it had already learned about the graph.
+// the paper's Fig 2 architecture): a persistent URL → page-record map.
+// The live crawler writes one record per fetched page as it goes; a
+// crashed crawl reopens the database and resumes with everything it had
+// already learned about the graph.
+//
+// The file is a crawl log (package crawlog): its magic and header, then
+// one record frame per Put. A URL put more than once has several
+// frames, and the last one wins. Open indexes the file into memory, URL
+// → newest frame, and cuts a torn or corrupt tail off; Get reads one
+// frame back.
 package linkdb
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"slices"
 	"sync"
 
 	"langcrawl/internal/crawlog"
-	"langcrawl/internal/kvstore"
 )
 
 // ErrNotFound is returned by Get for URLs never recorded.
 var ErrNotFound = errors.New("linkdb: URL not found")
 
-// DB is a persistent link database. All methods are safe for concurrent
-// use (the underlying store serializes access).
-type DB struct {
-	store *kvstore.Store
+// ErrClosed is returned by calls on a closed database.
+var ErrClosed = errors.New("linkdb: database is closed")
 
-	mu  sync.Mutex // guards enc
-	enc []byte     // Put's encode scratch, reused across records
+// frame locates one record frame in the file.
+type frame struct {
+	off  int64
+	size int
 }
 
-// Open opens (creating if needed) the link database at path.
+// DB is a persistent link database. All methods are safe for concurrent
+// use.
+type DB struct {
+	mu     sync.Mutex
+	f      *os.File
+	w      *crawlog.Writer
+	index  map[string]frame // URL → its newest frame
+	closed bool
+}
+
+// Open opens (creating if needed) the link database at path. A file
+// that is not a crawl log is refused and left as it is.
 func Open(path string) (*DB, error) {
-	st, err := kvstore.Open(path, kvstore.Options{})
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("linkdb: %w", err)
 	}
-	return &DB{store: st}, nil
+	db := &DB{f: f, index: make(map[string]frame)}
+	if err := db.load(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("linkdb: %s: %w", path, err)
+	}
+	return db, nil
+}
+
+// load indexes the file and readies the writer: an empty file gets a
+// header, and a torn or corrupt tail is truncated away.
+func (db *DB) load() error {
+	info, err := db.f.Stat()
+	if err != nil {
+		return err
+	}
+	if info.Size() == 0 {
+		if db.w, err = crawlog.NewWriter(db.f, crawlog.Header{Comment: "link database"}); err != nil {
+			return err
+		}
+		return db.w.Flush()
+	}
+	r, err := crawlog.NewReader(io.NewSectionReader(db.f, 0, info.Size()))
+	if err != nil {
+		return fmt.Errorf("not a link database: %w", err)
+	}
+	for {
+		off := r.Offset()
+		rec, err := r.Next()
+		if err != nil { // the end, or the torn tail cut below
+			break
+		}
+		db.index[rec.URL] = frame{off: off, size: int(r.Offset() - off)}
+	}
+	end := r.Offset()
+	if end < info.Size() {
+		if err := db.f.Truncate(end); err != nil {
+			return fmt.Errorf("truncating torn tail: %w", err)
+		}
+	}
+	if _, err := db.f.Seek(end, io.SeekStart); err != nil {
+		return err
+	}
+	db.w = crawlog.NewWriterAt(db.f, end)
+	return nil
 }
 
 // Put records (or replaces) the page observation for rec.URL.
@@ -40,44 +102,69 @@ func (db *DB) Put(rec *crawlog.Record) error {
 	if rec.URL == "" {
 		return errors.New("linkdb: record has empty URL")
 	}
-	// The store has buffered or written the value by the time its Put
-	// returns, so the scratch is free again for the next record.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.enc = crawlog.AppendRecord(db.enc[:0], rec)
-	return db.store.Put(rec.URL, db.enc)
+	if db.closed {
+		return ErrClosed
+	}
+	off := db.w.Offset()
+	if err := db.w.Write(rec); err != nil {
+		return fmt.Errorf("linkdb: %w", err)
+	}
+	db.index[rec.URL] = frame{off: off, size: int(db.w.Offset() - off)}
+	return nil
 }
 
 // Get returns the recorded observation for url, or ErrNotFound.
 func (db *DB) Get(url string) (*crawlog.Record, error) {
-	b, err := db.store.Get(url)
-	if err == kvstore.ErrNotFound {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return nil, ErrClosed
+	}
+	fr, ok := db.index[url]
+	if !ok {
 		return nil, ErrNotFound
 	}
-	if err != nil {
+	// The frame may still sit in the writer's buffer.
+	if err := db.w.Flush(); err != nil {
 		return nil, err
 	}
-	rec, err := crawlog.DecodeRecord(b)
+	buf := make([]byte, fr.size)
+	if _, err := db.f.ReadAt(buf, fr.off); err != nil {
+		return nil, err
+	}
+	rec, _, err := crawlog.DecodeFrame(buf)
 	if err != nil {
 		return nil, fmt.Errorf("linkdb: %s: %w", url, err)
 	}
 	return rec, nil
 }
 
-// Delete removes url's record.
-func (db *DB) Delete(url string) error { return db.store.Delete(url) }
-
 // Len returns the number of recorded URLs.
-func (db *DB) Len() int { return db.store.Len() }
+func (db *DB) Len() int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return len(db.index)
+}
 
 // URLs returns all recorded URLs in sorted order (tests and small
 // crawls; it materializes the key set).
-func (db *DB) URLs() []string { return db.store.Keys() }
+func (db *DB) URLs() []string {
+	db.mu.Lock()
+	urls := make([]string, 0, len(db.index))
+	for u := range db.index {
+		urls = append(urls, u)
+	}
+	db.mu.Unlock()
+	slices.Sort(urls)
+	return urls
+}
 
 // ForEach calls fn for every record in sorted URL order, stopping at the
 // first error.
 func (db *DB) ForEach(fn func(*crawlog.Record) error) error {
-	for _, url := range db.store.Keys() {
+	for _, url := range db.URLs() {
 		rec, err := db.Get(url)
 		if err != nil {
 			return err
@@ -89,18 +176,32 @@ func (db *DB) ForEach(fn func(*crawlog.Record) error) error {
 	return nil
 }
 
-// Compact reclaims space from overwritten records.
-func (db *DB) Compact() error { return db.store.Compact() }
-
 // Sync flushes and fsyncs pending writes.
-func (db *DB) Sync() error { return db.store.Sync() }
+func (db *DB) Sync() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
+	return db.w.Sync()
+}
 
-// Offset returns the store's end-of-log byte offset (durable only after
+// Offset returns the file's end-of-log byte offset (durable only after
 // Sync); checkpoints record it as the database's committed length.
-func (db *DB) Offset() int64 { return db.store.Offset() }
+func (db *DB) Offset() int64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.w.Offset()
+}
 
-// Path returns the database's file path.
-func (db *DB) Path() string { return db.store.Path() }
-
-// Close flushes and closes the database.
-func (db *DB) Close() error { return db.store.Close() }
+// Close syncs and closes the database. Later calls fail with ErrClosed;
+// a second Close returns nil.
+func (db *DB) Close() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return nil
+	}
+	db.closed = true
+	return errors.Join(db.w.Sync(), db.f.Close())
+}
